@@ -12,6 +12,7 @@ the shared-memory process shard pool.
 
 from __future__ import annotations
 
+import math
 import statistics
 
 import pytest
@@ -23,6 +24,7 @@ from repro.graph.transform import type_aware_transform, type_aware_transform_que
 from repro.matching.config import MatchConfig
 from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool
+from repro.matching.solution_batch import SOLUTION_BATCH_SIZE
 from repro.sparql.parser import parse_sparql
 
 WORKER_COUNTS = (1, 2, 4, 8)
@@ -90,6 +92,11 @@ def test_figure16_star_closure_process_probe():
     the busiest worker) over repeated runs — the Figure 16 load-balance
     quantity, which wall-clock only realizes when the host actually has 4
     free cores.  Wall-clock medians for both series are printed alongside.
+
+    The probe also gates the batch shape on a count, not a timing: 48 hubs
+    are 48 candidate regions of 59 solutions each, and the workers must
+    deliver them as full batches plus at most one tail per worker — never
+    one batch per region.
     """
     hubs, spokes = 48, 60
     graph = star_closure_graph(spokes=spokes, hubs=hubs)
@@ -100,23 +107,32 @@ def test_figure16_star_closure_process_probe():
         pool = ProcessShardPool(
             graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=1
         )
-        elapsed, speedups = [], []
+        elapsed, speedups, batch_counts = [], [], []
         try:
             for _ in range(3):
-                solutions, stats = pool.match(query)
-                assert len(solutions) == expected
+                batches = list(pool.iter_match_batches(query))
+                stats = pool.last_stats
+                assert stats.solutions == sum(batch.rows for batch in batches) == expected
                 elapsed.append(stats.elapsed_ms)
                 speedups.append(stats.simulated_speedup(workers))
+                batch_counts.append(len(batches))
         finally:
             pool.close()
-        return statistics.median(elapsed), statistics.median(speedups)
+        return statistics.median(elapsed), statistics.median(speedups), max(batch_counts)
 
-    single_ms, single_speedup = run_series(1)
-    quad_ms, quad_speedup = run_series(4)
+    single_ms, single_speedup, single_batches = run_series(1)
+    quad_ms, quad_speedup, quad_batches = run_series(4)
     print(
         f"\nstar-closure probe: 1 worker {single_ms:.1f} ms | 4 workers {quad_ms:.1f} ms "
         f"(wall-clock x{single_ms / quad_ms if quad_ms else float('nan'):.2f}), "
-        f"dynamic-schedule speedup x{quad_speedup:.2f}"
+        f"dynamic-schedule speedup x{quad_speedup:.2f}, "
+        f"batches for {expected} solutions: {single_batches} | {quad_batches}"
+    )
+    full_batches = math.ceil(expected / SOLUTION_BATCH_SIZE)
+    assert single_batches <= full_batches + 1
+    assert quad_batches <= full_batches + 4, (
+        "shard workers must ship full batches plus one tail each, "
+        "not one batch per candidate region"
     )
     assert single_speedup == pytest.approx(1.0)
     assert quad_speedup >= 2.0, (

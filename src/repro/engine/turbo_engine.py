@@ -83,7 +83,7 @@ from repro.graph.transform import (
 )
 from repro.matching.config import MatchConfig
 from repro.matching.parallel import ParallelMatcher
-from repro.matching.shard_protocol import run_chunk
+from repro.matching.shard_protocol import ShardCollector, run_chunk
 from repro.matching.solution_batch import SolutionBatch
 from repro.matching.turbo import Solution, TurboMatcher
 from repro.rdf.store import TripleStore
@@ -1150,8 +1150,7 @@ class TurboEngine(Engine):
                         self.graph, self.config, component.query, prepared,
                         predicates, predicates.get(prepared.start_vertex),
                         prepared.start_candidates,
-                        emit=lambda batch: True,
-                        stopped=self._close_event.is_set,
+                        ShardCollector.for_warming(self._close_event.is_set),
                         region_cache=self.region_cache,
                         region_key=(
                             plan.fingerprint, alternative_index, component_index

@@ -41,6 +41,7 @@ from repro.graph.query_graph import QueryGraph
 from repro.matching.candidate_region import VertexPredicate
 from repro.matching.config import MatchConfig
 from repro.matching.shard_protocol import (
+    ShardCollector,
     StreamGate,
     StreamOutcome,
     chunk_ranges,
@@ -120,6 +121,7 @@ class _MatchJob:
         predicates: Dict[int, VertexPredicate],
         chunk_size: int,
         expected_workers: int,
+        limit: Optional[int],
         region_cache=None,
         region_key=None,
         warm_only: bool = False,
@@ -131,6 +133,9 @@ class _MatchJob:
         self.predicates = predicates
         self.root_predicate = predicates.get(prepared.start_vertex)
         self.expected_workers = expected_workers
+        #: Result limit of the stream: a worker's batch ships as soon as it
+        #: holds this many rows (see :class:`ShardCollector`).
+        self.limit = limit
         #: Cross-query region cache (the engine's, shared by every worker
         #: thread) plus the stable per-(query, config) key prefix.
         self.region_cache = region_cache
@@ -184,10 +189,15 @@ class _MatchJob:
 
         The per-chunk matching core is the shared
         :func:`~repro.matching.shard_protocol.run_chunk`, so thread and
-        process shards execute identical semantics.
+        process shards execute identical semantics; this worker's one
+        :class:`ShardCollector` gathers rows across all the chunks it
+        claims and ships its tail when the worker leaves the job.
         """
         local_work = 0
         local_chunk_work: List[int] = []
+        collector = ShardCollector(
+            self.query.vertex_count(), self.limit, self.emit, self.stop.is_set
+        )
         try:
             while not self.stop.is_set():
                 try:
@@ -196,13 +206,13 @@ class _MatchJob:
                     break
                 chunk_work = run_chunk(
                     self.graph, self.config, self.query, self.prepared,
-                    self.predicates, self.root_predicate, chunk,
-                    emit=self.emit, stopped=self.stop.is_set,
+                    self.predicates, self.root_predicate, chunk, collector,
                     region_cache=self.region_cache, region_key=self.region_key,
                     warm_only=self.warm_only,
                 )
                 local_work += chunk_work
                 local_chunk_work.append(chunk_work)
+            collector.flush()
         except BaseException as exc:  # noqa: BLE001 - re-raised on the consumer side
             with self.lock:
                 self.errors.append(exc)
@@ -215,10 +225,11 @@ class _MatchJob:
             if last:
                 self.done.set()
             try:
-                # Wake token so the consumer notices this worker finished
-                # without waiting out its poll timeout; dropping it when
-                # the queue is full is fine — a full queue means the
-                # consumer is active and will poll liveness soon.
+                # Wake token so a consumer blocked in a poll notices this
+                # worker finished without waiting out the timeout; dropping
+                # it when the queue is full is fine — the consumer then has
+                # batches to read and re-checks completion before it blocks
+                # again.
                 self.output.put_nowait(None)
             except queue.Full:
                 pass
@@ -417,7 +428,7 @@ class ParallelMatcher:
         try:
             job = _MatchJob(
                 self.graph, self.config, query, prepared, predicates,
-                self.chunk_size, self.workers,
+                self.chunk_size, self.workers, limit,
                 region_cache=region_cache, region_key=region_key,
                 warm_only=warm_only,
             )

@@ -22,14 +22,19 @@ exactly once:
   ``limit_hint`` / abandoned-generator stops out to every shard, and a
   worker crash or exception is propagated to the consumer instead of
   hanging it;
-* **results** — each worker owns a :class:`~repro.matching.result_ring.
-  ResultRing`: columnar :class:`~repro.matching.solution_batch.
-  SolutionBatch` columns are written straight into the worker's
-  shared-memory ring and only a constant-size control tuple crosses the
-  result queue, so id solutions are **never pickled per solution** (or per
-  batch).  A batch too large for the ring falls back to the old
-  pickled-batch queue path; :attr:`ProcessShardPool.transport` counts both
-  paths and the bytes moved through shared memory.
+* **results** — each worker fills one :class:`~repro.matching.
+  shard_protocol.ShardCollector` per job, across all the candidate regions
+  and chunks it claims, and ships it only when it is full (256 rows, or
+  the job's limit) or when the worker leaves the job: what bounds this
+  path is the number of messages, not the bytes, so a query crosses the
+  boundary in about as many batches as the sequential matcher yields.
+  Each worker owns a :class:`~repro.matching.result_ring.ResultRing`: the
+  batch's columns are written straight into the worker's shared-memory
+  ring and only a constant-size control tuple crosses the result queue, so
+  id solutions are **never pickled per solution** (or per batch).  A batch
+  too large for the ring falls back to the old pickled-batch queue path;
+  :attr:`ProcessShardPool.transport` counts both paths and the bytes moved
+  through shared memory.
 
 The matching semantics per chunk and the consumer-side merge loop are the
 same :mod:`repro.matching.shard_protocol` code the thread pool runs, so the
@@ -62,6 +67,7 @@ from repro.matching.config import MatchConfig
 from repro.matching.parallel import ParallelStats
 from repro.matching.result_ring import DEFAULT_RING_SLOTS, ResultRing, RingWriter
 from repro.matching.shard_protocol import (
+    ShardCollector,
     StreamGate,
     StreamOutcome,
     chunk_ranges,
@@ -196,8 +202,11 @@ def _shard_worker_main(
 
     The control queue is per worker (job headers are broadcast, ``None`` is
     the shutdown sentinel); the chunk queue is shared for dynamic load
-    balancing.  ``ring_manifest``/``ring_free`` describe this worker's
-    result ring (``None`` disables it and forces the queue fallback).
+    balancing.  A job header carries the stream's result limit, which sizes
+    the worker's :class:`ShardCollector` so ``LIMIT k`` ships after ``k``
+    rows instead of a full batch.  ``ring_manifest``/``ring_free`` describe
+    this worker's result ring (``None`` disables it and forces the queue
+    fallback).
     ``region_cache_bytes`` sizes this worker's private cross-query region
     cache (0 disables it), ``cache_admission``/``cache_sketch_bytes``/
     ``region_plan_share`` configure its admission policy and per-plan
@@ -228,7 +237,7 @@ def _shard_worker_main(
             message = control.get()
             if message is None:
                 return
-            _, job_id, plan_key, payload_bytes, warm_only = message
+            _, job_id, plan_key, payload_bytes, warm_only, limit = message
 
             payload: Optional[ShardPayload] = None
             try:
@@ -261,7 +270,7 @@ def _shard_worker_main(
                             graph, config, payload.query, payload.prepared,
                             payload.predicates, payload.root_predicate,
                             payload.prepared.start_candidates,
-                            emit=lambda batch: True, stopped=stopped,
+                            ShardCollector.for_warming(stopped),
                             region_cache=region_cache, region_key=plan_key,
                             warm_only=True,
                         )
@@ -311,6 +320,11 @@ def _shard_worker_main(
             work = 0
             chunk_works: List[int] = []
             failed = payload is None
+            # One collector for the whole job: rows gather across regions
+            # and chunks and ship full, the tail on the "end" marker.
+            collector = None if failed else ShardCollector(
+                payload.query.vertex_count(), limit, emit, stopped
+            )
             while True:
                 chunk_message = chunks.get()
                 kind, chunk_job = chunk_message[0], chunk_message[1]
@@ -323,24 +337,28 @@ def _shard_worker_main(
                     chunks.put(chunk_message)
                     time.sleep(0.01)
                     continue
-                if kind == "end":
-                    break
-                if failed or stopped():
+                leaving = kind == "end"
+                if not leaving and (failed or stopped()):
                     continue
-                lo, hi = chunk_message[2], chunk_message[3]
                 try:
-                    chunk_work = run_chunk(
-                        graph, config, payload.query, payload.prepared,
-                        payload.predicates, payload.root_predicate,
-                        payload.prepared.start_candidates[lo:hi],
-                        emit=emit, stopped=stopped,
-                        region_cache=region_cache, region_key=plan_key,
-                    )
-                    work += chunk_work
-                    chunk_works.append(chunk_work)
+                    if leaving:
+                        if not failed:
+                            collector.flush()
+                    else:
+                        lo, hi = chunk_message[2], chunk_message[3]
+                        chunk_work = run_chunk(
+                            graph, config, payload.query, payload.prepared,
+                            payload.predicates, payload.root_predicate,
+                            payload.prepared.start_candidates[lo:hi], collector,
+                            region_cache=region_cache, region_key=plan_key,
+                        )
+                        work += chunk_work
+                        chunk_works.append(chunk_work)
                 except BaseException as exc:  # noqa: BLE001 - reported to the consumer
                     _put_error(results, job_id, worker_index, exc, cancel)
                     failed = True
+                if leaving:
+                    break
             cache_counters = (
                 region_cache.stats_snapshot() if region_cache is not None else None
             )
@@ -727,7 +745,7 @@ class ProcessShardPool:
                 # guaranteed to still be cached by every worker.
                 _lru_touch(self._shipped, plan_key, None)
             for control in self._controls:
-                control.put(("job", job.job_id, plan_key, payload_bytes, False))
+                control.put(("job", job.job_id, plan_key, payload_bytes, False, limit))
             for lo, hi in chunk_ranges(len(prepared.start_candidates), self.chunk_size):
                 self._chunks.put(("range", job.job_id, lo, hi))
             for _ in range(self.workers):
@@ -859,7 +877,7 @@ class ProcessShardPool:
             if plan_key is not None:
                 _lru_touch(self._shipped, plan_key, None)
             for control in self._controls:
-                control.put(("job", job.job_id, plan_key, payload_bytes, True))
+                control.put(("job", job.job_id, plan_key, payload_bytes, True, None))
             # No cancel: warming runs to completion unless a real job
             # supersedes it (its dispatch bumps the cancel counter past us).
             self._await_job_end(job)

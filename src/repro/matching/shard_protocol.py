@@ -6,12 +6,17 @@ parallelize the same way, following Section 5.2 of the paper: the start
 data vertices of a prepared query are split into small dynamic chunks,
 workers repeatedly claim a chunk and run candidate-region exploration +
 subgraph search on it, and the consumer merges streamed solution batches.
-This module holds the three pieces that must behave *identically* in both
+This module holds the four pieces that must behave *identically* in both
 pools so the two execution modes cannot drift apart semantically:
 
 * :func:`run_chunk` — the per-chunk matching core (regions, matching order,
-  columnar batch emission, work accounting).  It is the only place either
-  pool runs the matcher, so a semantics fix lands in both at once.
+  work accounting).  It is the only place either pool runs the matcher, so
+  a semantics fix lands in both at once.
+* :class:`ShardCollector` — the batch a worker is filling for one job.
+  ``run_chunk`` packs solutions into it region after region and chunk
+  after chunk; it ships when full and once more when the worker leaves
+  the job, so batches cross the transport as full as the sequential
+  matcher's.
 * :func:`chunk_ranges` — the dynamic-chunk partition of the start-candidate
   list.
 * :func:`merge_solution_batches` — the consumer-side merge loop: poll for
@@ -24,7 +29,8 @@ batches against the result limit, and the pools' scalar ``iter_match``
 surface is a thin row-iterating adapter.  The pools differ only in
 transport (``queue.Queue`` + ``threading.Event`` vs a shared-memory ring +
 ``multiprocessing`` queues + a shared cancel counter), which they supply
-through the ``emit`` / ``stopped`` / ``poll`` / ``finished`` callables.
+through the collector's ``emit`` / ``stopped`` and the merge loop's
+``poll`` / ``finished`` callables.
 """
 
 from __future__ import annotations
@@ -126,6 +132,57 @@ def chunk_ranges(total: int, chunk_size: int) -> List[Tuple[int, int]]:
     return [(begin, min(begin + size, total)) for begin in range(0, total, size)]
 
 
+class ShardCollector:
+    """The batch one worker is filling for one job.
+
+    A worker creates one collector when it joins a job and hands it to
+    every :func:`run_chunk` call of that job, so rows accumulate across
+    candidate regions *and* across chunks.  The batch ships through
+    ``emit`` when it holds ``min(SOLUTION_BATCH_SIZE, limit)`` rows — the
+    sequential matcher's rule, so a ``LIMIT k`` job never waits for rows
+    beyond the ``k`` that end it — and once more, partly filled, when the
+    worker leaves the job and calls :meth:`flush` itself.  Every job
+    therefore delivers full batches plus at most one tail per worker.
+
+    ``emit`` delivers one batch to the consumer and returns False once the
+    consumer stopped; ``stopped`` is the job's cancel flag.  After a stop
+    nothing is emitted: held rows are dropped, since the consumer already
+    has every row it asked for.
+    """
+
+    __slots__ = ("target", "emit", "stopped", "columns", "rows")
+
+    def __init__(
+        self,
+        width: int,
+        limit: Optional[int],
+        emit: Callable[[SolutionBatch], bool],
+        stopped: Callable[[], bool],
+    ):
+        self.target = (
+            SOLUTION_BATCH_SIZE if limit is None else min(SOLUTION_BATCH_SIZE, limit)
+        )
+        self.emit = emit
+        self.stopped = stopped
+        self.columns = SolutionBatch.collector(width)
+        self.rows = 0
+
+    @classmethod
+    def for_warming(cls, stopped: Callable[[], bool]) -> "ShardCollector":
+        """The collector of a ``warm_only`` pass: it carries the stop flag
+        :func:`run_chunk` polls and is never filled."""
+        return cls(0, None, lambda batch: True, stopped)
+
+    def flush(self) -> bool:
+        """Ship the held rows, if any; False once the consumer stopped."""
+        batch = SolutionBatch(self.columns, self.rows)
+        self.columns = SolutionBatch.collector(batch.width)
+        self.rows = 0
+        if self.stopped():
+            return False
+        return batch.rows == 0 or self.emit(batch)
+
+
 def run_chunk(
     graph: LabeledGraph,
     config: MatchConfig,
@@ -134,37 +191,41 @@ def run_chunk(
     predicates: Dict[int, VertexPredicate],
     root_predicate: Optional[VertexPredicate],
     chunk: Sequence[int],
-    emit: Callable[[SolutionBatch], bool],
-    stopped: Callable[[], bool],
+    collector: ShardCollector,
     region_cache=None,
     region_key=None,
     warm_only: bool = False,
 ) -> int:
-    """Match every start data vertex of one chunk, emitting solution batches.
+    """Match every start data vertex of one chunk into the worker's collector.
 
     This is the worker-side matching core of Algorithm 1's start-vertex loop
     (lines 9–15), shared verbatim by the thread pool and the process pool.
     One pooled region arena and one explicit-stack searcher serve the whole
     chunk: exploration writes into the arena, the searcher packs solutions
-    straight into the columnar batch under construction (no per-solution
-    lists), and both buffers are reused region after region.  ``emit``
-    delivers one batch to the consumer and returns False once the consumer
-    stopped (result limit reached / generator abandoned); ``stopped`` is
-    polled between candidate regions so cancellation takes effect promptly.
+    straight into ``collector``'s columns (no per-solution lists), and both
+    buffers are reused region after region.  The collector belongs to the
+    worker, not to the chunk: rows it still holds when this call returns
+    travel with the next chunk's, and the worker ships the tail with one
+    last :meth:`ShardCollector.flush` when it leaves the job.  A region larger
+    than a batch still streams out in full batches, which bounds worker
+    memory and lets a stop interrupt mid-region; ``collector.stopped`` is
+    also polled between candidate regions so cancellation takes effect
+    promptly.
     ``region_cache``/``region_key`` enable cross-query region reuse exactly
     as in :meth:`TurboMatcher.iter_match_batches` — the thread pool shares
     the engine's cache, each process-shard worker holds its own.
     ``warm_only`` turns the chunk into a cache-warming pass: regions are
     explored (and stored) exactly as usual, but the subgraph search is
-    skipped and nothing is emitted — the scheduler-driven warm-up uses this
-    to pre-populate worker caches after a pool (re)start.  Returns the
-    chunk's work units (candidate-region vertices explored plus search
+    skipped and the collector stays untouched — the scheduler-driven warm-up
+    uses this to pre-populate worker caches after a pool (re)start.  Returns
+    the chunk's work units (candidate-region vertices explored plus search
     recursions), the load-balance quantity the Figure 16 benchmark reports.
     """
     work = 0
     order_cache = prepared.order_cache if config.reuse_matching_order else None
     tree = prepared.tree
-    width = query.vertex_count()
+    stopped = collector.stopped
+    target = collector.target
     caching = region_cache is not None and region_key is not None
     arena = acquire_arena()
     searcher = acquire_searcher()
@@ -202,22 +263,12 @@ def run_chunk(
             order = determine_matching_order(tree, region, order_cache)
             search_stats = SearchStatistics()
             searcher.reset(graph, query, tree, region, order, config, search_stats)
-            # Stream the region's solutions out in fixed-size columnar
-            # batches rather than materializing the whole region: bounds
-            # worker memory on combinatorial regions and lets the stop
-            # signal interrupt mid-region.
-            columns = SolutionBatch.collector(width)
-            rows = 0
             while not searcher.exhausted:
-                rows += searcher.fill(columns, SOLUTION_BATCH_SIZE - rows)
-                if rows >= SOLUTION_BATCH_SIZE:
-                    if not emit(SolutionBatch(columns, rows)):
-                        rows = 0
-                        break
-                    columns = SolutionBatch.collector(width)
-                    rows = 0
-            if rows:
-                emit(SolutionBatch(columns, rows))
+                collector.rows += searcher.fill(
+                    collector.columns, target - collector.rows
+                )
+                if collector.rows >= target and not collector.flush():
+                    break
             work += search_stats.recursions
     finally:
         release_arena(arena)
@@ -288,21 +339,19 @@ def merge_solution_batches(
     """
     draining = False
     while True:
+        # Completion is checked before every blocking poll, not only after
+        # an idle one: a finished job needs nothing but the non-blocking
+        # drain, and a worker's wake token may have been dropped on a full
+        # queue, so waiting for one could sleep out a whole POLL_INTERVAL.
+        if not draining and finished():
+            draining = True
         batch = poll(0.0 if draining else POLL_INTERVAL)
         if batch is None:
             if draining:
                 return
-            if finished():
-                draining = True
             continue
         if batch.rows == 0:
-            # A wake token usually means a worker left the job: re-check
-            # completion now instead of sleeping out the next poll timeout
-            # (the last token used to cost every query one POLL_INTERVAL
-            # of idle latency before the stream noticed it was done).
-            if not draining and finished():
-                draining = True
-            continue
+            continue  # wake token / control message: re-check completion
         if limit is not None and outcome.delivered + batch.rows >= limit:
             take = limit - outcome.delivered
             outcome.delivered = limit

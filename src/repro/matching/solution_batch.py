@@ -26,8 +26,11 @@ from typing import Iterator, List, Sequence
 
 #: Solutions per batch: large enough to amortize queue/ring traffic, small
 #: enough to bound worker memory and cancellation latency inside one
-#: combinatorial candidate region.  (Shared by every producer so thread and
-#: process transports see identical batch shapes.)
+#: combinatorial candidate region.  Every producer — the sequential matcher
+#: and each shard worker's :class:`~repro.matching.shard_protocol.
+#: ShardCollector` — fills a batch to this size (or to the result limit)
+#: across candidate regions before shipping it, so thread and process
+#: transports see identical batch shapes: full batches plus one tail.
 SOLUTION_BATCH_SIZE = 256
 
 #: Bytes per column slot (``array('q')`` / int64).

@@ -11,6 +11,10 @@
   per-solution pickling (pinned by poisoning ``SolutionBatch`` pickling and
   by counting queue payloads), and a ring too small for a batch must fall
   back to the queue path without losing solutions.
+* **Batch shape** — a shard worker owns one batch per job and ships it
+  full: an unlimited job delivers ⌈solutions / 256⌉ batches plus at most
+  one tail per worker, never one batch per candidate region; and the merge
+  loop never blocks on a job that has already finished.
 * **Validation** — execution-mode / worker-count / result-pipeline knobs
   (arguments and environment overrides) must raise a clear ``ValueError``
   at engine construction, not deep inside a pool.
@@ -22,9 +26,11 @@
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import random
-from collections import Counter
+from array import array
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +42,8 @@ from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
 from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool
-from repro.matching.solution_batch import SolutionBatch
+from repro.matching.shard_protocol import StreamOutcome, merge_solution_batches
+from repro.matching.solution_batch import SOLUTION_BATCH_SIZE, SolutionBatch
 from repro.matching.turbo import TurboMatcher
 from repro.rdf.dictionary import Dictionary
 from repro.rdf.namespaces import Namespace, RDF
@@ -50,7 +57,7 @@ from test_shard_parity import (
     random_multigraph_query,
     solution_multiset,
 )
-from test_shard_lifecycle import star_graph, star_query
+from test_shard_lifecycle import make_pool, star_graph, star_query
 
 EX = Namespace("http://example.org/")
 PREFIX = (
@@ -352,6 +359,82 @@ class TestRingTransport:
         import os
 
         assert not any(os.path.exists(f"/dev/shm/{name}") for name in names)
+
+
+# ---------------------------------------------------------------- batch shape
+class TestBatchShape:
+    """Batches belong to the worker, not to the candidate region."""
+
+    #: 600 hubs of 3 spokes: 600 candidate regions, 3 solutions each.
+    HUBS, SPOKES, WORKERS = 600, 3, 2
+
+    @pytest.mark.parametrize("kind", ["threads", "processes"])
+    def test_unlimited_job_ships_full_batches_plus_one_tail_per_worker(self, kind):
+        graph = star_graph(spokes=self.SPOKES, hubs=self.HUBS)
+        query = star_query()
+        solutions = self.HUBS * self.SPOKES
+        oracle = solution_multiset(
+            TurboMatcher(graph, MatchConfig.turbo_hom_pp()).iter_match(query)
+        )
+        assert sum(oracle.values()) == solutions
+        pool = make_pool(kind, graph, self.WORKERS)
+        try:
+            batches = list(pool.iter_match_batches(query))
+            assert solution_multiset(
+                row for batch in batches for row in batch.iter_rows()
+            ) == oracle
+            partial = [batch for batch in batches if batch.rows < SOLUTION_BATCH_SIZE]
+            assert len(partial) <= self.WORKERS
+            assert all(batch.rows <= SOLUTION_BATCH_SIZE for batch in batches)
+            assert len(batches) <= math.ceil(solutions / SOLUTION_BATCH_SIZE) + self.WORKERS
+            if kind == "processes":
+                assert pool.transport.ring_batches == len(batches)
+                assert pool.transport.queue_batches == 0
+                assert pool.transport.solutions == solutions
+        finally:
+            pool.close()
+
+
+class TestMergeLoop:
+    """``merge_solution_batches`` against a scripted transport."""
+
+    @staticmethod
+    def run(script, finished_after):
+        """Drive the loop; ``finished()`` turns True after that many polls.
+
+        Returns the delivered batches and the ``(finished, timeout)`` pair
+        of every ``poll`` call.
+        """
+        pending = deque(script)
+        polls = []
+
+        def finished():
+            return len(polls) >= finished_after
+
+        def poll(timeout):
+            polls.append((finished(), timeout))
+            return pending.popleft() if pending else None
+
+        delivered = list(
+            merge_solution_batches(poll, finished, None, StreamOutcome())
+        )
+        return delivered, polls
+
+    @staticmethod
+    def batch(rows):
+        return SolutionBatch([array("q", range(rows))], rows)
+
+    @pytest.mark.parametrize("finished_after", [0, 2])
+    def test_finished_job_is_never_polled_with_a_timeout(self, finished_after):
+        """A wake token can be dropped on a full queue, so the loop must not
+        rely on one: once ``finished()`` is true only the non-blocking drain
+        runs — no poll may sleep out a POLL_INTERVAL."""
+        script = [self.batch(4), self.batch(5), SolutionBatch.empty(), self.batch(6)]
+        delivered, polls = self.run(script, finished_after)
+        assert [batch.rows for batch in delivered] == [4, 5, 6]
+        assert len(polls) == len(script) + 1  # ends on the first empty poll
+        assert all(timeout > 0 for done, timeout in polls if not done)
+        assert all(timeout == 0 for done, timeout in polls if done)
 
 
 # ---------------------------------------------------------------- validation

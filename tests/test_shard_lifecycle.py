@@ -5,11 +5,14 @@ cancellation: worker exceptions and crashes propagating to the consumer,
 ``limit_hint`` fanning a prompt stop out to every shard, shared-memory
 segments being unlinked on engine close *and* on interpreter exit, and the
 regression where closing the engine mid-iteration deadlocked on the
-bounded result queue.
+bounded result queue.  Workers hold rows back until a batch is full, so the
+last class checks that holding them cost neither ``LIMIT`` its early stop
+nor a cancelled job its ring space.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
@@ -24,6 +27,9 @@ from repro.graph.query_graph import QueryGraph
 from repro.matching.config import MatchConfig
 from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool, ShardWorkerError
+from repro.matching.shard_protocol import ShardCollector, run_chunk
+from repro.matching.solution_batch import SOLUTION_BATCH_SIZE
+from repro.matching.turbo import prepare_query
 
 HUB, SPOKE = 0, 1
 LINK = 0
@@ -55,6 +61,12 @@ def star_query() -> QueryGraph:
     leaf = query.add_vertex("leaf", frozenset((SPOKE,)))
     query.add_edge(hub, leaf, LINK)
     return query
+
+
+def make_pool(kind: str, graph, workers: int = 2):
+    """The thread or process shard pool over ``graph``, one region per chunk."""
+    pool_class = {"threads": ParallelMatcher, "processes": ProcessShardPool}[kind]
+    return pool_class(graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=1)
 
 
 def segment_exists(name: str) -> bool:
@@ -220,6 +232,113 @@ class TestProcessPoolLifecycle:
             stream.close()  # abandon: must cancel the job, not hang in GC
             solutions, _ = pool.match(star_query(), max_results=3)
             assert len(solutions) == 3
+        finally:
+            pool.close()
+
+
+# ------------------------------------------------- worker-owned batch, limits
+class TestHeldRowsUnderLimitsAndCancellation:
+    """Rows a worker holds back for a full batch must not delay ``LIMIT k``
+    nor leak ring space when the job is cancelled around them."""
+
+    #: 6000 hubs of 3 spokes: many small regions, 18000 solutions.
+    HUBS, SPOKES = 6000, 3
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return star_graph(spokes=self.SPOKES, hubs=self.HUBS)
+
+    @staticmethod
+    def collect(graph, limit, stop_after=None):
+        """Run every start vertex through one collector, then flush its tail.
+
+        Returns the row counts of the emitted batches; the job counts as
+        stopped once ``stop_after`` batches were emitted.
+        """
+        query = star_query()
+        prepared = prepare_query(graph, query, MatchConfig.turbo_hom_pp())
+        emitted = []
+
+        def emit(batch):
+            emitted.append(batch.rows)
+            return True
+
+        collector = ShardCollector(
+            query.vertex_count(), limit, emit,
+            lambda: stop_after is not None and len(emitted) >= stop_after,
+        )
+        run_chunk(
+            graph, MatchConfig.turbo_hom_pp(), query, prepared, {}, None,
+            prepared.start_candidates, collector,
+        )
+        collector.flush()
+        return emitted
+
+    def test_collector_ships_at_the_limit_not_at_the_batch_size(self):
+        graph = star_graph(spokes=3, hubs=100)  # 100 regions, 300 rows
+        tail = 300 - SOLUTION_BATCH_SIZE
+        assert self.collect(graph, limit=None) == [SOLUTION_BATCH_SIZE, tail]
+        assert self.collect(graph, limit=1000) == [SOLUTION_BATCH_SIZE, tail]
+        # A worker holding k rows ships them without waiting for 256.
+        assert self.collect(graph, limit=4) == [4] * 75
+
+    def test_collector_drops_held_rows_after_a_stop(self):
+        graph = star_graph(spokes=3, hubs=100)
+        # Stopped once the full batch went out: the rest of the region in
+        # progress is still searched and held, but never emitted.
+        assert self.collect(graph, limit=None, stop_after=1) == [SOLUTION_BATCH_SIZE]
+
+    @pytest.mark.parametrize("kind", ["threads", "processes"])
+    def test_limits_stop_early_in_both_pools(self, kind, graph):
+        pool = make_pool(kind, graph)
+        try:
+            solutions, stats = pool.match(star_query())
+            assert len(solutions) == self.HUBS * self.SPOKES
+            exhaustive = stats.total_work
+            per_region = exhaustive / self.HUBS
+            for limit in (1, 3, 300):
+                solutions, stats = pool.match(star_query(), max_results=limit)
+                assert len(solutions) == limit
+                assert len(set(map(tuple, solutions))) == limit
+                assert stats.solutions == limit
+                assert stats.total_work < exhaustive / 2
+                if limit <= self.SPOKES:
+                    # One region fills the batch.  Had the workers waited for
+                    # 256 rows they would have searched ~85 regions each; the
+                    # bounded output queue caps the overshoot at a few dozen.
+                    assert stats.total_work < 60 * per_region
+            # The pool is not wedged: the next query is answered completely.
+            solutions, _ = pool.match(star_query())
+            assert len(solutions) == self.HUBS * self.SPOKES
+        finally:
+            pool.close()
+
+    def test_no_ring_reservation_leaks_for_dropped_rows(self, graph):
+        pool = make_pool("processes", graph)
+        query = star_query()
+
+        def rings_are_free():
+            return [ring.free.value for ring in pool._rings] == [
+                ring.slots for ring in pool._rings
+            ]
+
+        try:
+            solutions, _ = pool.match(query, max_results=300)  # limit stop
+            assert len(solutions) == 300 and rings_are_free()
+
+            stream = pool.iter_match_batches(query)  # explicit close mid-stream
+            assert next(stream).rows == SOLUTION_BATCH_SIZE
+            stream.close()
+            assert rings_are_free()
+
+            stream = pool.iter_match_batches(query)  # abandoned to the GC
+            assert next(stream).rows == SOLUTION_BATCH_SIZE
+            del stream
+            gc.collect()
+            assert rings_are_free()
+
+            solutions, _ = pool.match(query)
+            assert len(solutions) == self.HUBS * self.SPOKES and rings_are_free()
         finally:
             pool.close()
 
