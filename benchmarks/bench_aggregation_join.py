@@ -1,18 +1,11 @@
-"""Columnar aggregation and hybrid-join spill overhead (ours).
+"""Hybrid-join spill overhead (ours).
 
-Two regression gates over the LUBM-style enrollment graph (students ×
-courses × teachers: a 60 000-embedding, three-variable chain):
-
-* **Aggregation gate** — ``GROUP BY ?z`` + ``COUNT`` over the full chain.
-  The batch pipeline groups on raw id columns and decodes only the emitted
-  groups (20 teachers), while the scalar pipeline materializes and decodes
-  all 60 000 rows before counting; the columnar kernel must be ≥ 2× faster
-  (asserted on interleaved minima).
-* **Spill gate** — a left-outer join whose 60 000-row build side is forced
-  through the hybrid hash join's spill path by a byte budget far below the
-  build size.  At least half the partitions must spill, the results must
-  be identical to the unbounded join, and the spilling run must stay
-  within 3× of the unbounded one (graceful degradation, not a cliff).
+One regression gate over the LUBM-style enrollment graph (students ×
+courses: a 60 000-row relation): a left-outer join whose 60 000-row build
+side is forced through the hybrid hash join's spill path by a byte budget
+far below the build size.  At least half the partitions must spill, the
+results must be identical to the unbounded join, and the spilling run must
+stay within 3× of the unbounded one (graceful degradation, not a cliff).
 
 Run with ``pytest benchmarks/bench_aggregation_join.py -q -s`` for the
 timing table.
@@ -35,15 +28,6 @@ PREFIX = "PREFIX ex: <http://example.org/> "
 
 STUDENTS = 400
 COURSES = 150
-TEACHERS = 20
-
-#: The aggregation gate workload: 60 000 embeddings collapse to 20 groups,
-#: so the batch kernel's late materialization (decode 20 group keys, not
-#: 60 000 rows) is exactly what is being measured.
-GROUP_QUERY = PREFIX + (
-    "SELECT ?z (COUNT(?x) AS ?n) (COUNT(DISTINCT ?x) AS ?d) WHERE "
-    "{ ?x ex:takesCourse ?y . ?y ex:taughtBy ?z . } GROUP BY ?z"
-)
 
 #: The spill gate workload: the OPTIONAL group (the join's build side) is
 #: the full 60 000-row enrollment relation, far beyond the spill budget.
@@ -58,21 +42,16 @@ SPILL_FANOUT = 8
 
 REPEATS = 5
 
-AGGREGATION_GATE = 2.0
 SPILL_OVERHEAD_GATE = 3.0
 
 
 @pytest.fixture(scope="module")
 def course_store() -> TripleStore:
-    """A LUBM-style enrollment graph with 60k three-variable embeddings."""
+    """A LUBM-style enrollment graph with a 60k-row enrollment relation."""
     store = TripleStore()
     triples = [
         Triple(EX[f"student{i}"], EX.takesCourse, EX[f"course{j}"])
         for i in range(STUDENTS)
-        for j in range(COURSES)
-    ]
-    triples += [
-        Triple(EX[f"course{j}"], EX.taughtBy, EX[f"teacher{j % TEACHERS}"])
         for j in range(COURSES)
     ]
     triples += [
@@ -98,49 +77,10 @@ def _interleaved_min_ms(engines, sparql: str):
     return {label: min(series) for label, series in times.items()}
 
 
-def test_columnar_aggregation_gate(course_store):
-    batch = TurboHomPPEngine(execution_mode="threads", result_pipeline="batch")
-    scalar = TurboHomPPEngine(execution_mode="threads", result_pipeline="scalar")
-    batch.load(course_store)
-    scalar.load(course_store)
-    try:
-        left = batch.query(GROUP_QUERY)
-        right = scalar.query(GROUP_QUERY)
-        assert len(left) == TEACHERS
-        assert left.grouped_counts(["z"], ["n", "d"]) == right.grouped_counts(
-            ["z"], ["n", "d"]
-        )
-
-        engines = (("batch", batch), ("scalar", scalar))
-        timings = _interleaved_min_ms(engines, GROUP_QUERY)
-        speedup = timings["scalar"] / timings["batch"]
-        operators = batch.stats()["operators"]
-        print(
-            f"\nGROUP BY + COUNT over {STUDENTS * COURSES} embeddings "
-            f"({TEACHERS} groups):"
-        )
-        for label, ms in timings.items():
-            print(f"  {label:7s} {ms:8.2f} ms")
-        print(
-            f"  speedup x{speedup:.2f} "
-            f"(groups emitted {operators['groups_emitted']}, "
-            f"rows decoded {operators['rows_decoded']})"
-        )
-        assert speedup >= AGGREGATION_GATE, (
-            f"columnar aggregation is only x{speedup:.2f} over the scalar "
-            f"pipeline (gate: x{AGGREGATION_GATE})"
-        )
-    finally:
-        batch.close()
-        scalar.close()
-
-
 def test_hybrid_join_spill_gate(course_store):
-    unbounded = TurboHomPPEngine(
-        execution_mode="threads", result_pipeline="batch", join_memory_bytes=0
-    )
+    unbounded = TurboHomPPEngine(execution_mode="threads", join_memory_bytes=0)
     spilling = TurboHomPPEngine(
-        execution_mode="threads", result_pipeline="batch",
+        execution_mode="threads",
         join_memory_bytes=SPILL_BUDGET, join_partitions=SPILL_FANOUT,
     )
     unbounded.load(course_store)

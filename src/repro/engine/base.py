@@ -40,17 +40,6 @@ EXECUTION_MODE_ENV = "REPRO_EXECUTION_MODE"
 #: at their sequential default (explicit ``workers=N`` arguments win).
 EXECUTION_WORKERS_ENV = "REPRO_EXECUTION_WORKERS"
 
-#: Supported result pipelines: ``"batch"`` moves columnar
-#: :class:`~repro.sparql.binding_batch.BindingBatch` objects end-to-end
-#: (late materialization, vectorized operators); ``"scalar"`` is the
-#: per-``Binding`` compatibility path every engine shares.
-RESULT_PIPELINES = ("batch", "scalar")
-
-#: Environment override for engines constructed without an explicit result
-#: pipeline — lets CI re-run an unmodified workload on the scalar
-#: compatibility path: ``REPRO_RESULT_PIPELINE=scalar``.
-RESULT_PIPELINE_ENV = "REPRO_RESULT_PIPELINE"
-
 #: Environment override for the cross-query candidate-region cache budget
 #: (bytes) of engines constructed without an explicit ``region_cache_bytes``.
 #: ``0`` disables region caching entirely; unset keeps the default budget
@@ -91,21 +80,6 @@ def resolve_execution_mode(mode: Optional[str] = None) -> str:
             f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
         )
     return mode
-
-
-def resolve_result_pipeline(pipeline: Optional[str] = None) -> str:
-    """Validate a result pipeline, falling back to the environment override.
-
-    An explicit ``pipeline`` argument always wins; ``None`` consults
-    ``REPRO_RESULT_PIPELINE`` and finally defaults to ``"batch"``.
-    """
-    if pipeline is None:
-        pipeline = os.environ.get(RESULT_PIPELINE_ENV, "").strip().lower() or "batch"
-    if pipeline not in RESULT_PIPELINES:
-        raise EngineError(
-            f"unknown result pipeline {pipeline!r}; expected one of {RESULT_PIPELINES}"
-        )
-    return pipeline
 
 
 def resolve_region_cache_bytes(capacity: Optional[int], default: int) -> int:
@@ -260,24 +234,12 @@ class BGPSolver(abc.ABC):
         """True when the solver makes use of ``cheap_filters``."""
         return False
 
-    def supports_plan_shapes(self) -> bool:
-        """True when ``solve``/``solve_batches`` accept a ``plan_shape``.
-
-        A plan shape is an opaque string folded into the solver's plan-cache
-        key (see :func:`repro.engine.plan_cache.bgp_fingerprint`); the
-        evaluator passes the query's aggregate shape so cached plans are
-        only reused by queries with an identical aggregation structure.
-        """
-        return False
-
     def path_resolver(self):
         """The solver's :class:`~repro.engine.operators.path.PathResolver`.
 
         ``None`` (the default) means the solver cannot evaluate
-        :class:`~repro.sparql.ast.PathPattern` leaves; the evaluator raises
-        a clear :class:`~repro.exceptions.EngineError` when a query's paths
-        reach such a solver (engine front-ends gate earlier via
-        :attr:`Engine.supports_paths`).
+        :class:`~repro.sparql.ast.PathPattern` leaves; engine front-ends
+        reject such queries up front via :attr:`Engine.supports_paths`.
         """
         return None
 
@@ -305,13 +267,15 @@ class BGPSolver(abc.ABC):
         """True when :meth:`solve_batches` streams columnar batches.
 
         Solvers that return True must implement ``solve_batches(patterns,
-        cheap_filters, limit_hint)`` yielding
+        cheap_filters, limit_hint, plan_shape)`` yielding
         :class:`~repro.sparql.binding_batch.BindingBatch` objects with the
         exact multiset semantics of :meth:`solve`; the evaluator then runs
-        its batch-aware operators and materializes terms only at the
-        :class:`~repro.sparql.results.ResultSet` boundary.  The default is
-        the scalar path, which keeps every baseline engine (and the
-        ``REPRO_RESULT_PIPELINE=scalar`` escape hatch) oracle-comparable.
+        the batch operator kernels and materializes terms only at the
+        :class:`~repro.sparql.results.ResultSet` boundary (``plan_shape`` is
+        an opaque string folded into the solver's plan-cache key, see
+        :func:`repro.engine.plan_cache.bgp_fingerprint`).  The default is
+        the scalar reference algebra of the baseline engines, which shares
+        no code with the batch kernels and is what tests compare against.
         """
         return False
 
@@ -376,9 +340,9 @@ class Engine(abc.ABC):
         incrementally — the entry point the wire serializers and the
         serving front-end consume, never materializing a row-dict
         :class:`~repro.sparql.results.ResultSet`.  Solvers without a batch
-        surface stream scalar rows through a term-column adapter with
-        identical semantics.  Closing the result (or abandoning it
-        mid-iteration) cancels the evaluation.
+        surface (the baselines) stream the reference algebra's rows through
+        a term-column adapter with identical semantics.  Closing the result
+        (or abandoning it mid-iteration) cancels the evaluation.
         """
         from repro.engine.evaluator import stream_query_rows
         from repro.engine.operators.pipeline import stream_query_batches
@@ -401,11 +365,11 @@ class Engine(abc.ABC):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
-def _uses_optional(query: SelectQuery) -> bool:
-    """True when the query contains an OPTIONAL clause anywhere."""
+def _any_group(query: SelectQuery, predicate) -> bool:
+    """True when ``predicate`` holds for any group pattern of the query."""
 
     def walk(group) -> bool:
-        if group.optionals:
+        if predicate(group):
             return True
         for union in group.unions:
             if any(walk(alt) for alt in union.alternatives):
@@ -413,17 +377,13 @@ def _uses_optional(query: SelectQuery) -> bool:
         return any(walk(opt) for opt in group.optionals)
 
     return walk(query.where)
+
+
+def _uses_optional(query: SelectQuery) -> bool:
+    """True when the query contains an OPTIONAL clause anywhere."""
+    return _any_group(query, lambda group: bool(group.optionals))
 
 
 def _uses_paths(query: SelectQuery) -> bool:
     """True when the query contains a transitive path pattern anywhere."""
-
-    def walk(group) -> bool:
-        if group.paths:
-            return True
-        for union in group.unions:
-            if any(walk(alt) for alt in union.alternatives):
-                return True
-        return any(walk(opt) for opt in group.optionals)
-
-    return walk(query.where)
+    return _any_group(query, lambda group: bool(group.paths))

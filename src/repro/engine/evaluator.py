@@ -6,20 +6,25 @@ semantics, OPTIONAL (left outer join), UNION, joins between group parts,
 GROUP BY / COUNT aggregation, projection, DISTINCT, ORDER BY, LIMIT/OFFSET
 — is identical and lives in the shared algebra.
 
-The algebra exists twice, over two row representations with identical
-semantics:
+The algebra has one production implementation and one reference:
 
+* the **batch** operators in :mod:`repro.engine.operators` are composable
+  kernels over columnar :class:`~repro.sparql.binding_batch.BindingBatch`
+  streams (hybrid hash join with byte-budgeted, spillable build sides;
+  streaming DISTINCT; columnar GROUP BY/COUNT; key-only-decode ORDER BY;
+  property paths), composed by
+  :func:`repro.engine.operators.pipeline.evaluate_query_batches` — the only
+  path ``TurboEngine`` queries take;
 * the **scalar** operators in this module work on one ``Binding`` dict at
-  a time — the compatibility path every solver supports, and the oracle
-  the batch pipeline is compared against;
-* the **batch** operators live in :mod:`repro.engine.operators` as
-  composable kernels over columnar
-  :class:`~repro.sparql.binding_batch.BindingBatch` streams (hybrid hash
-  join with byte-budgeted, spillable build sides; streaming DISTINCT;
-  columnar GROUP BY/COUNT; key-only-decode ORDER BY), composed by
-  :func:`repro.engine.operators.pipeline.evaluate_query_batches`.
-  :func:`evaluate_query` picks the pipeline from
-  ``solver.supports_batches()``.
+  a time.  They are the reference algebra of the baseline engines
+  (RDF-3X-style, TripleBit-style, bitmap), whose solvers have no batch
+  surface: a baseline shares neither matcher, plan nor operator kernel with
+  ``TurboEngine``, which is what makes it an independent oracle for the
+  parity tests and the benchmark's digest checks.  Transitive property
+  paths are outside the reference (no baseline supports them).
+
+:func:`evaluate_query` picks the implementation from
+``solver.supports_batches()``.
 
 The scalar algebra is lazy end-to-end: :func:`evaluate_group` composes
 generator operators (hash join, hash left-outer join for OPTIONAL, lazy
@@ -27,8 +32,7 @@ UNION concatenation, filters as stream predicates) over the solver's
 streaming ``solve``, so a ``LIMIT k`` query stops pulling — and therefore
 stops *matching* — after ``k`` solutions instead of trimming a
 materialized list.  A ``limit_hint`` is additionally threaded into the
-solver whenever no downstream operator can drop rows, letting the matcher
-terminate candidate region exploration early.
+solver whenever no downstream operator can drop rows.
 
 Join attributes are derived from the query structure (the variables each
 subtree can bind), not by sweeping the binding lists, so the operators never
@@ -48,13 +52,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.engine.base import BGPSolver
 from repro.engine.operators.aggregate import scalar_aggregate
-from repro.engine.operators.path import require_path_resolver, scalar_path_apply
 from repro.engine.operators.pipeline import (
     _bindable_variables,
     _bindable_variables_of_triples,
     evaluate_group_batches,
     evaluate_query_batches,
 )
+from repro.exceptions import EngineError
 from repro.sparql import expressions as expr
 from repro.sparql.ast import GraphPattern, SelectQuery
 from repro.sparql.results import Binding, ResultSet
@@ -78,17 +82,13 @@ def evaluate_query(query: SelectQuery, solver: BGPSolver) -> ResultSet:
 def stream_query_rows(
     query: SelectQuery, solver: BGPSolver
 ) -> Tuple[List[str], Iterator[Binding]]:
-    """The streaming core of the scalar path: ``(projection, rows)``.
+    """The streaming core of the reference algebra: ``(projection, rows)``.
 
-    The row twin of
-    :func:`repro.engine.operators.pipeline.stream_query_batches`, for
-    solvers without a batch surface: rows stream lazily except through
-    ORDER BY, which is inherently blocking.  The caller must not use this
-    for batch-capable solvers (``evaluate_query`` dispatches first).
+    For solvers without a batch surface (the baselines): rows stream lazily
+    except through ORDER BY, which is inherently blocking.  The caller must
+    not use this for batch-capable solvers (``evaluate_query`` dispatches
+    first).
     """
-    from repro.engine.plan import compose_plan_shape
-
-    plan_shape = compose_plan_shape(query.aggregate_shape(), query.where.paths)
     projection = [str(v) for v in query.projection()]
     aggregate = query.is_aggregate()
     limit_hint: Optional[int] = None
@@ -103,7 +103,7 @@ def stream_query_rows(
         # aggregation need the full result, so none admits a hint.
         limit_hint = query.limit + query.offset
 
-    solutions = evaluate_group(query.where, solver, limit_hint, plan_shape)
+    solutions = evaluate_group(query.where, solver, limit_hint)
     if aggregate:
         solutions = scalar_aggregate(
             solutions, [str(v) for v in query.group_by], query.aggregates
@@ -129,45 +129,24 @@ def evaluate_group(
     group: GraphPattern,
     solver: BGPSolver,
     limit_hint: Optional[int] = None,
-    plan_shape: Optional[str] = None,
 ) -> Iterator[Binding]:
     """Stream the solutions of a group graph pattern.
 
     ``limit_hint`` bounds how many solutions the caller will consume; it is
     forwarded to the BGP solver only when the group has no filters and no
     UNION blocks (OPTIONAL never drops left rows, so it is hint-safe).
-    ``plan_shape`` (the query's aggregate/path shape) is forwarded to
-    shape-aware solvers so their plan-cache keys match the batch pipeline's.
     """
+    if group.paths:
+        raise EngineError("the reference algebra does not evaluate property paths")
     cheap, expensive = expr.split_filters(group.filters)
 
     # 1. Basic graph pattern (streamed straight from the solver).
     if group.triples:
-        bgp_hint = (
-            limit_hint
-            if not (group.filters or group.unions or group.paths)
-            else None
-        )
-        if plan_shape is not None and solver.supports_plan_shapes():
-            stream = iter(
-                solver.solve(
-                    group.triples, cheap, limit_hint=bgp_hint, plan_shape=plan_shape
-                )
-            )
-        else:
-            stream = iter(solver.solve(group.triples, cheap, limit_hint=bgp_hint))
+        bgp_hint = limit_hint if not (group.filters or group.unions) else None
+        stream = iter(solver.solve(group.triples, cheap, limit_hint=bgp_hint))
     else:
         stream = iter(({},))
     bound = _bindable_variables_of_triples(group)
-
-    # 1b. Property-path steps join the stream like extra patterns (each row
-    #     constrains the endpoints; closure probes hit the path indexes).
-    if group.paths:
-        resolver = require_path_resolver(solver)
-        counters = solver.operator_context().counters
-        for path in group.paths:
-            stream = scalar_path_apply(stream, path, resolver, counters)
-            bound.update(str(v) for v in path.variables())
 
     # 2. UNION blocks join with the rest of the group (alternatives stream
     #    lazily, one after the other).
@@ -176,7 +155,7 @@ def evaluate_group(
         for alternative in union.alternatives:
             union_bound |= _bindable_variables(alternative)
         union_stream = itertools.chain.from_iterable(
-            evaluate_group(alternative, solver, None, plan_shape)
+            evaluate_group(alternative, solver)
             for alternative in union.alternatives
         )
         stream = _hash_join(stream, union_stream, sorted(bound & union_bound))
@@ -187,7 +166,7 @@ def evaluate_group(
         optional_bound = _bindable_variables(optional)
         stream = _hash_left_outer_join(
             stream,
-            evaluate_group(optional, solver, None, plan_shape),
+            evaluate_group(optional, solver),
             sorted(bound & optional_bound),
             sorted(optional_bound),
         )

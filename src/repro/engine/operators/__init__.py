@@ -14,11 +14,11 @@ relational kernel, each consuming and producing
 * :mod:`~repro.engine.operators.sort` — ORDER BY with key-only decode
   before the sort and full decode only after the LIMIT slice;
 * :mod:`~repro.engine.operators.aggregate` — GROUP BY / COUNT kernels
-  grouping on raw id columns (plus the scalar twin used by the
-  oracle-comparable pipeline);
+  grouping on raw id columns (plus ``scalar_aggregate``, the same
+  semantics over ``Binding`` rows for the baselines' reference algebra);
 * :mod:`~repro.engine.operators.path` — SPARQL 1.1 property-path steps
   (``p+`` / ``p*`` / ``p?``) joined into the stream via per-predicate
-  reachability indexes (plus the scalar twin / parity oracle);
+  reachability indexes;
 * :mod:`~repro.engine.operators.limit` — LIMIT/OFFSET by batch slicing;
 * :mod:`~repro.engine.operators.pipeline` — the batch query pipeline that
   composes the kernels for a parsed query;
@@ -41,11 +41,7 @@ from repro.engine.operators.distinct import batch_distinct
 from repro.engine.operators.filter import batch_filter
 from repro.engine.operators.join import batch_hash_join, batch_left_outer_join
 from repro.engine.operators.limit import batch_limit_offset
-from repro.engine.operators.path import (
-    PathResolver,
-    batch_path_apply,
-    scalar_path_apply,
-)
+from repro.engine.operators.path import PathResolver, batch_path_apply
 from repro.engine.operators.pipeline import (
     evaluate_group_batches,
     evaluate_query_batches,
@@ -69,5 +65,4 @@ __all__ = [
     "evaluate_group_batches",
     "evaluate_query_batches",
     "scalar_aggregate",
-    "scalar_path_apply",
 ]

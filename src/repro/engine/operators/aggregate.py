@@ -11,8 +11,10 @@ twenty rows.
 Count columns materialize as ``xsd:integer`` literals (term kind): counts
 are born at the aggregation operator, there is nothing to decode late.
 
-The scalar twin (:func:`scalar_aggregate`) implements identical semantics
-over ``Binding`` dicts for the oracle-comparable pipeline:
+Both kernels implement the same semantics — :func:`batch_aggregate` for
+``TurboEngine``'s batch pipeline, :func:`scalar_aggregate` over ``Binding``
+dicts for the baseline engines' reference algebra
+(:mod:`repro.engine.evaluator`), which the parity tests compare against:
 
 * ``COUNT(*)`` counts rows per group;
 * ``COUNT(?v)`` counts rows where ``?v`` is bound;
@@ -227,7 +229,7 @@ def scalar_aggregate(
     group_vars: Sequence[str],
     aggregates: Sequence[Aggregate],
 ) -> Iterator[Binding]:
-    """The scalar twin of :func:`batch_aggregate` over ``Binding`` dicts."""
+    """COUNT / GROUP BY over ``Binding`` dicts (the baselines' reference algebra)."""
     specs: List[Tuple[Optional[str], bool]] = [
         (None if a.variable is None else str(a.variable), a.distinct)
         for a in aggregates

@@ -6,16 +6,16 @@ comparing raw id cells whenever both sides id-bind a join variable.
 
 The build side is *dynamic hybrid*: while its estimated resident footprint
 stays under the byte budget (``OperatorContext.join_memory_bytes``) it is
-held whole, zero-copy, and probing is identical — bucket for bucket, row
-for row — to the classic unbounded hash join (so the batch pipeline stays
-order-identical to the scalar oracle).  The first time the budget is
-exceeded the build rows are hash-partitioned; victim partitions spill to
-temp files as serialized column spans and their probe rows are spilled
-alongside, then resolved partition-by-partition after the probe stream
-drains.  A spilled partition that still exceeds the budget is recursively
-repartitioned with a fresh hash salt, up to a depth bound; at the bound
-the join gives up gracefully and builds the partition in memory anyway
-(``join_fallbacks`` counts these).
+held whole, zero-copy, and probing is the classic unbounded hash join.
+Output is a multiset: no caller may rely on row order (only ORDER BY orders
+a result).  The first time the budget is exceeded the build rows are
+hash-partitioned; victim partitions spill to temp files as serialized
+column spans and their probe rows are spilled alongside, then resolved
+partition-by-partition after the probe stream drains.  A spilled partition
+that still exceeds the budget is recursively repartitioned with a fresh
+hash salt, up to a depth bound; at the bound the join gives up gracefully
+and builds the partition in memory anyway (``join_fallbacks`` counts
+these).
 
 SPARQL compatibility semantics (``None`` is a wildcard that matches
 anything) interact with partitioning:
@@ -74,9 +74,8 @@ def row_key(
 def probe_buckets(buckets: Dict[Tuple, List], key: Tuple) -> Iterator:
     """Probe a bucket dict, scanning everything when the key has wildcards.
 
-    The order — exact bucket first, then ``None``-containing buckets in
-    first-seen order — mirrors the scalar pipeline's ``_probe`` so the two
-    pipelines agree row-for-row on the resident path.
+    Yields the exact bucket, then every ``None``-containing bucket (their
+    wildcard parts may still be compatible); the order is not a contract.
     """
     if any(part is None for part in key):
         for bucket in buckets.values():
@@ -570,7 +569,7 @@ def _probe_resident(
     builder: BatchBuilder,
     outer: bool,
 ) -> None:
-    """Classic probe against the single resident index (scalar-ordered)."""
+    """Classic probe against the single resident index."""
     buckets = index.resident_buckets(key_kinds) if index.rows else {}
     for row in range(batch.rows):
         matched = False

@@ -8,17 +8,14 @@ the engine's :class:`~repro.graph.reachability.PathIndexManager` — an O(1)
 interval check / range probe per pair instead of a BFS — while single-hop
 steps (``p?``) read the CSR adjacency windows directly.
 
-The operator exists twice over the two row representations:
-
-* :func:`batch_path_apply` — the batch kernel.  Endpoint columns stay raw
-  vertex ids end-to-end (appended through a
-  :class:`~repro.sparql.binding_batch.BatchBuilder`); only rows whose
-  endpoints live in the term domain (a constant absent from the graph, an
-  upstream term-kind column) demote the output columns to terms.
-* :func:`scalar_path_apply` — the scalar twin over ``Binding`` dicts, the
-  parity oracle.  Its closure probes take the same resolver, so running
-  the engine with ``REPRO_PATH_INDEX_BYTES=0`` additionally swaps every
-  probe for the BFS kernels — the fully index-free oracle.
+:func:`batch_path_apply` is the one kernel.  Endpoint columns stay raw
+vertex ids end-to-end (appended through a
+:class:`~repro.sparql.binding_batch.BatchBuilder`); only rows whose
+endpoints live in the term domain (a constant absent from the graph, an
+upstream term-kind column) demote the output columns to terms.  Its
+reference is independent of the engine: the tests compare against a
+brute-force closure over the store's triples, and running with
+``REPRO_PATH_INDEX_BYTES=0`` swaps every closure probe for the BFS kernels.
 
 Zero-length semantics follow SPARQL 1.1: ``p*``/``p?`` relate every term
 to itself, *including* terms that do not occur in the graph (a bound
@@ -44,7 +41,6 @@ from repro.sparql.binding_batch import (
     BatchBuilder,
     BindingBatch,
 )
-from repro.sparql.results import Binding
 
 #: A raw endpoint value: a data-vertex id, or a term outside the graph.
 PathValue = Union[int, Term]
@@ -393,61 +389,6 @@ def _row_value(
         return value
     vertex = resolver.vertex_for_term(value)
     return value if vertex < 0 else vertex
-
-
-# ----------------------------------------------------------- scalar operator
-def scalar_path_apply(
-    stream: Iterator[Binding],
-    path: PathPattern,
-    resolver: PathResolver,
-    counters=None,
-) -> Iterator[Binding]:
-    """The scalar twin of :func:`batch_path_apply` (identical multisets).
-
-    Works entirely in the term domain of ``Binding`` dicts — the parity
-    oracle the batch kernel is tested against.  ``counters`` (an
-    :class:`~repro.engine.operators.context.OperatorCounters`) meters
-    emitted rows when provided.
-    """
-    edge_label = resolver.edge_label(path.predicate)
-    subject, obj = path.subject, path.object
-    if path.inverse:
-        start_term, end_term = obj, subject
-    else:
-        start_term, end_term = subject, obj
-    same_variable = (
-        isinstance(start_term, Variable)
-        and isinstance(end_term, Variable)
-        and str(start_term) == str(end_term)
-    )
-
-    def endpoint_value(endpoint, binding: Binding) -> Optional[PathValue]:
-        if isinstance(endpoint, Variable):
-            term = binding.get(str(endpoint))
-            if term is None:
-                return None
-        else:
-            term = endpoint
-        vertex = resolver.vertex_for_term(term)
-        return term if vertex < 0 else vertex
-
-    def as_term(value: PathValue) -> Term:
-        return resolver.term_for_vertex(value) if isinstance(value, int) else value
-
-    for binding in stream:
-        start = endpoint_value(start_term, binding)
-        end = endpoint_value(end_term, binding)
-        for pair_start, pair_end in _pairs(
-            path, resolver, edge_label, start, end, same_variable
-        ):
-            extended = dict(binding)
-            if isinstance(start_term, Variable):
-                extended[str(start_term)] = as_term(pair_start)
-            if isinstance(end_term, Variable):
-                extended[str(end_term)] = as_term(pair_end)
-            if counters is not None:
-                counters.path_rows_emitted += 1
-            yield extended
 
 
 def require_path_resolver(solver) -> PathResolver:

@@ -1,7 +1,8 @@
 """The batch query pipeline: operator kernels composed for a parsed query.
 
-This is the batch twin of :func:`repro.engine.evaluator.evaluate_query`'s
-scalar path.  The pipeline shape is::
+Every ``TurboEngine`` query runs through here (the baselines' scalar
+reference algebra lives in :mod:`repro.engine.evaluator`).  The pipeline
+shape is::
 
     solve_batches → [joins/filters per group] → aggregate? → project →
     distinct? → (order_by+slice | limit/offset) → ResultSet.from_batches
@@ -10,10 +11,10 @@ with the aggregate kernel sitting *before* projection (it may consume
 variables the query does not project) and the sort kernel owning the
 LIMIT/OFFSET slice so non-key columns of dropped rows never decode.
 
-``limit_hint`` threading matches the scalar pipeline, with aggregation
-joining DISTINCT and ORDER BY as a hint blocker (grouping must consume the
-full input).  The query's aggregate shape is forwarded to plan-shape-aware
-solvers so plan caches key aggregate and plain plans apart.
+A ``limit_hint`` is threaded into the solver only when every operator above
+it preserves rows: DISTINCT, ORDER BY and aggregation (grouping must consume
+the full input) block it.  The query's aggregate/path shape is forwarded to
+the solver so its plan cache keys differently shaped plans apart.
 """
 
 from __future__ import annotations
@@ -116,9 +117,9 @@ def evaluate_group_batches(
 ) -> Iterator[BindingBatch]:
     """Stream the solutions of a group graph pattern as columnar batches.
 
-    Mirrors :func:`repro.engine.evaluator.evaluate_group` operator for
-    operator; ``limit_hint`` forwarding follows the same row-preservation
-    rules.
+    ``limit_hint`` bounds how many solutions the caller will consume; it is
+    forwarded to the BGP solver only when the group has no filters, paths or
+    UNION blocks (OPTIONAL never drops left rows, so it is hint-safe).
     """
     if context is None:
         context = solver.operator_context()
@@ -131,16 +132,11 @@ def evaluate_group_batches(
             if not (group.filters or group.unions or group.paths)
             else None
         )
-        if plan_shape is not None and solver.supports_plan_shapes():
-            stream: Iterator[BindingBatch] = iter(
-                solver.solve_batches(
-                    group.triples, cheap, limit_hint=bgp_hint, plan_shape=plan_shape
-                )
+        stream: Iterator[BindingBatch] = iter(
+            solver.solve_batches(
+                group.triples, cheap, limit_hint=bgp_hint, plan_shape=plan_shape
             )
-        else:
-            stream = iter(
-                solver.solve_batches(group.triples, cheap, limit_hint=bgp_hint)
-            )
+        )
     else:
         stream = iter((BindingBatch.unit(),))
     bound = _bindable_variables_of_triples(group)
@@ -189,9 +185,9 @@ def evaluate_group_batches(
 
 
 # ---------------------------------------------------------- join attributes
-# Shared by both pipelines (the scalar evaluator imports these): join
-# attributes are derived from the query structure, never by sweeping the
-# binding streams.
+# Shared with the baselines' reference algebra (repro.engine.evaluator
+# imports these): join attributes are derived from the query structure,
+# never by sweeping the binding streams.
 def _bindable_variables_of_triples(group: GraphPattern) -> Set[str]:
     """Variables the group's own triple patterns bind."""
     result: Set[str] = set()

@@ -1,10 +1,11 @@
 """ORDER BY over batch streams with key-only decode before the sort.
 
-The scalar pipeline decodes every row, sorts, then slices.  This kernel
-keeps the whole result columnar: it materializes the batch stream, decodes
+The baselines' reference algebra decodes every row, sorts, then slices
+(:meth:`repro.sparql.results.ResultSet.order_by`).  This kernel keeps the
+whole result columnar: it materializes the batch stream, decodes
 **only the sort-key columns** (and only one term per *distinct* id — the
 memo turns high-fanout joins into near-free key decodes), sorts row
-indices with exactly the scalar comparator (stable sorts in reversed key
+indices with exactly the reference comparator (stable sorts in reversed key
 order; unbound sorts first; see
 :func:`repro.sparql.results._sort_key`), applies the LIMIT/OFFSET slice to
 the sorted indices, and only then copies the surviving rows into output

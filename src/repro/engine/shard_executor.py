@@ -32,7 +32,6 @@ from repro.matching.config import MatchConfig
 from repro.matching.parallel import ParallelStats
 from repro.matching.process_shard import ProcessShardPool
 from repro.matching.solution_batch import SolutionBatch
-from repro.matching.turbo import Solution
 
 
 class ShardExecutor:
@@ -80,27 +79,6 @@ class ShardExecutor:
             return None
         return (plan.fingerprint, alternative_index, component_index)
 
-    def iter_component(
-        self,
-        plan: QueryPlan,
-        alternative_index: int,
-        component_index: int,
-        deep_limit: Optional[int] = None,
-    ) -> Iterator[Solution]:
-        """Stream one component's raw solutions from the shard workers.
-
-        ``deep_limit`` is the solver's pushed-down result limit; reaching it
-        fans a cancel out to every shard.
-        """
-        component = plan.alternatives[alternative_index].components[component_index]
-        return self.pool.iter_match(
-            component.query,
-            vertex_predicates=component.pushdown,
-            max_results=deep_limit,
-            prepared=component.prepared,
-            plan_key=self._plan_key(plan, alternative_index, component_index),
-        )
-
     def iter_component_batches(
         self,
         plan: QueryPlan,
@@ -110,9 +88,10 @@ class ShardExecutor:
     ) -> Iterator[SolutionBatch]:
         """Stream one component's columnar batches from the shard workers.
 
-        The batch-pipeline twin of :meth:`iter_component`: batches arrive
-        through the per-worker shared-memory rings exactly as the workers
-        packed them, so the solver adopts whole columns without re-batching.
+        Batches arrive through the per-worker shared-memory rings exactly as
+        the workers packed them, so the solver adopts whole columns without
+        re-batching.  ``deep_limit`` is the solver's pushed-down result
+        limit; reaching it fans a cancel out to every shard.
         """
         component = plan.alternatives[alternative_index].components[component_index]
         return self.pool.iter_match_batches(

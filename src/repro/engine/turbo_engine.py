@@ -12,22 +12,26 @@ systems are thin subclasses:
 
 Query answering follows a compile-once / stream-everywhere split:
 
-* **compile** — :meth:`TurboBGPSolver.solve` looks the BGP up in the
+* **compile** — :meth:`TurboBGPSolver.plan` looks the BGP up in the
   engine-held :class:`~repro.engine.plan_cache.PlanCache` (keyed on a
   canonical BGP/filter fingerprint) and only on a miss runs
   :func:`~repro.engine.plan.compile_query`, which performs the query
   transformation, component split, start-vertex selection, query-tree
   construction, filter-requirement derivation and push-down compilation;
-* **stream** — execution is a chain of generators: the matcher streams raw
-  vertex mappings, decoding, predicate-variable expansion (the ``Me``
-  mapping of Definition 2), ``rdf:type ?t`` type-variable expansion and the
-  cross product between connected components are all lazy decorators on that
-  stream, and a ``limit_hint`` from the evaluator terminates matching early
-  instead of trimming a materialized list.
+* **stream** — :meth:`TurboBGPSolver.solve_batches` is a chain of
+  generators over columnar batches: the matcher's id columns are adopted
+  as :class:`~repro.sparql.binding_batch.BindingBatch` columns, and
+  predicate-variable expansion (the ``Me`` mapping of Definition 2),
+  ``rdf:type ?t`` type-variable expansion and the cross product between
+  connected components are lazy decorators on that stream; a ``limit_hint``
+  from the evaluator terminates matching early instead of trimming a
+  materialized list.
 
-Predicate-variable choices travel in a typed :class:`MatchedSolution`
-wrapper internal to the solver, so algebra operators and projections only
-ever see plain variable→term bindings.
+Batches are the only representation inside the engine: pending
+predicate-variable choices ride beside each batch as a per-row list internal
+to the solver, so algebra operators and projections only ever see plain
+variable columns, and :meth:`TurboBGPSolver.solve` is a row adapter over
+the same stream.
 
 Parallel execution (``workers > 1``) comes in two modes, selected by the
 ``execution_mode`` knob (or the ``REPRO_EXECUTION_MODE`` environment
@@ -54,7 +58,6 @@ from repro.engine.base import (
     resolve_join_partitions,
     resolve_path_index_bytes,
     resolve_region_cache_bytes,
-    resolve_result_pipeline,
     resolve_worker_count,
     validate_worker_count,
 )
@@ -85,7 +88,7 @@ from repro.matching.config import MatchConfig
 from repro.matching.parallel import ParallelMatcher
 from repro.matching.shard_protocol import ShardCollector, run_chunk
 from repro.matching.solution_batch import SolutionBatch
-from repro.matching.turbo import Solution, TurboMatcher
+from repro.matching.turbo import TurboMatcher
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 from repro.sparql import expressions as expr
@@ -107,28 +110,12 @@ class PipelineCounters:
     """Cumulative result-pipeline counters, surfaced by :meth:`TurboEngine.stats`.
 
     ``batches``/``solutions`` count what the solver pulled out of the
-    matcher layer (either pipeline); the shared-memory transport counters
-    live on the process pool and are merged in by the engine.
+    matcher layer; the shared-memory transport counters live on the process
+    pool and are merged in by the engine.
     """
 
     batches: int = 0
     solutions: int = 0
-
-
-@dataclass
-class MatchedSolution:
-    """A decoded solution plus its pending predicate-variable choices.
-
-    The ``choices`` side channel stays inside the solver: it is consumed by
-    :meth:`TurboBGPSolver._expand_predicate_choices` before bindings are
-    yielded, so no algebra operator or projection ever sees a non-variable
-    key in a :class:`~repro.sparql.results.Binding`.
-    """
-
-    binding: Binding
-    #: For each predicate variable: its possible edge-label terms (None when
-    #: the component has no predicate variables).
-    choices: Optional[Dict[str, List[Term]]] = None
 
 
 def _merge_choices(
@@ -167,7 +154,6 @@ class TurboBGPSolver(BGPSolver):
         plan_cache: Optional[PlanCache] = None,
         pool: Optional[ParallelMatcher] = None,
         executor: Optional[ShardExecutor] = None,
-        result_pipeline: str = "batch",
         counters: Optional[PipelineCounters] = None,
         region_cache: Optional[RegionCache] = None,
         operator_context: Optional[OperatorContext] = None,
@@ -179,7 +165,6 @@ class TurboBGPSolver(BGPSolver):
         self.type_aware = type_aware
         self.workers = workers
         self.plan_cache = plan_cache
-        self.result_pipeline = result_pipeline
         #: Cross-query candidate-region cache shared by the sequential
         #: matcher and the thread pool (process shards hold per-worker
         #: caches instead); keyed below by plan fingerprint + component
@@ -213,9 +198,6 @@ class TurboBGPSolver(BGPSolver):
         return True
 
     def supports_batches(self) -> bool:
-        return self.result_pipeline == "batch"
-
-    def supports_plan_shapes(self) -> bool:
         return True
 
     def path_resolver(self) -> Optional[PathResolver]:
@@ -232,29 +214,47 @@ class TurboBGPSolver(BGPSolver):
         return self._path_resolver
 
     # ------------------------------------------------------------------ solve
-    def solve(
+    def solve_batches(
         self,
         patterns: Sequence[TriplePattern],
         cheap_filters: Sequence[expr.Expression] = (),
         limit_hint: Optional[int] = None,
         plan_shape: Optional[str] = None,
-    ) -> Iterator[Binding]:
-        """Stream the bindings of a basic graph pattern.
+    ) -> Iterator[BindingBatch]:
+        """Stream the bindings of a basic graph pattern as columnar batches.
 
-        ``limit_hint`` promises the caller needs at most that many bindings:
-        it is always enforced at the top of the stream, and — when the plan
-        is a single component without expansion decorators — pushed all the
-        way into the matcher so candidate regions stop being explored.
-        ``plan_shape`` (the query's aggregate shape) is folded into the
-        plan-cache key so aggregate and plain queries never share a cached
+        The matcher's :class:`~repro.matching.solution_batch.SolutionBatch`
+        columns are adopted as id columns of the emitted
+        :class:`~repro.sparql.binding_batch.BindingBatch` objects, so on the
+        hot path (one component, no predicate/type-variable expansion) no
+        per-solution object is ever built and no id is decoded — terms
+        materialize at the :class:`~repro.sparql.results.ResultSet`
+        boundary.
+
+        ``limit_hint`` promises the caller needs at most that many rows: it
+        is always enforced at the top of the stream, and — when the plan is
+        a single component without expansion decorators — pushed all the way
+        into the matcher so candidate regions stop being explored.
+        ``plan_shape`` (the query's aggregate/path shape) is folded into the
+        plan-cache key so differently shaped queries never share a cached
         plan slot.
         """
         plan = self.plan(patterns, cheap_filters, plan_shape)
         deep_limit = limit_hint if plan.supports_direct_limit() else None
-        stream = self._execute(plan, deep_limit)
+        stream = self._execute_batches(plan, deep_limit)
         if limit_hint is not None:
-            stream = itertools.islice(stream, limit_hint)
+            stream = slice_batches(stream, 0, limit_hint)
         return stream
+
+    def solve(
+        self,
+        patterns: Sequence[TriplePattern],
+        cheap_filters: Sequence[expr.Expression] = (),
+        limit_hint: Optional[int] = None,
+    ) -> Iterator[Binding]:
+        """Row adapter over :meth:`solve_batches` (the ``BGPSolver`` contract)."""
+        batches = self.solve_batches(patterns, cheap_filters, limit_hint)
+        return (row for batch in batches for row in batch.iter_bindings())
 
     def plan(
         self,
@@ -293,53 +293,6 @@ class TurboBGPSolver(BGPSolver):
             patterns, cheap_filters, self.graph, self.mapping, self.config, self.type_aware
         )
 
-    # -------------------------------------------------------------- execution
-    def _execute(self, plan: QueryPlan, deep_limit: Optional[int]) -> Iterator[Binding]:
-        """Stream the plan's alternatives (lazy concatenation)."""
-        for alternative_index, alternative in enumerate(plan.alternatives):
-            stream = self._stream_components(plan, alternative_index, deep_limit)
-            bindings = self._expand_predicate_choices(stream)
-            if alternative.type_binders:
-                bindings = self._expand_type_variables(bindings, alternative.type_binders)
-            if alternative.forced:
-                bindings = self._apply_forced(bindings, alternative.forced)
-            yield from bindings
-
-    def _stream_components(
-        self, plan: QueryPlan, alternative_index: int, deep_limit: Optional[int]
-    ) -> Iterator[MatchedSolution]:
-        """Lazy cross product of the alternative's connected components.
-
-        The first component streams; the others are materialized once (they
-        must be re-iterated per outer solution) and checked for emptiness
-        before the outer stream is ever pulled, so an empty component costs
-        nothing on the expensive side.
-        """
-        components = plan.alternatives[alternative_index].components
-        if not components:
-            yield MatchedSolution({})
-            return
-        if len(components) == 1:
-            yield from self._stream_component(plan, alternative_index, 0, deep_limit)
-            return
-        rest: List[List[MatchedSolution]] = []
-        for component_index in range(1, len(components)):
-            materialized = list(
-                self._stream_component(plan, alternative_index, component_index, None)
-            )
-            if not materialized:
-                return
-            rest.append(materialized)
-        for first in self._stream_component(plan, alternative_index, 0, None):
-            for parts in itertools.product(*rest):
-                binding = dict(first.binding)
-                choices = dict(first.choices) if first.choices else None
-                for part in parts:
-                    binding.update(part.binding)
-                    if part.choices:
-                        choices = _merge_choices(choices, part.choices)
-                yield MatchedSolution(binding, choices)
-
     def _region_key(
         self, plan: QueryPlan, alternative_index: int, component_index: int
     ):
@@ -353,70 +306,7 @@ class TurboBGPSolver(BGPSolver):
             return None
         return (plan.fingerprint, alternative_index, component_index)
 
-    def _stream_component(
-        self,
-        plan: QueryPlan,
-        alternative_index: int,
-        component_index: int,
-        deep_limit: Optional[int],
-    ) -> Iterator[MatchedSolution]:
-        """Stream one component's solutions straight out of the matcher."""
-        component = plan.alternatives[alternative_index].components[component_index]
-        query = component.query
-        region_key = self._region_key(plan, alternative_index, component_index)
-        region_cache = self.region_cache if region_key is not None else None
-        if self._executor is not None and query.vertex_count() > 1:
-            solutions: Iterable[Solution] = self._executor.iter_component(
-                plan, alternative_index, component_index, deep_limit
-            )
-        elif self._pool is not None and query.vertex_count() > 1:
-            solutions = self._pool.iter_match(
-                query,
-                vertex_predicates=component.pushdown,
-                max_results=deep_limit,
-                prepared=component.prepared,
-                region_cache=region_cache,
-                region_key=region_key,
-            )
-        else:
-            solutions = self._matcher.iter_match(
-                query,
-                vertex_predicates=component.pushdown,
-                max_results=deep_limit,
-                prepared=component.prepared,
-                region_cache=region_cache,
-                region_key=region_key,
-            )
-        for solution in solutions:
-            self.counters.solutions += 1
-            yield self._decode_solution(component, solution)
-
-    # ------------------------------------------------------- batch execution
-    def solve_batches(
-        self,
-        patterns: Sequence[TriplePattern],
-        cheap_filters: Sequence[expr.Expression] = (),
-        limit_hint: Optional[int] = None,
-        plan_shape: Optional[str] = None,
-    ) -> Iterator[BindingBatch]:
-        """Stream the bindings of a basic graph pattern as columnar batches.
-
-        The batch twin of :meth:`solve` (identical multiset semantics): the
-        matcher's :class:`~repro.matching.solution_batch.SolutionBatch`
-        columns are adopted as id columns of the emitted
-        :class:`~repro.sparql.binding_batch.BindingBatch` objects, so on the
-        hot path (one component, no predicate/type-variable expansion) no
-        per-solution object is ever built and no id is decoded — terms
-        materialize at the :class:`~repro.sparql.results.ResultSet`
-        boundary.
-        """
-        plan = self.plan(patterns, cheap_filters, plan_shape)
-        deep_limit = limit_hint if plan.supports_direct_limit() else None
-        stream = self._execute_batches(plan, deep_limit)
-        if limit_hint is not None:
-            stream = slice_batches(stream, 0, limit_hint)
-        return stream
-
+    # -------------------------------------------------------------- execution
     @staticmethod
     def _term_variables(plan: QueryPlan) -> Set[str]:
         """Variables that any alternative binds in the *term* domain.
@@ -478,7 +368,7 @@ class TurboBGPSolver(BGPSolver):
 
         Yields ``(batch, choices)`` where ``choices`` carries the pending
         predicate-variable candidate terms per row (None when the component
-        has none) — the batch analogue of :class:`MatchedSolution`.
+        has none), consumed by :meth:`_expand_batches`.
         """
         component = plan.alternatives[alternative_index].components[component_index]
         query = component.query
@@ -553,8 +443,8 @@ class TurboBGPSolver(BGPSolver):
     ) -> Dict[str, List[Term]]:
         """Predicate-variable candidate terms of one solution row.
 
-        Mirrors the choice computation of :meth:`_decode_solution`, reading
-        the matched endpoints out of the columnar batch.
+        The allowed edge labels between the matched endpoints, read out of
+        the columnar batch; :meth:`_expand_row_choices` binds them.
         """
         columns = solution_batch.columns
         choices: Dict[str, List[Term]] = {}
@@ -576,8 +466,10 @@ class TurboBGPSolver(BGPSolver):
     ) -> Iterator[Tuple[BindingBatch, Optional[List[Dict[str, List[Term]]]]]]:
         """Batch cross product of the alternative's connected components.
 
-        Mirrors :meth:`_stream_components`: the first component streams, the
-        rest are materialized once and checked for emptiness up front.
+        The first component streams; the others are materialized once (they
+        must be re-iterated per outer row) and checked for emptiness before
+        the outer stream is ever pulled, so an empty component costs nothing
+        on the expensive side.
         Components bind disjoint variables, so merged rows are plain column
         concatenation; shared predicate-variable *choices* intersect via
         :func:`_merge_choices`.
@@ -703,9 +595,10 @@ class TurboBGPSolver(BGPSolver):
     ) -> List[Dict[str, Any]]:
         """Expand one row's pending predicate-variable choices.
 
-        The row analogue of :meth:`_expand_predicate_choices`; existing
-        bindings constrain the expansion (choice variables are always in the
-        term domain, see :meth:`_term_variables`).
+        A choice variable the row already binds (the same name also matched
+        a query vertex) constrains the expansion to that value instead of
+        being overwritten (choice variables are always in the term domain,
+        see :meth:`_term_variables`).
         """
         if not choices:
             return [base]
@@ -729,9 +622,8 @@ class TurboBGPSolver(BGPSolver):
     ) -> List[Dict[str, Any]]:
         """Bind one row's type variables from vertex label sets.
 
-        The row analogue of :meth:`_expand_type_variables`, with one batch
-        bonus: an id-domain subject *is* its data vertex, so no term →
-        dictionary → vertex round trip is needed.
+        Type-aware graphs only.  An id-domain subject *is* its data vertex,
+        so no term → dictionary → vertex round trip is needed.
         """
         results = [row]
         for binder in binders:
@@ -768,116 +660,6 @@ class TurboBGPSolver(BGPSolver):
             return None
         return self.mapping.vertex_for_node(node_id)
 
-    # -------------------------------------------------------------- decoding
-    def _decode_solution(self, component: ComponentPlan, solution: Solution) -> MatchedSolution:
-        """Decode a vertex mapping into variable bindings.
-
-        Predicate variables are enumerated lazily afterwards; here we record
-        the allowed edge labels between the matched endpoints so
-        :meth:`_expand_predicate_choices` can bind them.
-        """
-        binding: Binding = {}
-        for vertex in component.query.vertices:
-            if vertex.is_variable:
-                binding[vertex.name] = self.mapping.term_for_vertex(solution[vertex.index])
-        if not component.predicate_variable_edges:
-            return MatchedSolution(binding)
-        choices: Dict[str, List[Term]] = {}
-        for name, endpoints in component.predicate_variable_edges.items():
-            allowed: Optional[set] = None
-            for source, target in endpoints:
-                labels = set(
-                    self.graph.edge_labels_between(solution[source], solution[target])
-                )
-                allowed = labels if allowed is None else (allowed & labels)
-            choices[name] = sorted(
-                (self.mapping.term_for_edge_label(label) for label in (allowed or set())),
-                key=str,
-            )
-        return MatchedSolution(binding, choices)
-
-    # ------------------------------------------------------------- decorators
-    @staticmethod
-    def _expand_predicate_choices(stream: Iterator[MatchedSolution]) -> Iterator[Binding]:
-        """Expand pending predicate-variable choices into plain bindings.
-
-        A choice variable that is already bound in the solution (e.g. the
-        same name also matched a query vertex) constrains the expansion to
-        that value instead of being overwritten.
-        """
-        for matched in stream:
-            choices = matched.choices
-            if not choices:
-                yield matched.binding
-                continue
-            binding = matched.binding
-            names = sorted(choices)
-            pools = []
-            for name in names:
-                existing = binding.get(name)
-                terms = choices[name]
-                if existing is not None:
-                    terms = [term for term in terms if term == existing]
-                pools.append(terms)
-            for combo in itertools.product(*pools):
-                extended = dict(binding)
-                extended.update(zip(names, combo))
-                yield extended
-
-    def _expand_type_variables(
-        self,
-        stream: Iterator[Binding],
-        binders: Sequence[TypeVariableBinder],
-    ) -> Iterator[Binding]:
-        """Bind type variables from vertex label sets (type-aware graphs only)."""
-        for binding in stream:
-            results = [binding]
-            for binder in binders:
-                next_results: List[Binding] = []
-                for current in results:
-                    data_vertex = self._binder_data_vertex(binder, current)
-                    if data_vertex is None or data_vertex < 0:
-                        continue
-                    labels = self.graph.vertex_labels(data_vertex)
-                    existing = current.get(binder.type_variable)
-                    for label in sorted(labels):
-                        type_term = self.mapping.term_for_label(label)
-                        if existing is not None and existing != type_term:
-                            continue
-                        extended = dict(current)
-                        extended[binder.type_variable] = type_term
-                        next_results.append(extended)
-                results = next_results
-            yield from results
-
-    def _binder_data_vertex(
-        self, binder: TypeVariableBinder, binding: Binding
-    ) -> Optional[int]:
-        """The data vertex whose label set answers a type-variable binder."""
-        if binder.subject_is_variable:
-            term = binding.get(binder.subject_name)
-            if term is None:
-                return None
-            node_id = self.mapping.dictionary.lookup_node(term)
-            if node_id is None:
-                return None
-            return self.mapping.vertex_for_node(node_id)
-        return binder.subject_vertex_id
-
-    @staticmethod
-    def _apply_forced(stream: Iterator[Binding], forced: Dict[str, Term]) -> Iterator[Binding]:
-        """Bind predicate variables forced to rdf:type, dropping conflicts."""
-        for binding in stream:
-            conflict = any(
-                binding.get(name) not in (None, value) for name, value in forced.items()
-            )
-            if conflict:
-                continue
-            extended = dict(binding)
-            extended.update(forced)
-            yield extended
-
-
 # --------------------------------------------------------------------- engine
 class TurboEngine(Engine):
     """Engine front-end over the TurboMatcher (direct or type-aware)."""
@@ -893,7 +675,6 @@ class TurboEngine(Engine):
         workers: int = 1,
         plan_cache_size: int = 128,
         execution_mode: Optional[str] = None,
-        result_pipeline: Optional[str] = None,
         region_cache_bytes: Optional[int] = None,
         join_memory_bytes: Optional[int] = None,
         join_partitions: Optional[int] = None,
@@ -909,14 +690,10 @@ class TurboEngine(Engine):
         #: threads) or ``"processes"`` (shard workers over a shared-memory
         #: graph export).  ``None`` defers to ``REPRO_EXECUTION_MODE``;
         #: ``workers`` left at 1 defers to ``REPRO_EXECUTION_WORKERS``.
-        #: All three knobs are validated here, at construction — a typo or a
+        #: Both knobs are validated here, at construction — a typo or a
         #: non-positive worker count raises a ValueError immediately instead
         #: of failing deep inside a worker pool.
         self.execution_mode = resolve_execution_mode(execution_mode)
-        #: How results move above the matcher: ``"batch"`` (columnar
-        #: BindingBatch pipeline, the default) or ``"scalar"`` (per-Binding
-        #: compatibility path).  ``None`` defers to ``REPRO_RESULT_PIPELINE``.
-        self.result_pipeline = resolve_result_pipeline(result_pipeline)
         validate_worker_count(workers)
         # The env worker override accompanies the env mode sweep: an engine
         # that pins its mode explicitly keeps its configured width.
@@ -1065,7 +842,6 @@ class TurboEngine(Engine):
                 plan_cache=self.plan_cache,
                 pool=self._pool,
                 executor=self._executor,
-                result_pipeline=self.result_pipeline,
                 counters=self.pipeline_counters,
                 region_cache=self.region_cache,
                 operator_context=self.operator_context,
@@ -1074,7 +850,6 @@ class TurboEngine(Engine):
         # Keep the memoized solver honest if the engine's caches were
         # swapped or disabled after the first query.
         self._solver.plan_cache = self.plan_cache
-        self._solver.result_pipeline = self.result_pipeline
         self._solver.region_cache = self.region_cache
         self._solver.path_manager = self._path_manager
         self._solver.plan_listener = self._plan_listener
@@ -1213,8 +988,7 @@ class TurboEngine(Engine):
           sketch resets; None when disabled).  In process mode these are
           the *summed* per-worker caches, refreshed by each worker's
           job-completion report,
-        * ``pipeline`` — the active result pipeline plus batches/solutions
-          pulled out of the matcher layer,
+        * ``pipeline`` — batches/solutions pulled out of the matcher layer,
         * ``transport`` — in process mode, how results crossed the worker
           boundary: ring batches vs pickled queue fallbacks and the bytes
           moved through shared memory (None in threads mode, where results
@@ -1264,7 +1038,6 @@ class TurboEngine(Engine):
             "plan_cache": plan_cache,
             "region_cache": region_cache,
             "pipeline": {
-                "mode": self.result_pipeline,
                 "batches": self.pipeline_counters.batches,
                 "solutions": self.pipeline_counters.solutions,
             },
@@ -1326,7 +1099,6 @@ class TurboHomEngine(TurboEngine):
         self,
         workers: int = 1,
         execution_mode: Optional[str] = None,
-        result_pipeline: Optional[str] = None,
         plan_cache_size: int = 128,
         region_cache_bytes: Optional[int] = None,
         join_memory_bytes: Optional[int] = None,
@@ -1341,7 +1113,6 @@ class TurboHomEngine(TurboEngine):
             config=MatchConfig.homomorphism_baseline(),
             workers=workers,
             execution_mode=execution_mode,
-            result_pipeline=result_pipeline,
             plan_cache_size=plan_cache_size,
             region_cache_bytes=region_cache_bytes,
             join_memory_bytes=join_memory_bytes,
@@ -1363,7 +1134,6 @@ class TurboHomPPEngine(TurboEngine):
         config: Optional[MatchConfig] = None,
         workers: int = 1,
         execution_mode: Optional[str] = None,
-        result_pipeline: Optional[str] = None,
         plan_cache_size: int = 128,
         region_cache_bytes: Optional[int] = None,
         join_memory_bytes: Optional[int] = None,
@@ -1378,7 +1148,6 @@ class TurboHomPPEngine(TurboEngine):
             config=config if config is not None else MatchConfig.turbo_hom_pp(),
             workers=workers,
             execution_mode=execution_mode,
-            result_pipeline=result_pipeline,
             plan_cache_size=plan_cache_size,
             region_cache_bytes=region_cache_bytes,
             join_memory_bytes=join_memory_bytes,

@@ -21,7 +21,7 @@ push columnar :class:`~repro.matching.solution_batch.SolutionBatch` objects
 onto a queue and the generator drains it, so the consumer streams solutions
 while workers are still searching, without a full result list ever being
 materialized by the matcher itself (:meth:`iter_match` is the row-iterating
-scalar adapter over the same stream).  A ``max_results`` limit (threaded
+adapter over the same stream).  A ``max_results`` limit (threaded
 down from the engine's ``limit_hint``) or an abandoned generator sets the
 job's stop event, so workers cease searching instead of enumerating
 embeddings nobody will read.

@@ -25,8 +25,8 @@ pools so the two execution modes cannot drift apart semantically:
 Results move as columnar :class:`~repro.matching.solution_batch.
 SolutionBatch` objects end-to-end: workers pack solutions into flat
 per-vertex arrays as the search produces them, the merge loop slices whole
-batches against the result limit, and the pools' scalar ``iter_match``
-surface is a thin row-iterating adapter.  The pools differ only in
+batches against the result limit, and the pools' ``iter_match`` surface
+is a thin row-iterating adapter.  The pools differ only in
 transport (``queue.Queue`` + ``threading.Event`` vs a shared-memory ring +
 ``multiprocessing`` queues + a shared cancel counter), which they supply
 through the collector's ``emit`` / ``stopped`` and the merge loop's

@@ -15,11 +15,13 @@ single asyncio event loop.  The :class:`QueryScheduler` joins the two worlds:
   boundary (which cancels matching in the pools), and the waiting
   coroutine gets :class:`QueryTimeout` (the server's 504).
 * **Bridge** — each admitted query runs on a dedicated executor thread
-  (``engine.query_batches`` + a wire serializer), pushing encoded chunks
-  into a bounded :class:`asyncio.Queue` via ``run_coroutine_threadsafe``.
-  The bounded queue is the backpressure: a slow client stalls its producer
-  thread, not the event loop, and the producer polls its stop event while
-  stalled so cancellation still lands.
+  (``engine.query_batches`` + a wire serializer), handing encoded chunks
+  to an :class:`asyncio.Queue` via ``call_soon_threadsafe``.  A
+  thread-side semaphore of chunk slots is the backpressure: a slow client
+  stalls its producer thread, not the event loop, and the producer polls
+  its stop event while stalled so cancellation still lands.  The producer
+  only ever schedules plain callbacks — never a coroutine, which would be
+  left un-awaited if the loop stopped before running it.
 
 A :class:`RunningQuery` is driven *explicitly* by the handler coroutine
 (``await next_chunk()`` until ``None``, then ``await finish()`` in a
@@ -231,6 +233,7 @@ class RunningQuery:
         "_loop",
         "_deadline",
         "_queue",
+        "_slots",
         "_stop",
         "_future",
         "_finished",
@@ -241,7 +244,11 @@ class RunningQuery:
         self._scheduler = scheduler
         self._loop = loop
         self._deadline = deadline
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=_CHUNK_QUEUE_DEPTH)
+        self._queue: asyncio.Queue = asyncio.Queue()
+        #: Free chunk slots: taken by the producer thread per item, given
+        #: back by the consumer per ``get`` — bounds the queue from the
+        #: thread side, where waiting needs no coroutine.
+        self._slots = threading.Semaphore(_CHUNK_QUEUE_DEPTH)
         self._stop = threading.Event()
         self._future: Optional[concurrent.futures.Future] = None
         self._finished = False
@@ -265,24 +272,16 @@ class RunningQuery:
 
     def _put(self, item) -> bool:
         """Push one item loop-side; False when the query was stopped."""
-        put = self._queue.put(item)
-        try:
-            future = asyncio.run_coroutine_threadsafe(put, self._loop)
-        except RuntimeError:  # event loop already closed (server shutdown)
-            put.close()
-            return False
-        while True:
-            try:
-                future.result(_STALL_POLL_S)
-                return True
-            except concurrent.futures.TimeoutError:
-                # Queue full: the client is slow.  Keep waiting, but notice
-                # cancellation so a stopped query never deadlocks here.
-                if self._stop.is_set():
-                    future.cancel()
-                    return False
-            except concurrent.futures.CancelledError:
+        while not self._slots.acquire(timeout=_STALL_POLL_S):
+            # No free slot: the client is slow.  Keep waiting, but notice
+            # cancellation so a stopped query never deadlocks here.
+            if self._stop.is_set():
                 return False
+        try:
+            self._loop.call_soon_threadsafe(self._queue.put_nowait, item)
+        except RuntimeError:  # event loop already closed (server shutdown)
+            return False
+        return True
 
     # ------------------------------------------------------- consumer side
     async def next_chunk(self) -> Optional[bytes]:
@@ -299,6 +298,7 @@ class RunningQuery:
                 item = await asyncio.wait_for(self._queue.get(), remaining)
             except asyncio.TimeoutError:
                 continue  # loop re-checks the deadline and raises
+            self._slots.release()
             if item is _DONE:
                 self._outcome = "completed"
                 return None
@@ -312,13 +312,8 @@ class RunningQuery:
         if self._finished:
             return
         self._finished = True
+        # A producer stalled on a chunk slot sees the stop at its next poll.
         self._stop.set()
-        # Unblock a producer stalled on the bounded queue.
-        while True:
-            try:
-                self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
         if self._future is not None:
             await asyncio.wrap_future(self._future)
         self._scheduler._release(self._outcome)

@@ -27,9 +27,10 @@ consistent across a stream (operators resolve ``id`` vs ``term`` to
 ``term`` by decoding when two streams disagree), which is what makes raw
 comparison sound end-to-end.
 
-:meth:`iter_bindings` is the compatibility adapter back to scalar
-``Binding`` dicts, so oracle comparisons and the ``scalar`` pipeline keep
-working against identical semantics.
+:meth:`iter_bindings` is the adapter back to ``Binding`` dicts (the
+``ResultSet`` boundary and ``TurboBGPSolver.solve``);
+:func:`batches_from_bindings` is the opposite adapter, lifting the baseline
+engines' row streams into term-kind batches for the wire serializers.
 """
 
 from __future__ import annotations
@@ -127,10 +128,9 @@ class BindingBatch:
         return list(column)
 
     def iter_bindings(self) -> Iterator[Dict[str, Optional[Term]]]:
-        """Materialize the batch into scalar ``Binding`` dicts.
+        """Materialize the batch into ``Binding`` dicts.
 
-        This is the scalar compatibility adapter *and* the single point
-        where ids become RDF terms: each id column is decoded once, in
+        This is the single point where ids become RDF terms: each id column is decoded once, in
         bulk, no matter how many operators the batch flowed through.
         """
         variables = self.variables
@@ -256,7 +256,7 @@ class BatchResult:
         return ResultSet.from_batches(self.variables, self)
 
 
-#: Row granularity of the scalar→batch adapter below.
+#: Row granularity of the row→batch adapter below.
 ADAPTER_BATCH_ROWS = 256
 
 
@@ -265,13 +265,13 @@ def batches_from_bindings(
     rows: Iterator["Binding"],
     batch_rows: int = ADAPTER_BATCH_ROWS,
 ) -> Iterator[BindingBatch]:
-    """Adapt scalar ``Binding`` dicts into term-kind batches.
+    """Adapt ``Binding`` dicts into term-kind batches.
 
-    The compatibility shim behind :meth:`Engine.query_batches` for solvers
-    without a batch surface: rows are packed into term columns lazily, so
-    the scalar path streams through the batch-consuming serializers with
-    the same bounded footprint (minus late materialization, which a scalar
-    solver never had).
+    The shim behind :meth:`Engine.query_batches` for solvers without a
+    batch surface (the baselines' scalar reference algebra): rows are packed
+    into term columns lazily, so they stream through the batch-consuming
+    serializers with the same bounded footprint (minus late
+    materialization, which a row-at-a-time solver never had).
     """
     names = tuple(variables)
     kinds = {var: KIND_TERM for var in names}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.datasets import load_bsbm, load_btc, load_lubm, load_yago
@@ -10,6 +12,7 @@ from repro.graph.query_graph import QueryGraph
 from repro.rdf.namespaces import Namespace, RDF
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal, Triple
+from repro.sparql.parser import parse_sparql
 
 EX = Namespace("http://example.org/")
 
@@ -108,3 +111,34 @@ def yago_small():
 def btc_small():
     """A small BTC-like dataset."""
     return load_btc(entities=200)
+
+
+def _assert_same_answers(engine, oracle, sparql):
+    """``engine`` answers ``sparql`` like the independent ``oracle`` engine.
+
+    Results compare as multisets.  A LIMIT/OFFSET slice is only determined
+    up to *which* rows it keeps — any rows when un-ORDERed, any of the tied
+    rows under ORDER BY — so a sliced query must instead return the oracle's
+    row count, the oracle's sort-key sequence, and only rows out of the
+    oracle's un-sliced multiset.
+    """
+    query = parse_sparql(sparql)
+    got, expected = engine.query(query), oracle.query(query)
+    assert set(got.variables) == set(expected.variables), sparql
+    order = sorted(got.variables)
+    if query.limit is None and not query.offset:
+        assert got.as_multiset(order) == expected.as_multiset(order), sparql
+        return
+    keys = [str(var) for var, _ in query.order_by]
+    assert [tuple(row.get(key) for key in keys) for row in got] == [
+        tuple(row.get(key) for key in keys) for row in expected
+    ], sparql
+    unsliced = oracle.query(replace(query, limit=None, offset=0))
+    assert not got.as_multiset(order) - unsliced.as_multiset(order), sparql
+
+
+@pytest.fixture(scope="session")
+def assert_same_answers():
+    """The cross-engine comparison helper (a fixture so Hypothesis tests and
+    every test module share one copy without importing ``conftest``)."""
+    return _assert_same_answers

@@ -4,10 +4,11 @@
   aggregates, DISTINCT arguments, and the grouping validity rules
   (projected plain variables must be grouped; ``SELECT *`` cannot mix with
   aggregation; HAVING and ``COUNT(DISTINCT *)`` are rejected).
-* **Parity** — aggregate queries must agree between the batch and scalar
-  pipelines, across isomorphism + homomorphism configs and both execution
-  modes, and must match a brute-force reference computed straight from the
-  store's triples (Hypothesis-swept random stores).
+* **Parity** — aggregate queries must agree with the bitmap baseline
+  engine (its own BGP evaluation plus ``scalar_aggregate``; homomorphism)
+  in both execution modes, and must match a brute-force reference computed
+  straight from the store's triples under isomorphism + homomorphism
+  configs (Hypothesis-swept random stores).
 * **Plan-shape fingerprints** — a cached plan is only reused by queries
   with the identical aggregate shape, pinned through plan-cache counters.
 * **Hybrid join spill** — kernel-level: a byte-budgeted join must spill,
@@ -32,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.bitmap_engine import BitmapEngine
 from repro.engine.base import EngineError, resolve_join_memory_bytes, resolve_join_partitions
 from repro.engine.operators.context import OperatorContext
 from repro.engine.operators.join import batch_hash_join, batch_left_outer_join
@@ -47,7 +49,7 @@ from repro.rdf.terms import IRI, Literal, Triple
 from repro.sparql.binding_batch import KIND_ID, KIND_TERM, BatchBuilder
 from repro.sparql.parser import parse_sparql
 
-from test_result_pipeline import MODES, random_store, rows_multiset
+from test_result_pipeline import MODES, random_store
 
 EX = Namespace("http://example.org/")
 PREFIX = (
@@ -55,7 +57,7 @@ PREFIX = (
     "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> "
 )
 
-#: The aggregate feature surface both pipelines must agree on.
+#: The aggregate feature surface the engine and its oracle must agree on.
 AGGREGATE_QUERIES = [
     "SELECT (COUNT(*) AS ?n) WHERE { ?a ex:knows ?b . }",
     "SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ex:knows ?b . } GROUP BY ?a",
@@ -161,18 +163,16 @@ def brute_force_group_counts(store, predicate, injective=False):
 class TestAggregationParity:
     @pytest.fixture
     def engines(self, small_rdf_store):
-        batch = TurboHomPPEngine(execution_mode="threads", result_pipeline="batch")
-        scalar = TurboHomPPEngine(execution_mode="threads", result_pipeline="scalar")
-        batch.load(small_rdf_store)
-        scalar.load(small_rdf_store)
-        yield batch, scalar
+        engine = TurboHomPPEngine(execution_mode="threads")
+        oracle = BitmapEngine()
+        engine.load(small_rdf_store)
+        oracle.load(small_rdf_store)
+        yield engine, oracle
 
     @pytest.mark.parametrize("sparql", AGGREGATE_QUERIES)
-    def test_batch_equals_scalar(self, engines, sparql):
-        batch, scalar = engines
-        assert rows_multiset(batch.query(PREFIX + sparql)) == rows_multiset(
-            scalar.query(PREFIX + sparql)
-        ), sparql
+    def test_engine_equals_bitmap(self, engines, assert_same_answers, sparql):
+        engine, oracle = engines
+        assert_same_answers(engine, oracle, PREFIX + sparql)
 
     def test_batch_matches_brute_force(self, small_rdf_store):
         engine = TurboHomPPEngine(execution_mode="threads")
@@ -187,51 +187,40 @@ class TestAggregationParity:
     @pytest.mark.parametrize("mode_name", sorted(MODES))
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_random_stores_both_pipelines(self, seed, mode_name):
+    def test_random_stores(self, assert_same_answers, seed, mode_name):
         store = random_store(random.Random(seed))
-        config = MODES[mode_name]()
-        batch = TurboEngine(
-            type_aware=True, config=config, execution_mode="threads",
-            result_pipeline="batch",
+        engine = TurboEngine(
+            type_aware=True, config=MODES[mode_name](), execution_mode="threads"
         )
-        scalar = TurboEngine(
-            type_aware=True, config=config, execution_mode="threads",
-            result_pipeline="scalar",
-        )
-        batch.load(store)
-        scalar.load(store)
-        for sparql in AGGREGATE_QUERIES:
-            left = batch.query(PREFIX + sparql)
-            right = scalar.query(PREFIX + sparql)
-            assert rows_multiset(left) == rows_multiset(right), f"{sparql} (seed {seed})"
+        engine.load(store)
+        if mode_name == "homomorphism":  # the baselines' only semantics
+            oracle = BitmapEngine()
+            oracle.load(store)
+            for sparql in AGGREGATE_QUERIES:
+                assert_same_answers(engine, oracle, PREFIX + sparql)
         expected = brute_force_group_counts(
             store, EX.knows, injective=(mode_name == "isomorphism")
         )
-        result = batch.query(
+        result = engine.query(
             PREFIX + "SELECT ?a (COUNT(?b) AS ?n) (COUNT(DISTINCT ?b) AS ?d) "
             "WHERE { ?a ex:knows ?b . } GROUP BY ?a"
         )
         assert result.grouped_counts(["a"], ["n", "d"]) == expected
 
     @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
-    def test_parallel_modes_agree(self, small_rdf_store, execution_mode):
-        parallel = TurboHomPPEngine(
-            workers=2, execution_mode=execution_mode, result_pipeline="batch"
-        )
-        scalar = TurboHomPPEngine(execution_mode="threads", result_pipeline="scalar")
+    def test_parallel_modes_agree(self, small_rdf_store, assert_same_answers, execution_mode):
+        parallel = TurboHomPPEngine(workers=2, execution_mode=execution_mode)
+        oracle = BitmapEngine()
         parallel.load(small_rdf_store)
-        scalar.load(small_rdf_store)
+        oracle.load(small_rdf_store)
         try:
             for sparql in AGGREGATE_QUERIES:
-                assert rows_multiset(parallel.query(PREFIX + sparql)) == rows_multiset(
-                    scalar.query(PREFIX + sparql)
-                ), f"{sparql} [{execution_mode}]"
+                assert_same_answers(parallel, oracle, PREFIX + sparql)
         finally:
             parallel.close()
 
     def test_empty_input_global_count_emits_zero_row(self, small_rdf_store):
-        for pipeline in ("batch", "scalar"):
-            engine = TurboHomPPEngine(execution_mode="threads", result_pipeline=pipeline)
+        for engine in (TurboHomPPEngine(execution_mode="threads"), BitmapEngine()):
             engine.load(small_rdf_store)
             result = engine.query(
                 PREFIX + "SELECT (COUNT(?x) AS ?n) WHERE { ?x ex:worksFor ex:nowhere . }"
@@ -431,11 +420,8 @@ class TestEngineSpillLifecycle:
         oracle = unbounded.query(sparql)
         unbounded.close()
 
-        # Spill counters are batch-join internals: pin the pipeline so the
-        # REPRO_RESULT_PIPELINE=scalar CI pass keeps asserting them.
         engine = TurboHomPPEngine(
             execution_mode="threads",
-            result_pipeline="batch",
             join_memory_bytes=2048,
             join_partitions=4,
         )
@@ -463,9 +449,7 @@ class TestEngineSpillLifecycle:
         engine.close()
 
     def test_stats_surface_operator_counters(self, fanout_store):
-        # groups_emitted/rows_decoded meter the batch kernels: pin the
-        # pipeline so the scalar CI pass keeps asserting the exact counts.
-        engine = TurboHomPPEngine(execution_mode="threads", result_pipeline="batch")
+        engine = TurboHomPPEngine(execution_mode="threads")
         engine.load(fanout_store)
         engine.query(
             PREFIX + "SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ex:link ?b . } GROUP BY ?a"
@@ -553,7 +537,7 @@ class TestAggregateLateMaterialization:
 
     def test_grouping_decodes_only_emitted_groups(self, fanout_store, monkeypatch):
         """1200 embeddings → 40 groups → at most 40 decoded group keys."""
-        engine = TurboHomPPEngine(execution_mode="threads", result_pipeline="batch")
+        engine = TurboHomPPEngine(execution_mode="threads")
         engine.load(fanout_store)
         decoded = self.count_decodes(monkeypatch)
         result = engine.query(
@@ -568,7 +552,7 @@ class TestAggregateLateMaterialization:
 
     def test_order_by_decodes_keys_then_slice(self, fanout_store, monkeypatch):
         """ORDER BY decodes one term per distinct sort key, plus the slice."""
-        engine = TurboHomPPEngine(execution_mode="threads", result_pipeline="batch")
+        engine = TurboHomPPEngine(execution_mode="threads")
         engine.load(fanout_store)
         decoded = self.count_decodes(monkeypatch)
         result = engine.query(

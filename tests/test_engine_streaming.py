@@ -10,6 +10,9 @@
   solutions instead of enumerating every embedding.
 * **No side channels** — predicate-variable bookkeeping must never leak
   into a binding.
+* **Row adapter** — ``TurboBGPSolver.solve`` is a row view of
+  ``solve_batches``: same rows, same ``limit_hint``, and abandoning it
+  cancels the job underneath.
 * **Pool reuse** — a parallel engine must reuse one worker pool across
   queries.
 """
@@ -218,22 +221,23 @@ class TestModifierParity:
         ]
 
 
+@pytest.fixture
+def fanout_store():
+    """A store with ~1200 ex:knows embeddings."""
+    store = TripleStore()
+    triples = []
+    for i in range(40):
+        for j in range(30):
+            triples.append(Triple(EX[f"p{i}"], EX.knows, EX[f"q{j}"]))
+    for i in range(40):
+        triples.append(Triple(EX[f"p{i}"], RDF.type, EX.Person))
+    store.load(triples)
+    store.freeze()
+    return store
+
+
 class TestEarlyTermination:
     """LIMIT k must terminate matching, not trim a materialized list."""
-
-    @pytest.fixture
-    def fanout_store(self):
-        """A store with ~1200 ex:knows embeddings."""
-        store = TripleStore()
-        triples = []
-        for i in range(40):
-            for j in range(30):
-                triples.append(Triple(EX[f"p{i}"], EX.knows, EX[f"q{j}"]))
-        for i in range(40):
-            triples.append(Triple(EX[f"p{i}"], RDF.type, EX.Person))
-        store.load(triples)
-        store.freeze()
-        return store
 
     def test_limit_stops_the_matcher(self, fanout_store):
         engine = TurboHomPPEngine()
@@ -316,6 +320,67 @@ class TestNoSideChannels:
         for binding in bindings:
             assert all(not key.startswith("__") for key in binding)
             assert set(binding.keys()) <= {"a", "p", "b"}
+
+
+class TestSolveRowAdapter:
+    """``solve`` is ``solve_batches`` read row by row."""
+
+    BGPS = [
+        ("SELECT * WHERE { ?a ex:knows ?b . }", 3),
+        ("SELECT * WHERE { ex:alice ?p ?o . }", 5),  # predicate variable
+        ("SELECT * WHERE { ?x rdf:type ?t . ?x ex:worksFor ex:acme . }", 2),  # rdf:type ?t
+        ("SELECT * WHERE { ?x rdf:type ex:Person . ?y rdf:type ex:Company . }", 3),  # two components
+    ]
+
+    @pytest.mark.parametrize("limit", [None, 1, 2])
+    @pytest.mark.parametrize("sparql,total", BGPS)
+    def test_rows_are_exactly_the_batch_rows(self, small_rdf_store, sparql, total, limit):
+        # Sequential enumeration is deterministic: even the order agrees.
+        engine = TurboHomPPEngine(execution_mode="threads")
+        engine.load(small_rdf_store)
+        solver = engine.bgp_solver()
+        patterns = parse_sparql(PREFIX + sparql).where.triples
+        expected = [
+            row
+            for batch in solver.solve_batches(patterns, limit_hint=limit)
+            for row in batch.iter_bindings()
+        ]
+        assert len(expected) == (total if limit is None else min(limit, total))
+        assert list(solver.solve(patterns, limit_hint=limit)) == expected
+
+    def test_abandoned_stream_releases_the_pool_job(self, fanout_store):
+        """The shard pool serializes jobs: a row stream dropped after one
+        row must cancel its job, or the next query blocks behind it (or
+        reads its leftover batches)."""
+        engine = TurboHomPPEngine(workers=2, execution_mode="processes")
+        engine.load(fanout_store)
+        try:
+            solver = engine.bgp_solver()
+            fanout = parse_sparql(
+                PREFIX + "SELECT * WHERE { ?x ex:knows ?y . }"
+            ).where.triples
+            spoke = parse_sparql(
+                PREFIX + "SELECT * WHERE { ?x ex:knows ex:q0 . }"
+            ).where.triples
+            stream = solver.solve(fanout)
+            assert set(next(stream)) == {"x", "y"}
+            stream.close()
+
+            rows = {}
+
+            def follow_up():
+                rows["spoke"] = list(solver.solve(spoke))
+                rows["fanout"] = list(solver.solve(fanout))
+
+            worker = threading.Thread(target=follow_up, daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive(), "next query blocked behind the abandoned job"
+            assert len(rows["spoke"]) == 40
+            assert all(set(row) == {"x"} for row in rows["spoke"])
+            assert len(rows["fanout"]) == 1200
+        finally:
+            engine.close()
 
 
 class TestCrossComponentPredicateVariables:

@@ -7,8 +7,8 @@ Four families of guarantees:
   variables, multi-labelled vertices) must enumerate exactly the
   :class:`GenericMatcher` multiset in both isomorphism and homomorphism
   modes, through the sequential matcher, the thread pool and the process
-  shard pool, on the batch and the scalar result pipeline, and with the
-  region cache cold *and* warm.
+  shard pool, and with the region cache cold *and* warm (at engine level
+  against the bitmap baseline, which shares no matcher, plan or cache).
 * **Zero per-solution allocations on the batch path** — the batch pipeline
   must write matched vertices straight into the columnar collectors; the
   row-building adapters are poisoned and must never run.
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.bitmap_engine import BitmapEngine
 from repro.engine.region_cache import RegionCache
 from repro.engine.turbo_engine import TurboHomPPEngine
 from repro.graph.labeled_graph import GraphBuilder
@@ -166,15 +167,14 @@ class TestEnginePipelineParity:
     ]
 
     @pytest.mark.parametrize("sparql", QUERIES)
-    @pytest.mark.parametrize("pipeline", ["batch", "scalar"])
-    def test_pipelines_agree_warm_and_cold(self, store, sparql, pipeline):
-        reference = TurboHomPPEngine(region_cache_bytes=0)
+    def test_cached_regions_agree_with_bitmap_warm_and_cold(self, store, sparql):
+        reference = BitmapEngine()
         reference.load(store)
         expected = reference.query(PREFIX + sparql)
 
         # Pinned to thread mode: the counter assertion below reads the
         # engine-held cache (the REPRO_EXECUTION_MODE sweep must not flip it).
-        engine = TurboHomPPEngine(result_pipeline=pipeline, execution_mode="threads")
+        engine = TurboHomPPEngine(execution_mode="threads")
         engine.load(store)
         cold = engine.query(PREFIX + sparql)
         warm = engine.query(PREFIX + sparql)

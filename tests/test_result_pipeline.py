@@ -1,11 +1,12 @@
 """The columnar batch result pipeline: parity, ring transport, validation.
 
 * **Parity** — the batch pipeline must be indistinguishable (as solution
-  multisets) from the scalar pipeline and from independent oracles
-  (:class:`GenericMatcher` at the matcher level, the RDF-3X-style baseline
-  at the engine level), across isomorphism + homomorphism configs, the
-  DISTINCT / ORDER BY / LIMIT / OFFSET / OPTIONAL / UNION feature surface,
-  and both execution modes.
+  multisets) from oracles that share no ``TurboEngine`` code:
+  :class:`GenericMatcher` at the matcher level (isomorphism + homomorphism),
+  the bitmap and RDF-3X-style baseline engines — own BGP evaluation plus
+  the scalar reference algebra — at the engine level, across the DISTINCT /
+  ORDER BY / LIMIT / OFFSET / OPTIONAL / UNION feature surface and both
+  execution modes.
 * **Ring transport** — in process mode, id-only solutions must cross the
   worker boundary through the per-worker shared-memory rings with zero
   per-solution pickling (pinned by poisoning ``SolutionBatch`` pickling and
@@ -15,9 +16,9 @@
   full: an unlimited job delivers ⌈solutions / 256⌉ batches plus at most
   one tail per worker, never one batch per candidate region; and the merge
   loop never blocks on a job that has already finished.
-* **Validation** — execution-mode / worker-count / result-pipeline knobs
-  (arguments and environment overrides) must raise a clear ``ValueError``
-  at engine construction, not deep inside a pool.
+* **Validation** — execution-mode / worker-count knobs (arguments and
+  environment overrides) must raise a clear ``ValueError`` at engine
+  construction, not deep inside a pool.
 * **Stats** — ``TurboEngine.stats()`` must report plan-cache
   hits/misses/evictions and pipeline/transport counters.
 * **Late materialization** — ids must decode to RDF terms only for rows
@@ -36,6 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.bitmap_engine import BitmapEngine
 from repro.baselines.rdf3x import RDF3XEngine
 from repro.engine.turbo_engine import TurboEngine, TurboHomPPEngine
 from repro.matching.config import MatchConfig
@@ -70,7 +72,7 @@ MODES = {
     "homomorphism": MatchConfig.turbo_hom_pp,
 }
 
-#: The engine-level feature surface both pipelines must agree on.
+#: The engine-level feature surface the engine and its oracles must agree on.
 FEATURE_QUERIES = [
     "SELECT ?p WHERE { ?p rdf:type ex:Person . }",
     "SELECT ?a ?b WHERE { ?a ex:knows ?b . ?a ex:worksFor ex:acme . }",
@@ -89,18 +91,6 @@ FEATURE_QUERIES = [
     "SELECT ?a ?b WHERE { ?a ex:knows ?b . } LIMIT 2 OFFSET 1",
     "SELECT DISTINCT ?a WHERE { ?a ex:knows ?b . } ORDER BY ?a LIMIT 2 OFFSET 1",
 ]
-
-
-def rows_multiset(result) -> Counter:
-    variables = sorted(result.variables)
-    return Counter(
-        tuple(str(row.get(var)) for var in variables) for row in result
-    )
-
-
-def rows_ordered(result):
-    variables = sorted(result.variables)
-    return [tuple(str(row.get(var)) for var in variables) for row in result]
 
 
 def random_store(rng: random.Random) -> TripleStore:
@@ -153,7 +143,7 @@ class TestMatcherBatchParity:
             for row in batch.iter_rows()
         ]
         assert solution_multiset(flattened) == oracle
-        # The batch adapter and the scalar stream are the same enumeration.
+        # The row adapter is the same enumeration as the batch stream.
         assert flattened == matcher.match(query)
 
     @settings(max_examples=6, deadline=None)
@@ -199,75 +189,92 @@ class TestMatcherBatchParity:
 
 
 # ----------------------------------------------------------- engine-level parity
+#: Connected, expansion-free BGPs (one plan component, vertex variables
+#: only), for comparing solver batches against GenericMatcher id tuples.
+MATCHER_LEVEL_BGPS = [
+    "SELECT ?a ?b WHERE { ?a ex:knows ?b . ?a ex:worksFor ex:acme . }",
+    "SELECT ?x ?y ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z . ?z ex:knows ?x . }",
+    "SELECT ?x ?y WHERE { ?x ex:knows ?y . ?x rdf:type ex:Person . }",
+]
+
+
 class TestEnginePipelineParity:
-    """batch ≡ scalar ≡ independent baseline, across the feature surface."""
+    """engine ≡ independent baselines, across the feature surface."""
 
     @pytest.fixture
     def engines(self, small_rdf_store):
-        batch = TurboHomPPEngine(execution_mode="threads", result_pipeline="batch")
-        scalar = TurboHomPPEngine(execution_mode="threads", result_pipeline="scalar")
-        batch.load(small_rdf_store)
-        scalar.load(small_rdf_store)
-        yield batch, scalar
+        engine = TurboHomPPEngine(execution_mode="threads")
+        oracle = BitmapEngine()
+        engine.load(small_rdf_store)
+        oracle.load(small_rdf_store)
+        yield engine, oracle
 
     @pytest.mark.parametrize("sparql", FEATURE_QUERIES)
-    def test_batch_equals_scalar_sequential(self, engines, sparql):
-        batch, scalar = engines
-        # Sequential enumeration is deterministic and both pipelines run the
-        # identical operator order, so even the row *order* must agree.
-        assert rows_ordered(batch.query(PREFIX + sparql)) == rows_ordered(
-            scalar.query(PREFIX + sparql)
-        ), sparql
+    def test_engine_equals_bitmap_sequential(self, engines, assert_same_answers, sparql):
+        engine, oracle = engines
+        assert_same_answers(engine, oracle, PREFIX + sparql)
 
-    @pytest.mark.parametrize("mode_name", sorted(MODES))
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_batch_equals_scalar_random_stores(self, seed, mode_name):
+    def test_engine_equals_bitmap_random_stores(self, assert_same_answers, seed):
         store = random_store(random.Random(seed))
-        config = MODES[mode_name]()
-        batch = TurboEngine(
-            type_aware=True, config=config, execution_mode="threads",
-            result_pipeline="batch",
-        )
-        scalar = TurboEngine(
-            type_aware=True, config=config, execution_mode="threads",
-            result_pipeline="scalar",
-        )
-        batch.load(store)
-        scalar.load(store)
+        engine = TurboHomPPEngine(execution_mode="threads")
+        oracle = BitmapEngine()
+        engine.load(store)
+        oracle.load(store)
         for sparql in FEATURE_QUERIES:
-            left = batch.query(PREFIX + sparql)
-            right = scalar.query(PREFIX + sparql)
-            assert rows_multiset(left) == rows_multiset(right), f"{sparql} (seed {seed})"
+            assert_same_answers(engine, oracle, PREFIX + sparql)
+
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_isomorphism_solver_equals_generic_matcher(self, seed):
+        """The baselines are homomorphism-only, so the isomorphism leg
+        compares the solver's id columns with GenericMatcher on the plan's
+        own transformed query graph."""
+        config = MatchConfig.isomorphism()
+        engine = TurboEngine(type_aware=True, config=config, execution_mode="threads")
+        engine.load(random_store(random.Random(seed)))
+        solver = engine.bgp_solver()
+        for sparql in MATCHER_LEVEL_BGPS:
+            patterns = parse_sparql(PREFIX + sparql).where.triples
+            (alternative,) = solver.plan(patterns).alternatives
+            (component,) = alternative.components
+            variables = [v for v in component.query.vertices if v.is_variable]
+            oracle = Counter(
+                tuple(solution[v.index] for v in variables)
+                for solution in GenericMatcher(engine.graph, config).match(component.query)
+            )
+            got = Counter(
+                tuple(batch.raw(v.name, row) for v in variables)
+                for batch in solver.solve_batches(patterns)
+                for row in range(batch.rows)
+            )
+            assert got == oracle, f"{sparql} (seed {seed})"
 
     @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
-    def test_parallel_batch_equals_sequential_scalar(self, small_rdf_store, execution_mode):
-        parallel = TurboHomPPEngine(
-            workers=2, execution_mode=execution_mode, result_pipeline="batch"
-        )
-        scalar = TurboHomPPEngine(execution_mode="threads", result_pipeline="scalar")
+    def test_parallel_engine_equals_bitmap(
+        self, small_rdf_store, assert_same_answers, execution_mode
+    ):
+        parallel = TurboHomPPEngine(workers=2, execution_mode=execution_mode)
+        oracle = BitmapEngine()
         parallel.load(small_rdf_store)
-        scalar.load(small_rdf_store)
+        oracle.load(small_rdf_store)
         try:
             for sparql in FEATURE_QUERIES:
-                assert rows_multiset(parallel.query(PREFIX + sparql)) == rows_multiset(
-                    scalar.query(PREFIX + sparql)
-                ), f"{sparql} [{execution_mode}]"
+                assert_same_answers(parallel, oracle, PREFIX + sparql)
         finally:
             parallel.close()
 
-    def test_batch_equals_independent_baseline(self, small_rdf_store):
-        """Cross-implementation oracle: the RDF-3X-style baseline engine."""
-        batch = TurboHomPPEngine(result_pipeline="batch", execution_mode="threads")
+    def test_engine_equals_rdf3x_baseline(self, small_rdf_store, assert_same_answers):
+        """A second cross-implementation oracle: the RDF-3X-style baseline."""
+        engine = TurboHomPPEngine(execution_mode="threads")
         baseline = RDF3XEngine()
-        batch.load(small_rdf_store)
+        engine.load(small_rdf_store)
         baseline.load(small_rdf_store)
         for sparql in FEATURE_QUERIES:
             if "OPTIONAL" in sparql:
-                continue  # the baselines mirror the paper's no-OPTIONAL footnote
-            assert batch.query(PREFIX + sparql).same_solutions(
-                baseline.query(PREFIX + sparql)
-            ), sparql
+                continue  # mirrors the paper's no-OPTIONAL footnote
+            assert_same_answers(engine, baseline, PREFIX + sparql)
 
 
 # ------------------------------------------------------------- ring transport
@@ -448,15 +455,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="execution mode"):
             TurboHomPPEngine()
 
-    def test_unknown_result_pipeline_argument(self):
-        with pytest.raises(ValueError, match="result pipeline"):
-            TurboHomPPEngine(result_pipeline="columnar")
-
-    def test_unknown_result_pipeline_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULT_PIPELINE", "vectorized")
-        with pytest.raises(ValueError, match="result pipeline"):
-            TurboHomPPEngine()
-
     @pytest.mark.parametrize("workers", [0, -2])
     def test_non_positive_worker_argument(self, workers):
         with pytest.raises(ValueError, match="positive"):
@@ -471,19 +469,15 @@ class TestConfigValidation:
     def test_valid_envs_still_resolve(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTION_MODE", "threads")
         monkeypatch.setenv("REPRO_EXECUTION_WORKERS", "3")
-        monkeypatch.setenv("REPRO_RESULT_PIPELINE", "scalar")
         engine = TurboHomPPEngine()
         assert engine.execution_mode == "threads"
         assert engine.workers == 3
-        assert engine.result_pipeline == "scalar"
 
 
 # --------------------------------------------------------------------- stats
 class TestEngineStats:
     def test_plan_cache_and_pipeline_counters(self, small_rdf_store):
-        engine = TurboHomPPEngine(
-            plan_cache_size=2, execution_mode="threads", result_pipeline="batch"
-        )
+        engine = TurboHomPPEngine(plan_cache_size=2, execution_mode="threads")
         engine.load(small_rdf_store)
         queries = [
             "SELECT ?a ?b WHERE { ?a ex:knows ?b . }",
@@ -495,7 +489,6 @@ class TestEngineStats:
         engine.query(PREFIX + queries[-1])  # warm repeat → hit
         stats = engine.stats()
         assert stats["execution_mode"] == "threads"
-        assert stats["pipeline"]["mode"] == "batch"
         assert stats["pipeline"]["solutions"] > 0
         assert stats["pipeline"]["batches"] > 0
         cache = stats["plan_cache"]
@@ -548,7 +541,7 @@ class TestLateMaterialization:
 
     def test_distinct_limit_decodes_only_delivered_rows(self, fanout_store, monkeypatch):
         """1200 embeddings, DISTINCT → 40, LIMIT 2 → exactly 2 decodes."""
-        engine = TurboHomPPEngine(execution_mode="threads", result_pipeline="batch")
+        engine = TurboHomPPEngine(execution_mode="threads")
         engine.load(fanout_store)
         decoded = Counter()
         original_node = Dictionary.decode_node

@@ -192,9 +192,7 @@ class TestStreamingContract:
     def test_limit_k_decodes_exactly_k_rows(self, small_rdf_store):
         # The end-to-end late-materialization pin: streaming a LIMIT-2
         # query through a serializer decodes 2 rows, not the full result.
-        # rows_decoded is metered only by the batch pipeline, so pin it
-        # to keep the exact-count assertion under the scalar CI pass.
-        engine = TurboEngine(result_pipeline="batch")
+        engine = TurboEngine()
         engine.load(small_rdf_store)
         query = "SELECT ?s ?o WHERE { ?s <http://example.org/knows> ?o } LIMIT 2"
         with engine.query_batches(query) as result:

@@ -9,15 +9,20 @@ complete result streams under concurrent clients.
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import http.client
 import json
 import threading
 import urllib.parse
+import warnings
 
 import pytest
 
 from repro.engine.turbo_engine import TurboEngine
 from repro.serving import (
+    QueryScheduler,
+    RunningQuery,
     ServerThread,
     resolve_serve_max_inflight,
     resolve_serve_queue_depth,
@@ -281,6 +286,32 @@ class TestAdmissionAndDeadlines:
             resolve_serve_timeout_ms(-1)
         with pytest.raises(EngineError):
             resolve_serve_queue_depth(-1)
+
+
+class TestShutdownRace:
+    def test_put_owns_no_coroutine_when_the_loop_stops_first(self):
+        """The loop goes away between the producer's hand-off and the callback.
+
+        Whatever ``_put`` scheduled is dropped unrun when the loop closes;
+        if that was a ``Queue.put`` coroutine it surfaces as a "never
+        awaited" RuntimeWarning at GC time, inside whichever test runs next.
+        """
+        loop = asyncio.new_event_loop()  # never run: scheduled callbacks drop
+        scheduler = QueryScheduler(max_inflight=1)
+        try:
+            run = RunningQuery(scheduler, loop, None)
+            run.stop_event.set()  # the stalled producer gives up at its poll
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run._put(b"chunk")
+                loop.close()
+                del run
+                gc.collect()
+            assert not [w for w in caught if w.category is RuntimeWarning]
+            # With the loop closed the hand-off itself reports the stop.
+            assert RunningQuery(scheduler, loop, None)._put(b"chunk") is False
+        finally:
+            scheduler.close()
 
 
 class TestConcurrentClients:
