@@ -78,9 +78,9 @@ def _interleaved_min_ms(engines, sparql: str):
 
 
 def test_hybrid_join_spill_gate(course_store):
-    unbounded = TurboHomPPEngine(execution_mode="threads", join_memory_bytes=0)
+    unbounded = TurboHomPPEngine(workers=1, join_memory_bytes=0)
     spilling = TurboHomPPEngine(
-        execution_mode="threads",
+        workers=1,
         join_memory_bytes=SPILL_BUDGET, join_partitions=SPILL_FANOUT,
     )
     unbounded.load(course_store)

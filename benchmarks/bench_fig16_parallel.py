@@ -1,13 +1,12 @@
 """Figure 16 — parallel speed-up on Q2 and Q9 with a growing worker count.
 
 The paper shows near-linear (even super-linear) wall-clock speed-up on a
-4-socket NUMA machine.  In thread mode CPython's GIL makes wall-clock
-speed-up unrepresentative, and in process mode it additionally requires as
-many free cores as workers, so the assertions target the quantity the
-experiment is really about: dynamic chunks of starting vertices partition
-the work evenly, i.e. the (simulated) dynamic-schedule speed-up grows with
-the worker count.  Both metrics are printed, for the thread pool *and* for
-the shared-memory process shard pool.
+4-socket NUMA machine.  Here wall-clock speed-up requires as many free
+cores as workers, so the assertions target the quantity the experiment is
+really about: dynamic chunks of starting vertices partition the work
+evenly, i.e. the (simulated) dynamic-schedule speed-up grows with the
+worker count.  Both metrics are printed for the shared-memory process
+shard pool.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.bench import experiments
 from repro.datasets import load_lubm
 from repro.graph.transform import type_aware_transform, type_aware_transform_query
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool
 from repro.matching.solution_batch import SOLUTION_BATCH_SIZE
 from repro.sparql.parser import parse_sparql
@@ -30,12 +28,11 @@ from repro.sparql.parser import parse_sparql
 WORKER_COUNTS = (1, 2, 4, 8)
 
 
-@pytest.mark.parametrize("mode", ["threads", "processes"])
-def test_figure16_report(benchmark, mode):
+def test_figure16_report(benchmark):
     """Regenerate Figure 16 (as a table) and assert the load-balance claim."""
     table = benchmark.pedantic(
         lambda: experiments.figure16_parallel(
-            scale=LUBM_LARGE_SCALE, workers=WORKER_COUNTS, mode=mode
+            scale=LUBM_LARGE_SCALE, workers=WORKER_COUNTS
         ),
         rounds=1,
         iterations=1,
@@ -59,16 +56,6 @@ def parallel_setup():
     parsed = parse_sparql(dataset.queries["Q9"]).strip_modifiers()
     query_graph = type_aware_transform_query(parsed.where.triples, mapping).query_graph
     return graph, query_graph
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_figure16_parallel_matcher_q9(benchmark, parallel_setup, workers):
-    """End-to-end parallel matching of Q9 with 1 vs 4 workers."""
-    graph, query_graph = parallel_setup
-    matcher = ParallelMatcher(graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=4)
-    solutions, stats = benchmark(matcher.match, query_graph)
-    assert stats.solutions == len(solutions)
-    assert len(solutions) > 0
 
 
 @pytest.mark.parametrize("workers", [1, 4])

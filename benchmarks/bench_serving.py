@@ -2,13 +2,13 @@
 
 The serving front-end exists so that many clients can share one loaded
 engine; this benchmark pins the properties that make that safe and fast,
-on LUBM(1), in both execution modes:
+on LUBM(1):
 
 * **closed-loop correctness + latency** — a handful of keep-alive clients
-  issue a skewed query mix back-to-back; every response must parse and
-  carry *exactly* the multiset the engine produces sequentially (zero
-  dropped or invalid responses), and the run reports p50/p99 latency and
-  aggregate QPS;
+  issue a skewed query mix back-to-back at an engine on 2 shard workers;
+  every response must parse and carry *exactly* the multiset the engine
+  produces sequentially (zero dropped or invalid responses), and the run
+  reports p50/p99 latency and aggregate QPS;
 * **streaming vs materialized serialization** — encoding straight off the
   batch stream must not lose to materializing the full ResultSet first
   (it skips the row-dict detour entirely);
@@ -94,10 +94,9 @@ def _percentile(samples, fraction):
     return ordered[int(fraction * (len(ordered) - 1))]
 
 
-@pytest.mark.parametrize("execution_mode", ["threads", "processes"])
-def test_closed_loop_latency_and_parity(lubm, execution_mode):
+def test_closed_loop_latency_and_parity(lubm):
     """Concurrent clients: zero bad responses, sequential-oracle parity."""
-    engine = TurboHomPPEngine(workers=2, execution_mode=execution_mode)
+    engine = TurboHomPPEngine(workers=2)
     engine.load(lubm.store)
     try:
         expected = _expected_multisets(engine, lubm)
@@ -144,7 +143,7 @@ def test_closed_loop_latency_and_parity(lubm, execution_mode):
         p50 = _percentile(latencies, 0.50)
         p99 = _percentile(latencies, 0.99)
         print(
-            f"\nserving closed-loop [{execution_mode}]: {CLIENTS} clients x "
+            f"\nserving closed-loop: {CLIENTS} clients x "
             f"{ROUNDS} requests, p50 {p50:.2f} ms, p99 {p99:.2f} ms, "
             f"{total / wall:.1f} QPS, 0 dropped/invalid"
         )
@@ -342,8 +341,7 @@ def _drain_batches(engine, sparql):
 def _run_admission_mix(lubm, mode, budget_bytes, sequence):
     """One engine's pass over the skewed mix; returns (hit_ratio, qps, rows)."""
     engine = TurboHomPPEngine(
-        workers=1,
-        execution_mode="threads",  # pin: the gate reads the engine-held cache
+        workers=1,  # pin: the gate reads the engine-held cache
         cache_admission=mode,
         region_cache_bytes=budget_bytes,
     )
@@ -378,7 +376,7 @@ def test_tinylfu_admission_beats_lru_on_skewed_mix(lubm_admission):
     """
     # Size the budget from a measured plan: one variant's full region set.
     probe = TurboHomPPEngine(
-        workers=1, execution_mode="threads", region_cache_bytes=1 << 30
+        workers=1, region_cache_bytes=1 << 30
     )
     probe.load(lubm_admission.store)
     try:

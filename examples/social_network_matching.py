@@ -15,7 +15,7 @@ Run with:  python examples/social_network_matching.py
 import random
 
 from repro import GraphBuilder, MatchConfig, QueryGraph
-from repro.matching import GenericMatcher, ParallelMatcher, TurboMatcher
+from repro.matching import GenericMatcher, ProcessShardPool, TurboMatcher
 
 # Vertex labels.
 PERSON, COMPANY, CITY = 0, 1, 2
@@ -69,17 +69,22 @@ def main() -> None:
     graph = build_social_graph()
     print(f"social graph: {graph.vertex_count} vertices, {graph.edge_count} edges")
 
-    for name, query in (("coworker triangle", coworker_triangle()), ("mutual follow", mutual_follow())):
-        hom = TurboMatcher(graph, MatchConfig.turbo_hom_pp()).match(query)
-        iso = TurboMatcher(graph, MatchConfig.isomorphism()).match(query)
-        oracle = GenericMatcher(graph, MatchConfig.turbo_hom_pp()).match(query)
-        print(f"\n{name}: {len(hom)} homomorphisms, {len(iso)} isomorphisms "
-              f"(naive matcher agrees: {len(oracle) == len(hom)})")
+    # One pool of worker processes serves every query; close() joins them
+    # and unlinks the shared-memory graph export.
+    parallel = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=4, chunk_size=8)
+    try:
+        for name, query in (("coworker triangle", coworker_triangle()), ("mutual follow", mutual_follow())):
+            hom = TurboMatcher(graph, MatchConfig.turbo_hom_pp()).match(query)
+            iso = TurboMatcher(graph, MatchConfig.isomorphism()).match(query)
+            oracle = GenericMatcher(graph, MatchConfig.turbo_hom_pp()).match(query)
+            print(f"\n{name}: {len(hom)} homomorphisms, {len(iso)} isomorphisms "
+                  f"(naive matcher agrees: {len(oracle) == len(hom)})")
 
-        parallel = ParallelMatcher(graph, MatchConfig.turbo_hom_pp(), workers=4, chunk_size=8)
-        solutions, stats = parallel.match(query)
-        print(f"  parallel: {len(solutions)} solutions across {stats.workers} workers, "
-              f"simulated dynamic-chunk speedup {stats.simulated_speedup():.2f}x")
+            solutions, stats = parallel.match(query)
+            print(f"  parallel: {len(solutions)} solutions across {stats.workers} workers, "
+                  f"simulated dynamic-chunk speedup {stats.simulated_speedup():.2f}x")
+    finally:
+        parallel.close()
 
 
 if __name__ == "__main__":

@@ -45,7 +45,7 @@ from repro.graph.transform import (
     type_aware_transform_query,
 )
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelMatcher
+from repro.matching.process_shard import ProcessShardPool
 from repro.matching.turbo import TurboMatcher
 from repro.sparql.parser import parse_sparql
 from repro.utils.timer import timed
@@ -271,23 +271,22 @@ def figure16_parallel(
     scale: int = 4,
     workers: Sequence[int] = (1, 2, 4, 8),
     query_ids: Sequence[str] = LONG_RUNNING_QUERIES,
-    mode: str = "threads",
 ) -> ResultTable:
     """Parallel speed-up on the long-running queries (Figure 16).
 
-    Reports both wall-clock speed-up (bounded by the GIL in thread mode and
-    by the machine's core count in process mode) and the work-partition
-    speed-up (total work / busiest worker), which captures the load balance
-    of dynamic chunking that the paper's figure demonstrates.  ``mode``
-    selects the thread pool or the shared-memory process shard pool.  The
-    ``batches`` column counts the solution batches the workers delivered:
-    full batches plus at most one tail per worker, however many candidate
-    regions the solutions came from.
+    Runs the shared-memory process shard pool (its one-worker row is the
+    sequential matcher) and reports both wall-clock speed-up (bounded by
+    the machine's core count) and the work-partition speed-up (total work /
+    busiest worker), which captures the load balance of dynamic chunking
+    that the paper's figure demonstrates.  The ``batches`` column counts
+    the solution batches the workers delivered: full batches plus at most
+    one tail per worker, however many candidate regions the solutions came
+    from.
     """
     dataset = load_lubm(universities=scale)
     graph, mapping = type_aware_transform(dataset.store)
     table = ResultTable(
-        f"Figure 16: parallel speed-up in {dataset.name} ({mode})",
+        f"Figure 16: parallel speed-up in {dataset.name}",
         [
             "query", "workers", "elapsed (ms)", "wall-clock speedup", "work speedup",
             "solutions", "batches",
@@ -300,7 +299,9 @@ def figure16_parallel(
         for worker_count in workers:
             # Chunk size 1: with only a handful of starting vertices (Q2 has
             # one per university) larger chunks would serialize the work.
-            matcher = _parallel_matcher(graph, mode, worker_count, chunk_size=1)
+            matcher = ProcessShardPool(
+                graph, MatchConfig.turbo_hom_pp(), workers=worker_count, chunk_size=1
+            )
             try:
                 batches = list(matcher.iter_match_batches(transformed.query_graph))
                 stats = matcher.last_stats
@@ -319,25 +320,10 @@ def figure16_parallel(
                 len(batches),
             )
     table.notes.append(
-        "wall-clock speed-up needs free cores (and in thread mode is GIL-bound); "
+        "wall-clock speed-up needs as many free cores as workers; "
         "work speed-up measures dynamic-chunk load balance (the paper's NUMA experiment)"
     )
     return table
-
-
-def _parallel_matcher(graph, mode: str, workers: int, chunk_size: int):
-    """The thread pool or process shard pool behind one Figure 16 series."""
-    if mode == "processes":
-        from repro.matching.process_shard import ProcessShardPool
-
-        return ProcessShardPool(
-            graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=chunk_size
-        )
-    if mode == "threads":
-        return ParallelMatcher(
-            graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=chunk_size
-        )
-    raise ValueError(f"unknown parallel mode {mode!r}")
 
 
 # -------------------------------------------------------------- Ablation (ours)

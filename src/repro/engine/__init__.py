@@ -3,7 +3,6 @@
 from repro.engine.base import (
     Engine,
     BGPSolver,
-    resolve_execution_mode,
     resolve_worker_count,
 )
 from repro.engine.cache_admission import (
@@ -34,6 +33,5 @@ __all__ = [
     "TurboHomPPEngine",
     "bgp_fingerprint",
     "compile_query",
-    "resolve_execution_mode",
     "resolve_worker_count",
 ]

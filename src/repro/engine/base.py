@@ -27,17 +27,9 @@ from repro.sparql.parser import parse_sparql
 from repro.sparql.results import Binding, ResultSet
 
 
-#: Supported parallel execution modes: GIL-bound worker threads vs shard
-#: worker processes attached to a shared-memory graph export.
-EXECUTION_MODES = ("threads", "processes")
-
-#: Environment override for engines constructed without an explicit mode —
-#: lets a CI job (or an operator) re-run an unmodified workload under
-#: process sharding: ``REPRO_EXECUTION_MODE=processes``.
-EXECUTION_MODE_ENV = "REPRO_EXECUTION_MODE"
-
-#: Companion override supplying the worker count for engines that were left
-#: at their sequential default (explicit ``workers=N`` arguments win).
+#: Environment override for the worker count of engines constructed without
+#: an explicit ``workers`` — lets a CI job (or an operator) re-run an
+#: unmodified workload on process shards: ``REPRO_EXECUTION_WORKERS=2``.
 EXECUTION_WORKERS_ENV = "REPRO_EXECUTION_WORKERS"
 
 #: Environment override for the cross-query candidate-region cache budget
@@ -63,23 +55,6 @@ JOIN_PARTITIONS_ENV = "REPRO_JOIN_PARTITIONS"
 #: fallback kernels); unset keeps the default budget (see
 #: :data:`repro.graph.reachability.DEFAULT_PATH_INDEX_BYTES`).
 PATH_INDEX_BYTES_ENV = "REPRO_PATH_INDEX_BYTES"
-
-
-def resolve_execution_mode(mode: Optional[str] = None) -> str:
-    """Validate an execution mode, falling back to the environment override.
-
-    An explicit ``mode`` argument always wins; ``None`` consults
-    ``REPRO_EXECUTION_MODE`` and finally defaults to ``"threads"``.
-    A typo raises :class:`~repro.exceptions.EngineError` (a ``ValueError``)
-    at engine construction, never deep inside a pool.
-    """
-    if mode is None:
-        mode = os.environ.get(EXECUTION_MODE_ENV, "").strip().lower() or "threads"
-    if mode not in EXECUTION_MODES:
-        raise EngineError(
-            f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-        )
-    return mode
 
 
 def resolve_region_cache_bytes(capacity: Optional[int], default: int) -> int:
@@ -174,38 +149,32 @@ def resolve_path_index_bytes(budget: Optional[int] = None) -> int:
     return budget
 
 
-def validate_worker_count(workers: int) -> int:
-    """Reject non-positive / non-integral worker counts with a clear error."""
+def resolve_worker_count(workers: Optional[int] = None) -> int:
+    """Validate a worker count, falling back to the environment override.
+
+    An explicit non-None ``workers`` always wins; ``None`` consults
+    ``REPRO_EXECUTION_WORKERS`` and finally defaults to 1 (sequential).
+    ``1`` runs the in-process matcher, more run that many shard worker
+    processes; non-positive or malformed values raise at construction,
+    never deep inside a pool.
+    """
+    if workers is None:
+        env = os.environ.get(EXECUTION_WORKERS_ENV, "").strip()
+        if not env:
+            return 1
+        try:
+            workers = int(env)
+        except ValueError as error:
+            raise EngineError(f"invalid {EXECUTION_WORKERS_ENV}={env!r}") from error
+        if workers < 1:
+            raise EngineError(
+                f"invalid {EXECUTION_WORKERS_ENV}={env!r}: worker count must be positive"
+            )
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise EngineError(
             f"workers must be a positive integer, got {workers!r}"
         )
     return workers
-
-
-def resolve_worker_count(workers: int) -> int:
-    """Apply the ``REPRO_EXECUTION_WORKERS`` override to a *default* count.
-
-    Only engines left at the sequential default (``workers=1``) are
-    affected, so explicitly parallel constructions keep their configured
-    width while a CI sweep can still force every default engine parallel.
-    A malformed or non-positive override raises instead of being silently
-    coerced.
-    """
-    if workers != 1:
-        return validate_worker_count(workers)
-    env = os.environ.get(EXECUTION_WORKERS_ENV, "").strip()
-    if not env:
-        return workers
-    try:
-        parsed = int(env)
-    except ValueError as error:
-        raise EngineError(f"invalid {EXECUTION_WORKERS_ENV}={env!r}") from error
-    if parsed < 1:
-        raise EngineError(
-            f"invalid {EXECUTION_WORKERS_ENV}={env!r}: worker count must be positive"
-        )
-    return parsed
 
 
 class BGPSolver(abc.ABC):

@@ -16,9 +16,9 @@ start_data_vertex)``.  The fingerprint pins the BGP *and* its push-down
 filters, and the cache is owned by one engine (one graph, one
 :class:`MatchConfig`), so a key can never alias across semantically
 different explorations.  Snapshots are read-only and safe to share across
-worker threads; in process mode each shard worker holds its own cache (see
-:mod:`repro.matching.process_shard`) and reports its counters back with
-every job as a :class:`RegionCacheStats` snapshot.
+concurrent query threads; with ``workers > 1`` each shard worker holds its
+own cache (see :mod:`repro.matching.process_shard`) and reports its
+counters back with every job as a :class:`RegionCacheStats` snapshot.
 
 The budget is **bytes, not entries** — regions range from a handful of
 candidates to graph-sized — and an entry larger than the whole budget is

@@ -1,6 +1,6 @@
 """Engine-side adapter running compiled plan components on process shards.
 
-:class:`ShardExecutor` is what ``execution_mode="processes"`` plugs into the
+:class:`ShardExecutor` is what an engine with ``workers > 1`` plugs into its
 :class:`~repro.engine.turbo_engine.TurboBGPSolver`: it owns one persistent
 :class:`~repro.matching.process_shard.ProcessShardPool` (workers attached to
 the engine graph's shared-memory CSR export, holding the engine's
@@ -29,8 +29,8 @@ from repro.engine.plan import QueryPlan
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.transform import GraphMapping
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelStats
 from repro.matching.process_shard import ProcessShardPool
+from repro.matching.shard_protocol import ParallelStats
 from repro.matching.solution_batch import SolutionBatch
 
 

@@ -33,14 +33,11 @@ to the solver, so algebra operators and projections only ever see plain
 variable columns, and :meth:`TurboBGPSolver.solve` is a row adapter over
 the same stream.
 
-Parallel execution (``workers > 1``) comes in two modes, selected by the
-``execution_mode`` knob (or the ``REPRO_EXECUTION_MODE`` environment
-override): ``"threads"`` reuses one engine-held
-:class:`~repro.matching.parallel.ParallelMatcher`, whose persistent worker
-pool spans queries instead of being spun up per BGP; ``"processes"`` runs a
-:class:`~repro.engine.shard_executor.ShardExecutor` whose worker processes
-attach the graph's shared-memory CSR export and cache rehydrated plans by
-fingerprint (see ``docs/execution_modes.md``).
+``workers`` alone picks the execution path: 1 runs the in-process
+:class:`~repro.matching.turbo.TurboMatcher`, more run one engine-held
+:class:`~repro.engine.shard_executor.ShardExecutor` whose persistent worker
+processes attach the graph's shared-memory CSR export and cache rehydrated
+plans by fingerprint (see ``docs/execution_modes.md``).
 """
 
 from __future__ import annotations
@@ -53,13 +50,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 from repro.engine.base import (
     BGPSolver,
     Engine,
-    resolve_execution_mode,
     resolve_join_memory_bytes,
     resolve_join_partitions,
     resolve_path_index_bytes,
     resolve_region_cache_bytes,
     resolve_worker_count,
-    validate_worker_count,
 )
 from repro.engine.cache_admission import (
     make_admission_policy,
@@ -85,7 +80,6 @@ from repro.graph.transform import (
     type_aware_transform,
 )
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.shard_protocol import ShardCollector, run_chunk
 from repro.matching.solution_batch import SolutionBatch
 from repro.matching.turbo import TurboMatcher
@@ -150,9 +144,7 @@ class TurboBGPSolver(BGPSolver):
         mapping: GraphMapping,
         config: MatchConfig,
         type_aware: bool,
-        workers: int = 1,
         plan_cache: Optional[PlanCache] = None,
-        pool: Optional[ParallelMatcher] = None,
         executor: Optional[ShardExecutor] = None,
         counters: Optional[PipelineCounters] = None,
         region_cache: Optional[RegionCache] = None,
@@ -163,12 +155,11 @@ class TurboBGPSolver(BGPSolver):
         self.mapping = mapping
         self.config = config
         self.type_aware = type_aware
-        self.workers = workers
         self.plan_cache = plan_cache
-        #: Cross-query candidate-region cache shared by the sequential
-        #: matcher and the thread pool (process shards hold per-worker
-        #: caches instead); keyed below by plan fingerprint + component
-        #: coordinates, so it is only consulted for fingerprinted plans.
+        #: Cross-query candidate-region cache of the sequential matcher
+        #: (process shards hold per-worker caches instead); keyed below by
+        #: plan fingerprint + component coordinates, so it is only
+        #: consulted for fingerprinted plans.
         self.region_cache = region_cache
         self.counters = counters if counters is not None else PipelineCounters()
         #: Shared operator-kernel context (join budgets, spill lifecycle,
@@ -185,13 +176,9 @@ class TurboBGPSolver(BGPSolver):
         #: hot-plan mix that drives cache warming; it must never raise.
         self.plan_listener = None
         # The sequential matcher is stateless between calls and shared by
-        # every component stream; the parallel pool (persistent worker
-        # threads) or shard executor (persistent worker processes) is
-        # engine-held so it spans queries.
+        # every component stream; the shard executor (persistent worker
+        # processes) is engine-held so it spans queries.
         self._matcher = TurboMatcher(graph, config)
-        if pool is None and executor is None and workers > 1:
-            pool = ParallelMatcher(graph, config, workers=workers)
-        self._pool = pool
         self._executor = executor
 
     def supports_filter_pushdown(self) -> bool:
@@ -379,15 +366,6 @@ class TurboBGPSolver(BGPSolver):
                 self._executor.iter_component_batches(
                     plan, alternative_index, component_index, deep_limit
                 )
-            )
-        elif self._pool is not None and query.vertex_count() > 1:
-            solution_batches = self._pool.iter_match_batches(
-                query,
-                vertex_predicates=component.pushdown,
-                max_results=deep_limit,
-                prepared=component.prepared,
-                region_cache=region_cache,
-                region_key=region_key,
             )
         else:
             solution_batches = self._matcher.iter_match_batches(
@@ -672,7 +650,7 @@ class TurboEngine(Engine):
         self,
         type_aware: bool = True,
         config: Optional[MatchConfig] = None,
-        workers: int = 1,
+        workers: Optional[int] = None,
         plan_cache_size: int = 128,
         execution_mode: Optional[str] = None,
         region_cache_bytes: Optional[int] = None,
@@ -686,25 +664,22 @@ class TurboEngine(Engine):
         super().__init__()
         self.type_aware = type_aware
         self.config = config if config is not None else MatchConfig.turbo_hom_pp()
-        #: How parallel BGPs are executed: ``"threads"`` (GIL-bound worker
-        #: threads) or ``"processes"`` (shard workers over a shared-memory
-        #: graph export).  ``None`` defers to ``REPRO_EXECUTION_MODE``;
-        #: ``workers`` left at 1 defers to ``REPRO_EXECUTION_WORKERS``.
-        #: Both knobs are validated here, at construction — a typo or a
-        #: non-positive worker count raises a ValueError immediately instead
-        #: of failing deep inside a worker pool.
-        self.execution_mode = resolve_execution_mode(execution_mode)
-        validate_worker_count(workers)
-        # The env worker override accompanies the env mode sweep: an engine
-        # that pins its mode explicitly keeps its configured width.
-        if execution_mode is None:
-            workers = resolve_worker_count(workers)
-        if self.execution_mode == "processes" and workers == 1:
-            # Process mode with one worker would silently fall back to the
-            # sequential matcher on every query; requesting it means
-            # parallelism was wanted, so give it a minimal shard pool.
-            workers = 2
-        self.workers = workers
+        #: How BGPs are executed: 1 runs the in-process matcher, more run
+        #: that many shard worker processes over a shared-memory graph
+        #: export.  ``None`` defers to ``REPRO_EXECUTION_WORKERS`` and then
+        #: 1.  Validated here, at construction — a non-positive count raises
+        #: immediately instead of failing deep inside a worker pool.
+        self.workers = resolve_worker_count(workers)
+        # Retired argument, kept (never read from the environment) until the
+        # frozen benchmarks/spine/run.py stops passing it: the one spelling
+        # still accepted restates what an explicit ``workers > 1`` says.
+        if execution_mode is not None and not (
+            execution_mode == "processes" and workers is not None and workers > 1
+        ):
+            raise EngineError(
+                f"execution_mode={execution_mode!r} is retired: workers alone "
+                "picks sequential (1) or process shards (> 1)"
+            )
         self.graph: Optional[LabeledGraph] = None
         self.mapping: Optional[GraphMapping] = None
         #: Compiled-plan cache shared by every query of this engine
@@ -729,8 +704,8 @@ class TurboEngine(Engine):
         self.region_cache_plan_share = resolve_region_plan_share(
             region_cache_plan_share
         )
-        #: Engine-held region cache (sequential matcher + thread pool).  In
-        #: process mode each shard worker holds its own cache of the same
+        #: Engine-held region cache of the sequential matcher.  With
+        #: ``workers > 1`` each shard worker holds its own cache of the same
         #: budget; region keys are plan fingerprints, so the cache is
         #: invalidated together with the plan cache (and on load()).
         self.region_cache: Optional[RegionCache] = make_region_cache(
@@ -763,7 +738,6 @@ class TurboEngine(Engine):
         #: the solver and reported by :meth:`stats`.
         self.pipeline_counters = PipelineCounters()
         self._solver: Optional[TurboBGPSolver] = None
-        self._pool: Optional[ParallelMatcher] = None
         self._executor: Optional[ShardExecutor] = None
         self._path_manager: Optional[PathIndexManager] = None
         #: Plan listener installed before the solver exists (see
@@ -775,7 +749,7 @@ class TurboEngine(Engine):
         self._pool_generation_base = 0
         #: Serializes lazy solver/pool construction so two threads firing
         #: their first query cannot race two worker pools into existence
-        #: (one of which would leak unjoined threads or processes).
+        #: (one of which would leak unjoined processes).
         self._solver_lock = threading.Lock()
         #: Close-cycle marker captured by every open result stream: close()
         #: sets it (and installs a fresh one), making in-flight streams end
@@ -792,7 +766,7 @@ class TurboEngine(Engine):
             self.graph, self.mapping = direct_transform(store)
         # New graph: compiled plans, cached regions and the worker pool are
         # stale (shard workers restart with empty caches when the pool is
-        # rebuilt, so process mode needs no extra fan-out).
+        # rebuilt, so they need no extra fan-out).
         if self.plan_cache is not None:
             self.plan_cache.clear()
         if self.region_cache is not None:
@@ -808,27 +782,22 @@ class TurboEngine(Engine):
 
     def _bgp_solver_locked(self) -> TurboBGPSolver:
         if self._solver is None:
-            if self.workers > 1:
-                if self.execution_mode == "processes" and self._executor is None:
-                    self._executor = ShardExecutor(
-                        self.graph, self.mapping, self.config, workers=self.workers,
-                        region_cache_bytes=self.region_cache_bytes,
-                        cache_admission=self.cache_admission,
-                        cache_sketch_bytes=self.cache_sketch_bytes,
-                        region_plan_share=self.region_cache_plan_share,
-                    )
-                elif self.execution_mode == "threads" and self._pool is None:
-                    self._pool = ParallelMatcher(
-                        self.graph, self.config, workers=self.workers
-                    )
+            if self.workers > 1 and self._executor is None:
+                self._executor = ShardExecutor(
+                    self.graph, self.mapping, self.config, workers=self.workers,
+                    region_cache_bytes=self.region_cache_bytes,
+                    cache_admission=self.cache_admission,
+                    cache_sketch_bytes=self.cache_sketch_bytes,
+                    region_plan_share=self.region_cache_plan_share,
+                )
             if self._path_manager is None:
                 # Reachability indexes build lazily per predicate inside the
-                # manager; in process mode every index is additionally
+                # manager; with shard workers every index is additionally
                 # exported as a shared-memory manifest workers can attach.
                 self._path_manager = PathIndexManager(
                     self.graph,
                     self.path_index_bytes,
-                    shared=(self.execution_mode == "processes"),
+                    shared=self.workers > 1,
                     admission=make_admission_policy(
                         self.cache_admission, self.cache_sketch_bytes
                     ),
@@ -838,9 +807,7 @@ class TurboEngine(Engine):
                 self.mapping,
                 self.config,
                 self.type_aware,
-                self.workers,
                 plan_cache=self.plan_cache,
-                pool=self._pool,
                 executor=self._executor,
                 counters=self.pipeline_counters,
                 region_cache=self.region_cache,
@@ -873,9 +840,9 @@ class TurboEngine(Engine):
 
         Increments every time a fresh set of worker processes starts (first
         lazy build and every rebuild after :meth:`close`), i.e. every time
-        the per-worker region caches start cold.  Stays 0 in thread /
-        sequential modes, where the engine-held region cache survives
-        close() and warming has nothing to repair.
+        the per-worker region caches start cold.  Stays 0 for a sequential
+        engine, whose engine-held region cache survives close() and leaves
+        warming nothing to repair.
         """
         live = self._executor.pool.generation if self._executor is not None else 0
         return self._pool_generation_base + live
@@ -887,10 +854,10 @@ class TurboEngine(Engine):
         warm-only exploration pass (see
         :func:`~repro.matching.shard_protocol.run_chunk`) over each
         component: candidate regions are explored and stored under their
-        usual plan keys but no search or result emission happens.  In
-        process mode multi-vertex components warm every shard worker's
-        private cache through the pool's broadcast warming job; everything
-        else warms the engine-held cache in-process.  Returns the number of
+        usual plan keys but no search or result emission happens.  With
+        shard workers multi-vertex components warm every worker's private
+        cache through the pool's broadcast warming job; everything else
+        warms the engine-held cache in-process.  Returns the number of
         plans warmed.  Lookups go through :meth:`PlanCache.peek`, so
         warming never skews the hit/miss counters benchmarks report.
         """
@@ -898,8 +865,8 @@ class TurboEngine(Engine):
             return 0
         if self.region_cache is None and self._executor is None:
             return 0
-        # Materialize the pools (process mode: ensures there are worker
-        # caches to warm) exactly as the first query would.
+        # Materialize the shard pool (so there are worker caches to warm)
+        # exactly as the first query would.
         self.bgp_solver()
         warmed = 0
         for fingerprint in fingerprints:
@@ -985,14 +952,14 @@ class TurboEngine(Engine):
         * ``region_cache`` — cross-query candidate-region cache counters
           (bytes held, entries, hits / misses / evictions, per-plan budget
           evictions, and the TinyLFU admission decisions: accepts, rejects,
-          sketch resets; None when disabled).  In process mode these are
-          the *summed* per-worker caches, refreshed by each worker's
+          sketch resets; None when disabled).  With shard workers these
+          are the *summed* per-worker caches, refreshed by each worker's
           job-completion report,
         * ``pipeline`` — batches/solutions pulled out of the matcher layer,
-        * ``transport`` — in process mode, how results crossed the worker
+        * ``transport`` — with shard workers, how results crossed the worker
           boundary: ring batches vs pickled queue fallbacks and the bytes
-          moved through shared memory (None in threads mode, where results
-          never leave the address space),
+          moved through shared memory (None for a sequential engine, where
+          results never leave the address space),
         * ``operators`` — batch operator-kernel counters (hybrid-join
           spill volume, repartition passes, budget fallbacks, groups
           emitted by aggregation, rows decoded at the ResultSet boundary,
@@ -1029,11 +996,10 @@ class TurboEngine(Engine):
                 "budget_bytes": self.path_index_bytes,
                 "entries": 0,
                 "bytes": 0,
-                "shared": self.execution_mode == "processes",
+                "shared": self.workers > 1,
                 **PathIndexCounters().snapshot(),
             }
         return {
-            "execution_mode": self.execution_mode,
             "workers": self.workers,
             "plan_cache": plan_cache,
             "region_cache": region_cache,
@@ -1051,7 +1017,7 @@ class TurboEngine(Engine):
         }
 
     def close(self) -> None:
-        """Shut down the worker pool / shard executor and spill storage.
+        """Shut down the shard executor and spill storage.
 
         Safe to call repeatedly and safe to call while result streams are
         open: in-flight :meth:`query_batches` streams observe the close
@@ -1070,9 +1036,6 @@ class TurboEngine(Engine):
         # context's temp directory.  The context stays usable: the next
         # spill recreates its directory lazily.
         self.operator_context.cleanup()
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
         if self._executor is not None:
             # Bank the retired pool's generations so pool_generation() keeps
             # climbing when a later query rebuilds the executor from scratch.
@@ -1084,7 +1047,7 @@ class TurboEngine(Engine):
         if self._path_manager is not None:
             self._path_manager.close()
             self._path_manager = None
-        # Drop the memoized solver too: it holds the closed pool/executor,
+        # Drop the memoized solver too: it holds the closed executor,
         # and a later query must build (and the next close() must find) a
         # fresh engine-tracked one instead of resurrecting the old.
         self._solver = None
@@ -1097,7 +1060,7 @@ class TurboHomEngine(TurboEngine):
 
     def __init__(
         self,
-        workers: int = 1,
+        workers: Optional[int] = None,
         execution_mode: Optional[str] = None,
         plan_cache_size: int = 128,
         region_cache_bytes: Optional[int] = None,
@@ -1132,7 +1095,7 @@ class TurboHomPPEngine(TurboEngine):
     def __init__(
         self,
         config: Optional[MatchConfig] = None,
-        workers: int = 1,
+        workers: Optional[int] = None,
         execution_mode: Optional[str] = None,
         plan_cache_size: int = 128,
         region_cache_bytes: Optional[int] = None,

@@ -47,8 +47,8 @@ class GraphError(ReproError):
 class EngineError(ReproError, ValueError):
     """Raised when an engine is used before data has been loaded, or misused.
 
-    Also a :class:`ValueError`: engine misconfiguration (an unknown
-    execution mode or result pipeline, a non-positive worker count, a
+    Also a :class:`ValueError`: engine misconfiguration (a retired
+    ``execution_mode``, a non-positive worker count, a
     malformed environment override) is a bad value, and callers validating
     configuration should be able to catch it as one without importing the
     library's hierarchy.

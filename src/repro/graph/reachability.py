@@ -676,7 +676,7 @@ class PathIndexManager:
     ``budget_bytes=0`` every probe takes the BFS kernels — the
     oracle-comparable fallback CI exercises via ``REPRO_PATH_INDEX_BYTES=0``.
 
-    ``shared=True`` (process execution mode) additionally exports each
+    ``shared=True`` (an engine with shard workers) additionally exports each
     index through a shared-memory manifest; :meth:`manifests` hands the
     picklable attachment records to shard workers, which rebuild the
     flat-array views zero-copy via :meth:`ReachabilityIndex.attach_shared`.

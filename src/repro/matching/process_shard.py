@@ -1,11 +1,10 @@
 """Multi-process shard execution over shared-memory CSR graphs.
 
-CPython's GIL caps :class:`~repro.matching.parallel.ParallelMatcher` at one
-core no matter how many threads it runs, so the paper's parallel embedding
-enumeration (Section 5.2, Figure 16) needs real processes to saturate real
-hardware.  :class:`ProcessShardPool` is the process counterpart of the
-thread pool, built so the expensive state crosses the process boundary
-exactly once:
+CPython's GIL holds pure-Python matching to one core no matter how many
+threads run it, so the paper's parallel embedding enumeration (Section 5.2,
+Figure 16) needs real processes to saturate real hardware.
+:class:`ProcessShardPool` is the repo's one parallel matcher, built so the
+expensive state crosses the process boundary exactly once:
 
 * **graph** — the :class:`~repro.graph.labeled_graph.LabeledGraph` CSR flat
   arrays are exported once into a ``multiprocessing.shared_memory`` segment
@@ -36,14 +35,12 @@ exactly once:
   :attr:`ProcessShardPool.transport` counts both paths and the bytes moved
   through shared memory.
 
-The matching semantics per chunk and the consumer-side merge loop are the
-same :mod:`repro.matching.shard_protocol` code the thread pool runs, so the
-two execution modes cannot drift apart.
+The matching semantics per chunk and the consumer-side merge loop live in
+:mod:`repro.matching.shard_protocol`, apart from the transport.
 
-On this interpreter wall-clock speedup additionally requires multiple
-cores; the :class:`~repro.matching.parallel.ParallelStats` work-partition
-metrics (identical to the thread pool's) report the load balance either
-way.
+Wall-clock speedup additionally requires multiple cores; the
+:class:`~repro.matching.shard_protocol.ParallelStats` work-partition
+metrics report the load balance either way.
 """
 
 from __future__ import annotations
@@ -64,9 +61,9 @@ from repro.graph.labeled_graph import LabeledGraph, SharedGraphHandle
 from repro.graph.query_graph import QueryGraph
 from repro.matching.candidate_region import VertexPredicate
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelStats
 from repro.matching.result_ring import DEFAULT_RING_SLOTS, ResultRing, RingWriter
 from repro.matching.shard_protocol import (
+    ParallelStats,
     ShardCollector,
     StreamGate,
     StreamOutcome,
@@ -441,9 +438,9 @@ class _JobState:
 class ProcessShardPool:
     """Matches queries by sharding start candidates over worker processes.
 
-    Drop-in parallel to :class:`~repro.matching.parallel.ParallelMatcher`
-    (same ``iter_match`` / ``iter_match_batches`` / ``match`` / ``close``
-    surface and :class:`ParallelStats`), but workers are OS processes
+    ``iter_match`` / ``iter_match_batches`` stream like
+    :class:`~repro.matching.turbo.TurboMatcher`'s and ``match`` also returns
+    the :class:`ParallelStats`, but workers are OS processes
     attached to the shared-memory CSR export of the graph, and result
     batches return through per-worker shared-memory rings.  The pool is
     lazy and persistent: processes start on the first parallel match and
@@ -681,9 +678,10 @@ class ProcessShardPool:
         ``plan_key`` (the canonical plan fingerprint plus component
         coordinates) addresses the per-worker plan cache: the pickled
         payload is shipped only the first time a key is seen.  Semantics
-        match :meth:`ParallelMatcher.iter_match_batches` exactly — including
-        the sequential fallback for single-vertex queries / one worker,
-        result limits, and error propagation only on exhaustive runs.
+        match :meth:`TurboMatcher.iter_match_batches` as a multiset —
+        including the sequential fallback for single-vertex queries / one
+        worker and result limits — with worker errors propagated only on
+        exhaustive runs.
 
         Jobs are serialized per pool.  Starting a new match from the thread
         whose earlier stream is still open *supersedes* the old stream,
@@ -835,9 +833,9 @@ class ProcessShardPool:
                 per_chunk_work=job.per_chunk_work,
             )
             self._gate.release(lease)
-        # As in the thread pool, a worker error is surfaced only when the
-        # enumeration ran to exhaustion; after an intentional early stop the
-        # delivered solutions are complete.
+        # A worker error is surfaced only when the enumeration ran to
+        # exhaustion; after an intentional early stop the delivered
+        # solutions are complete (see StreamOutcome.stopped_early).
         if job.errors and not outcome.stopped_early:
             raise job.errors[0]
 
@@ -949,6 +947,5 @@ class ProcessShardPool:
                 if message[5] is not None:
                     self._region_counters[message[2]] = message[5]
             elif kind == "error":
-                # Late errors after a stop are recorded but (matching the
-                # thread pool) not raised.
+                # Late errors after a stop are recorded but not raised.
                 job.errors.append(ShardWorkerError("shard worker failed during cancel"))

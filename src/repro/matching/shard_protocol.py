@@ -1,17 +1,16 @@
-"""The job/merge protocol shared by the thread and process shard pools.
+"""The job/merge protocol of the process shard pool.
 
-Both :class:`~repro.matching.parallel.ParallelMatcher` (threads) and
-:class:`~repro.matching.process_shard.ProcessShardPool` (processes)
-parallelize the same way, following Section 5.2 of the paper: the start
-data vertices of a prepared query are split into small dynamic chunks,
-workers repeatedly claim a chunk and run candidate-region exploration +
-subgraph search on it, and the consumer merges streamed solution batches.
-This module holds the four pieces that must behave *identically* in both
-pools so the two execution modes cannot drift apart semantically:
+:class:`~repro.matching.process_shard.ProcessShardPool` parallelizes
+following Section 5.2 of the paper: the start data vertices of a prepared
+query are split into small dynamic chunks, workers repeatedly claim a
+chunk and run candidate-region exploration + subgraph search on it, and
+the consumer merges streamed solution batches.  This module holds the
+transport-independent pieces of that scheme, kept apart from the pool's
+process and shared-memory plumbing so they can be driven in-process (the
+engine's cache warming and the tests do):
 
 * :func:`run_chunk` — the per-chunk matching core (regions, matching order,
-  work accounting).  It is the only place either pool runs the matcher, so
-  a semantics fix lands in both at once.
+  work accounting).  It is the only place a shard worker runs the matcher.
 * :class:`ShardCollector` — the batch a worker is filling for one job.
   ``run_chunk`` packs solutions into it region after region and chunk
   after chunk; it ships when full and once more when the worker leaves
@@ -21,15 +20,15 @@ pools so the two execution modes cannot drift apart semantically:
   list.
 * :func:`merge_solution_batches` — the consumer-side merge loop: poll for
   batches, honour the result limit, drain after all workers finished.
+* :class:`ParallelStats` — the work-partition outcome of one match.
 
 Results move as columnar :class:`~repro.matching.solution_batch.
 SolutionBatch` objects end-to-end: workers pack solutions into flat
 per-vertex arrays as the search produces them, the merge loop slices whole
-batches against the result limit, and the pools' ``iter_match`` surface
-is a thin row-iterating adapter.  The pools differ only in
-transport (``queue.Queue`` + ``threading.Event`` vs a shared-memory ring +
-``multiprocessing`` queues + a shared cancel counter), which they supply
-through the collector's ``emit`` / ``stopped`` and the merge loop's
+batches against the result limit, and the pool's ``iter_match`` surface
+is a thin row-iterating adapter.  The transport (a shared-memory ring +
+``multiprocessing`` queues + a shared cancel counter) is supplied by the
+pool through the collector's ``emit`` / ``stopped`` and the merge loop's
 ``poll`` / ``finished`` callables.
 """
 
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
@@ -58,10 +57,61 @@ from repro.matching.turbo import PreparedQuery, TurboMatcher
 POLL_INTERVAL = 0.05
 
 
+@dataclass
+class ParallelStats:
+    """Outcome of a parallel match."""
+
+    workers: int
+    chunk_size: int
+    elapsed_ms: float
+    solutions: int
+    per_worker_work: List[int] = field(default_factory=list)
+    per_chunk_work: List[int] = field(default_factory=list)
+
+    @property
+    def total_work(self) -> int:
+        """Sum of per-worker work units."""
+        return sum(self.per_worker_work)
+
+    @property
+    def work_speedup(self) -> float:
+        """Idealized speedup assuming perfectly parallel workers.
+
+        ``total work / max per-worker work`` — the dynamic-chunking load
+        balance the paper's Figure 16 measures on NUMA hardware.
+        """
+        busiest = max(self.per_worker_work, default=0)
+        if busiest == 0:
+            return float(len(self.per_worker_work) or 1)
+        return self.total_work / busiest
+
+    def simulated_speedup(self, workers: Optional[int] = None) -> float:
+        """Speed-up of a simulated dynamic schedule over ``workers`` workers.
+
+        The measured ``work_speedup`` under-reports load balance when there
+        are fewer cores than workers or the whole workload drains before the
+        other workers even start.  This helper replays the recorded
+        per-chunk work through a greedy longest-processing-time schedule,
+        which is what the paper's dynamic chunking achieves on real
+        hardware.
+        """
+        worker_count = workers if workers is not None else self.workers
+        if worker_count <= 1 or not self.per_chunk_work:
+            return 1.0
+        loads = [0] * worker_count
+        for work in sorted(self.per_chunk_work, reverse=True):
+            loads[loads.index(min(loads))] += work
+        busiest = max(loads)
+        total = sum(self.per_chunk_work)
+        if busiest == 0:
+            return float(worker_count)
+        return total / busiest
+
+
 class StreamGate:
     """Cross-thread serialization of one pool's solution streams.
 
-    Both shard pools run jobs strictly serialized over shared queues, and a
+    The shard pool runs jobs strictly serialized over shared queues, and a
     new match historically *superseded* a still-open stream.  That is the
     right call within one thread — the thread driving the old generator is
     the one asking for a new stream, so blocking it would deadlock — but
@@ -199,7 +249,8 @@ def run_chunk(
     """Match every start data vertex of one chunk into the worker's collector.
 
     This is the worker-side matching core of Algorithm 1's start-vertex loop
-    (lines 9–15), shared verbatim by the thread pool and the process pool.
+    (lines 9–15), run by every shard worker and by the engine's in-process
+    cache warming.
     One pooled region arena and one explicit-stack searcher serve the whole
     chunk: exploration writes into the arena, the searcher packs solutions
     straight into ``collector``'s columns (no per-solution lists), and both
@@ -212,8 +263,8 @@ def run_chunk(
     also polled between candidate regions so cancellation takes effect
     promptly.
     ``region_cache``/``region_key`` enable cross-query region reuse exactly
-    as in :meth:`TurboMatcher.iter_match_batches` — the thread pool shares
-    the engine's cache, each process-shard worker holds its own.
+    as in :meth:`TurboMatcher.iter_match_batches` — each shard worker holds
+    its own cache, in-process warming fills the engine's.
     ``warm_only`` turns the chunk into a cache-warming pass: regions are
     explored (and stored) exactly as usual, but the subgraph search is
     skipped and the collector stays untouched — the scheduler-driven warm-up
@@ -287,7 +338,7 @@ def run_sequential_batches(
     region_cache=None,
     region_key=None,
 ) -> Iterator[SolutionBatch]:
-    """The single-worker / single-vertex fallback shared by both pools.
+    """The shard pool's single-worker / single-vertex fallback.
 
     Streams columnar batches straight from the in-process
     :class:`TurboMatcher` (identical semantics, simpler bookkeeping than a

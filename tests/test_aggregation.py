@@ -163,7 +163,7 @@ def brute_force_group_counts(store, predicate, injective=False):
 class TestAggregationParity:
     @pytest.fixture
     def engines(self, small_rdf_store):
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         oracle = BitmapEngine()
         engine.load(small_rdf_store)
         oracle.load(small_rdf_store)
@@ -175,7 +175,7 @@ class TestAggregationParity:
         assert_same_answers(engine, oracle, PREFIX + sparql)
 
     def test_batch_matches_brute_force(self, small_rdf_store):
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(small_rdf_store)
         result = engine.query(
             PREFIX + "SELECT ?a (COUNT(?b) AS ?n) (COUNT(DISTINCT ?b) AS ?d) "
@@ -190,7 +190,7 @@ class TestAggregationParity:
     def test_random_stores(self, assert_same_answers, seed, mode_name):
         store = random_store(random.Random(seed))
         engine = TurboEngine(
-            type_aware=True, config=MODES[mode_name](), execution_mode="threads"
+            type_aware=True, config=MODES[mode_name](), workers=1
         )
         engine.load(store)
         if mode_name == "homomorphism":  # the baselines' only semantics
@@ -207,20 +207,20 @@ class TestAggregationParity:
         )
         assert result.grouped_counts(["a"], ["n", "d"]) == expected
 
-    @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
-    def test_parallel_modes_agree(self, small_rdf_store, assert_same_answers, execution_mode):
-        parallel = TurboHomPPEngine(workers=2, execution_mode=execution_mode)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sequential_and_shards_agree(self, small_rdf_store, assert_same_answers, workers):
+        engine = TurboHomPPEngine(workers=workers)
         oracle = BitmapEngine()
-        parallel.load(small_rdf_store)
+        engine.load(small_rdf_store)
         oracle.load(small_rdf_store)
         try:
             for sparql in AGGREGATE_QUERIES:
-                assert_same_answers(parallel, oracle, PREFIX + sparql)
+                assert_same_answers(engine, oracle, PREFIX + sparql)
         finally:
-            parallel.close()
+            engine.close()
 
     def test_empty_input_global_count_emits_zero_row(self, small_rdf_store):
-        for engine in (TurboHomPPEngine(execution_mode="threads"), BitmapEngine()):
+        for engine in (TurboHomPPEngine(workers=1), BitmapEngine()):
             engine.load(small_rdf_store)
             result = engine.query(
                 PREFIX + "SELECT (COUNT(?x) AS ?n) WHERE { ?x ex:worksFor ex:nowhere . }"
@@ -248,7 +248,7 @@ class TestPlanShapeFingerprint:
         assert shaped == bgp_fingerprint(patterns, shape="group[?t]|COUNT(*) AS ?n")
 
     def test_aggregate_and_plain_queries_use_separate_plan_slots(self, small_rdf_store):
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(small_rdf_store)
         plain = PREFIX + "SELECT ?s ?t WHERE { ?s rdf:type ?t . }"
         aggregate = (
@@ -415,13 +415,13 @@ class TestEngineSpillLifecycle:
             PREFIX + "SELECT ?a ?b ?v WHERE { ?a ex:link ?b . "
             "OPTIONAL { ?b ex:val ?v } }"
         )
-        unbounded = TurboHomPPEngine(execution_mode="threads", join_memory_bytes=0)
+        unbounded = TurboHomPPEngine(workers=1, join_memory_bytes=0)
         unbounded.load(fanout_store)
         oracle = unbounded.query(sparql)
         unbounded.close()
 
         engine = TurboHomPPEngine(
-            execution_mode="threads",
+            workers=1,
             join_memory_bytes=2048,
             join_partitions=4,
         )
@@ -437,7 +437,7 @@ class TestEngineSpillLifecycle:
 
     def test_engine_survives_close_and_requery(self, fanout_store):
         engine = TurboHomPPEngine(
-            execution_mode="threads", join_memory_bytes=2048, join_partitions=4
+            workers=1, join_memory_bytes=2048, join_partitions=4
         )
         engine.load(fanout_store)
         sparql = PREFIX + "SELECT ?a ?v WHERE { ?a ex:link ?b . ?b ex:val ?v }"
@@ -449,7 +449,7 @@ class TestEngineSpillLifecycle:
         engine.close()
 
     def test_stats_surface_operator_counters(self, fanout_store):
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(fanout_store)
         engine.query(
             PREFIX + "SELECT ?a (COUNT(?b) AS ?n) WHERE { ?a ex:link ?b . } GROUP BY ?a"
@@ -537,7 +537,7 @@ class TestAggregateLateMaterialization:
 
     def test_grouping_decodes_only_emitted_groups(self, fanout_store, monkeypatch):
         """1200 embeddings → 40 groups → at most 40 decoded group keys."""
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(fanout_store)
         decoded = self.count_decodes(monkeypatch)
         result = engine.query(
@@ -552,7 +552,7 @@ class TestAggregateLateMaterialization:
 
     def test_order_by_decodes_keys_then_slice(self, fanout_store, monkeypatch):
         """ORDER BY decodes one term per distinct sort key, plus the slice."""
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(fanout_store)
         decoded = self.count_decodes(monkeypatch)
         result = engine.query(

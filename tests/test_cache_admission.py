@@ -384,7 +384,7 @@ class TestEngineIntegration:
         assert after["misses"] == before["misses"]
 
     def test_process_mode_warming_survives_pool_restart(self, store):
-        engine = TurboHomPPEngine(workers=2, execution_mode="processes")
+        engine = TurboHomPPEngine(workers=2)
         engine.load(store)
         try:
             seen = []

@@ -4,9 +4,9 @@ Three bugs, three pins:
 
 * concurrent queries against one engine used to interleave on the shared
   matcher pool and truncate or cross-contaminate each other's streams —
-  the ``StreamGate`` serializes pool access, and these tests hammer both
-  execution modes from multiple threads, comparing every result against
-  the sequential oracle;
+  the ``StreamGate`` serializes pool access, and these tests hammer a
+  sequential and a sharded engine from multiple threads, comparing every
+  result against the same query run alone;
 * ``ORDER BY`` compared numeric literals lexicographically
   (``"100" < "27"``) — ``_sort_key`` now ranks numeric-typed literals by
   value on both the batch and scalar pipelines;
@@ -59,12 +59,12 @@ def rows_of(result):
 
 
 class TestConcurrentQueryParity:
-    @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
-    def test_two_threads_get_complete_streams(self, ring_store, execution_mode):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_threads_get_complete_streams(self, ring_store, workers):
         # Regression: without pool-stream serialization, the second
         # thread's iter_match_batches superseded the first thread's job
         # mid-stream, silently truncating its results.
-        engine = TurboEngine(workers=2, execution_mode=execution_mode)
+        engine = TurboEngine(workers=workers)
         engine.load(ring_store)
         try:
             mix = [KNOWS_QUERY, PERSON_QUERY]
@@ -94,11 +94,11 @@ class TestConcurrentQueryParity:
         finally:
             engine.close()
 
-    @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
-    def test_interleaved_batch_streams(self, ring_store, execution_mode):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_interleaved_batch_streams(self, ring_store, workers):
         # Two open batch streams pulled alternately from two threads: the
         # gate makes the second stream wait, so both drain completely.
-        engine = TurboEngine(workers=2, execution_mode=execution_mode)
+        engine = TurboEngine(workers=workers)
         engine.load(ring_store)
         try:
             expected = rows_of(engine.query(KNOWS_QUERY))
@@ -192,9 +192,9 @@ class TestOrderByNumericLiterals:
 
 
 class TestCloseSafety:
-    @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
-    def test_double_close_is_idempotent(self, ring_store, execution_mode):
-        engine = TurboEngine(workers=2, execution_mode=execution_mode)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_double_close_is_idempotent(self, ring_store, workers):
+        engine = TurboEngine(workers=workers)
         engine.load(ring_store)
         assert len(engine.query(PERSON_QUERY)) == 300
         engine.close()

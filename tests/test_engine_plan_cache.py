@@ -136,7 +136,7 @@ class TestEnginePlanReuse:
         # Pinned to in-process execution: under process sharding the order is
         # computed (and +REUSE-cached) inside each worker's plan copy, so the
         # parent-side slot legitimately stays empty.
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(small_rdf_store)
         query = PREFIX + "SELECT ?x ?y ?z WHERE { ?x ex:knows ?y . ?y ex:knows ?z . ?z ex:knows ?x . }"
         engine.query(query)

@@ -24,7 +24,7 @@ import pytest
 from repro.engine.evaluator import _compatible, _merge, evaluate_query
 from repro.engine.turbo_engine import TurboHomEngine, TurboHomPPEngine
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelMatcher
+from repro.matching.process_shard import ProcessShardPool
 from repro.matching.turbo import TurboMatcher, prepare_query
 from repro.rdf.namespaces import Namespace, RDF
 from repro.rdf.store import TripleStore
@@ -261,25 +261,23 @@ class TestEarlyTermination:
         assert engine.bgp_solver()._matcher.last_statistics.solutions <= 8
 
     def test_limit_stops_parallel_matching(self, fanout_store):
-        # Pinned to thread mode: the assertions below inspect the thread
-        # pool's stats object (the REPRO_EXECUTION_MODE sweep must not flip it).
-        engine = TurboHomPPEngine(workers=3, execution_mode="threads")
+        engine = TurboHomPPEngine(workers=3)
         engine.load(fanout_store)
         try:
             limited = engine.query(
                 PREFIX + "SELECT ?x ?y WHERE { ?x ex:knows ?y . } LIMIT 5"
             )
             assert len(limited) == 5
-            pool = engine.bgp_solver()._pool
-            assert pool is not None and pool.last_stats is not None
-            assert pool.last_stats.solutions == 5
+            executor = engine.bgp_solver()._executor
+            assert executor is not None and executor.last_stats is not None
+            assert executor.last_stats.solutions == 5
         finally:
             engine.close()
 
     def test_limit_parity_with_unbounded_prefix(self, fanout_store):
         # Prefix parity presumes a deterministic enumeration order, which
         # only sequential execution guarantees — pin it.
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(fanout_store)
         unbounded = engine.query(PREFIX + "SELECT ?x ?y WHERE { ?x ex:knows ?y . }")
         limited = engine.query(PREFIX + "SELECT ?x ?y WHERE { ?x ex:knows ?y . } LIMIT 7")
@@ -336,7 +334,7 @@ class TestSolveRowAdapter:
     @pytest.mark.parametrize("sparql,total", BGPS)
     def test_rows_are_exactly_the_batch_rows(self, small_rdf_store, sparql, total, limit):
         # Sequential enumeration is deterministic: even the order agrees.
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(small_rdf_store)
         solver = engine.bgp_solver()
         patterns = parse_sparql(PREFIX + sparql).where.triples
@@ -352,7 +350,7 @@ class TestSolveRowAdapter:
         """The shard pool serializes jobs: a row stream dropped after one
         row must cancel its job, or the next query blocks behind it (or
         reads its leftover batches)."""
-        engine = TurboHomPPEngine(workers=2, execution_mode="processes")
+        engine = TurboHomPPEngine(workers=2)
         engine.load(fanout_store)
         try:
             solver = engine.bgp_solver()
@@ -416,26 +414,21 @@ class TestPoolReuse:
     """One engine-held worker pool must span queries."""
 
     def test_pool_instance_is_stable_across_queries(self, small_rdf_store):
-        # Pinned to thread mode: the test counts pool *threads* by name.
-        engine = TurboHomPPEngine(workers=3, execution_mode="threads")
+        engine = TurboHomPPEngine(workers=3)
         engine.load(small_rdf_store)
         try:
             solver = engine.bgp_solver()
-            pool_before = solver._pool
-            assert pool_before is not None
+            pool = solver._executor.pool
             first = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
-            threads_after_first = {
-                t.ident for t in threading.enumerate() if t.name.startswith("turbohom-pool-")
-            }
+            workers_after_first = {process.pid for process in pool._processes}
             second = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
-            threads_after_second = {
-                t.ident for t in threading.enumerate() if t.name.startswith("turbohom-pool-")
-            }
+            workers_after_second = {process.pid for process in pool._processes}
             assert engine.bgp_solver() is solver
-            assert solver._pool is pool_before
-            # Same threads, not a fresh pool per query.
-            assert threads_after_first == threads_after_second
-            assert len(threads_after_first) == 3
+            assert solver._executor.pool is pool
+            # Same worker processes, not a fresh pool per query.
+            assert workers_after_first == workers_after_second
+            assert len(workers_after_first) == 3
+            assert pool.generation == 1
             assert first.same_solutions(second)
         finally:
             engine.close()
@@ -454,14 +447,13 @@ class TestPoolReuse:
             parallel.close()
 
     def test_pool_close_and_restart(self, figure1_data_graph, figure1_query_graph):
-        matcher = ParallelMatcher(
+        matcher = ProcessShardPool(
             figure1_data_graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1
         )
         first, _ = matcher.match(figure1_query_graph)
+        workers = list(matcher._processes)
         matcher.close()
-        assert not any(
-            t.name.startswith("turbohom-pool-") for t in threading.enumerate()
-        ) or True  # other tests may have pools; just assert restart works below
+        assert not any(process.is_alive() for process in workers)
         second, _ = matcher.match(figure1_query_graph)
         assert sorted(map(tuple, first)) == sorted(map(tuple, second))
         matcher.close()
@@ -470,7 +462,7 @@ class TestPoolReuse:
     def test_parallel_prepared_and_max_results(self, figure1_data_graph, figure1_query_graph):
         config = MatchConfig.turbo_hom_pp()
         prepared = prepare_query(figure1_data_graph, figure1_query_graph, config)
-        matcher = ParallelMatcher(figure1_data_graph, config, workers=2, chunk_size=1)
+        matcher = ProcessShardPool(figure1_data_graph, config, workers=2, chunk_size=1)
         try:
             full = TurboMatcher(figure1_data_graph, config).match(figure1_query_graph)
             streamed = list(matcher.iter_match(figure1_query_graph, prepared=prepared))

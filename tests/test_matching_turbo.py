@@ -3,6 +3,7 @@ oracle (including property-based random graphs), optimizations equivalence,
 and parallel matching."""
 
 import random
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
 from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
-from repro.matching.parallel import ParallelMatcher
+from repro.matching.process_shard import ProcessShardPool
 from repro.matching.turbo import TurboMatcher, turbo_hom, turbo_hom_pp, turbo_iso
 
 # Labels shared with the conftest fixtures (Figure 1 of the paper).
@@ -269,29 +270,24 @@ class TestIterMatch:
         rng = random.Random(5)
         graph = random_labeled_graph(rng, vertices=60, edges=240)
         query = random_query(rng, size=3)
-        parallel = ParallelMatcher(graph, MatchConfig.turbo_hom_pp(), workers=4, chunk_size=2)
-        streamed = as_sets(parallel.iter_match(query))
-        assert parallel.last_stats is not None
-        assert parallel.last_stats.solutions == len(streamed)
-        solutions, _ = parallel.match(query)
-        assert streamed == as_sets(solutions)
+        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=4, chunk_size=2)
+        with closing(pool) as parallel:
+            streamed = as_sets(parallel.iter_match(query))
+            assert parallel.last_stats is not None
+            assert parallel.last_stats.solutions == len(streamed)
+            solutions, _ = parallel.match(query)
+            assert streamed == as_sets(solutions)
 
 
-class TestParallelMatcher:
-    def test_parallel_equals_sequential(self, figure1_data_graph, figure1_query_graph):
-        sequential = turbo_hom_pp(figure1_data_graph).match(figure1_query_graph)
-        parallel = ParallelMatcher(figure1_data_graph, MatchConfig.turbo_hom_pp(), workers=3)
-        solutions, stats = parallel.match(figure1_query_graph)
-        assert as_sets(solutions) == as_sets(sequential)
-        assert stats.solutions == len(sequential)
-
+class TestProcessShardPool:
     def test_parallel_on_larger_random_graph(self):
         rng = random.Random(5)
         graph = random_labeled_graph(rng, vertices=60, edges=240)
         query = random_query(rng, size=3)
         sequential = TurboMatcher(graph, MatchConfig.turbo_hom_pp()).match(query)
-        parallel = ParallelMatcher(graph, MatchConfig.turbo_hom_pp(), workers=4, chunk_size=2)
-        solutions, stats = parallel.match(query)
+        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=4, chunk_size=2)
+        with closing(pool) as parallel:
+            solutions, stats = parallel.match(query)
         assert as_sets(solutions) == as_sets(sequential)
         assert stats.workers == 4
         assert sum(stats.per_chunk_work) == stats.total_work
@@ -300,27 +296,18 @@ class TestParallelMatcher:
         rng = random.Random(9)
         graph = random_labeled_graph(rng, vertices=60, edges=240)
         query = random_query(rng, size=3)
-        _, stats = ParallelMatcher(
-            graph, MatchConfig.turbo_hom_pp(), workers=4, chunk_size=1
-        ).match(query)
+        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=4, chunk_size=1)
+        with closing(pool) as parallel:
+            _, stats = parallel.match(query)
         speedup = stats.simulated_speedup(4)
         assert 1.0 <= speedup <= 4.0
 
     def test_single_worker_falls_back_to_sequential(self, figure1_data_graph, figure1_query_graph):
-        parallel = ParallelMatcher(figure1_data_graph, MatchConfig.turbo_hom_pp(), workers=1)
+        parallel = ProcessShardPool(figure1_data_graph, MatchConfig.turbo_hom_pp(), workers=1)
         solutions, stats = parallel.match(figure1_query_graph)
         assert stats.workers == 1
         assert len(solutions) == 3
-
-    def test_worker_exception_propagates_instead_of_hanging(self, figure1_data_graph, figure1_query_graph):
-        def explode(_data_vertex: int) -> bool:
-            raise RuntimeError("predicate boom")
-
-        parallel = ParallelMatcher(figure1_data_graph, MatchConfig.turbo_hom_pp(), workers=3)
-        # Predicate on a non-root query vertex so it raises inside a worker
-        # thread, not during start-vertex filtering on the consumer side.
-        with pytest.raises(RuntimeError, match="predicate boom"):
-            parallel.match(figure1_query_graph, vertex_predicates={1: explode, 2: explode})
+        assert not parallel._processes  # no worker was ever started
 
     def test_config_max_results_honored_across_worker_counts(self):
         from dataclasses import replace
@@ -331,11 +318,10 @@ class TestParallelMatcher:
         total = len(TurboMatcher(graph, MatchConfig.turbo_hom_pp()).match(query))
         assert total > 2
         config = replace(MatchConfig.turbo_hom_pp(), max_results=2)
-        for workers in (1, 4):
-            parallel = ParallelMatcher(graph, config, workers=workers, chunk_size=2)
-            solutions, _ = parallel.match(query)
-            assert len(solutions) == 2
         zero = replace(MatchConfig.turbo_hom_pp(), max_results=0)
         for workers in (1, 4):
-            solutions, _ = ParallelMatcher(graph, zero, workers=workers, chunk_size=2).match(query)
-            assert solutions == []
+            for limited, expected in ((config, 2), (zero, 0)):
+                pool = ProcessShardPool(graph, limited, workers=workers, chunk_size=2)
+                with closing(pool) as parallel:
+                    solutions, _ = parallel.match(query)
+                assert len(solutions) == expected

@@ -39,8 +39,8 @@ FILTERED = PREFIX + "SELECT ?p ?a WHERE { ?p ex:age ?a . FILTER (?a > 30) }"
 def engine(small_rdf_store):
     # Pinned to in-process execution: these tests warm the +REUSE matching
     # order in the engine-held plan, which process sharding (the
-    # REPRO_EXECUTION_MODE sweep) legitimately leaves to the workers.
-    engine = TurboHomPPEngine(execution_mode="threads")
+    # REPRO_EXECUTION_WORKERS sweep) legitimately leaves to the workers.
+    engine = TurboHomPPEngine(workers=1)
     engine.load(small_rdf_store)
     return engine
 

@@ -6,7 +6,7 @@ Four families of guarantees:
   change: Hypothesis multigraph workloads (duplicate query edges, predicate
   variables, multi-labelled vertices) must enumerate exactly the
   :class:`GenericMatcher` multiset in both isomorphism and homomorphism
-  modes, through the sequential matcher, the thread pool and the process
+  modes, through the sequential matcher and the process
   shard pool, and with the region cache cold *and* warm (at engine level
   against the bitmap baseline, which shares no matcher, plan or cache).
 * **Zero per-solution allocations on the batch path** — the batch pipeline
@@ -15,8 +15,8 @@ Four families of guarantees:
 * **Arena / cache mechanics** — CSR layout, reuse across regions, frozen
   snapshots, byte-bounded LRU eviction, empty-region memoization.
 * **Observability** — region-cache counters in :meth:`TurboEngine.stats`
-  and ``regions_reused`` in :class:`MatchStatistics`, in every execution
-  mode.
+  and ``regions_reused`` in :class:`MatchStatistics`, sequential and
+  sharded.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
 from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool
 from repro.matching.region_arena import EMPTY_REGION, RegionArena
 from repro.matching.turbo import TurboMatcher
@@ -109,31 +108,21 @@ class TestArenaOracleParity:
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_pools_with_warm_cache_match_oracle(self, seed):
-        """Thread pool (shared cache) and process pool (per-worker caches)
-        must agree with the oracle on cold and warm runs alike."""
+    def test_pool_with_warm_cache_matches_oracle(self, seed):
+        """The process pool (per-worker caches) must agree with the oracle
+        on cold and warm runs alike."""
         rng = random.Random(seed)
         graph = random_multigraph(rng)
         query = random_multigraph_query(rng)
         config = MatchConfig.turbo_hom_pp()
         oracle = solution_multiset(GenericMatcher(graph, config).match(query))
 
-        cache = RegionCache(8 << 20)
         key = ("pool-parity", seed)
-        threads = ParallelMatcher(graph, config, workers=2, chunk_size=2)
         processes = ProcessShardPool(
             graph, config, workers=2, chunk_size=2, region_cache_bytes=8 << 20
         )
         try:
             for attempt in range(2):
-                thread_solutions = list(
-                    threads.iter_match(
-                        query, region_cache=cache, region_key=key
-                    )
-                )
-                assert solution_multiset(thread_solutions) == oracle, (
-                    f"threads != oracle (seed {seed}, attempt {attempt})"
-                )
                 process_solutions, _ = processes.match(
                     query, plan_key=key
                 )
@@ -141,7 +130,6 @@ class TestArenaOracleParity:
                     f"processes != oracle (seed {seed}, attempt {attempt})"
                 )
         finally:
-            threads.close()
             processes.close()
 
 
@@ -172,9 +160,9 @@ class TestEnginePipelineParity:
         reference.load(store)
         expected = reference.query(PREFIX + sparql)
 
-        # Pinned to thread mode: the counter assertion below reads the
-        # engine-held cache (the REPRO_EXECUTION_MODE sweep must not flip it).
-        engine = TurboHomPPEngine(execution_mode="threads")
+        # Pinned sequential: the counter assertion below reads the
+        # engine-held cache (the REPRO_EXECUTION_WORKERS sweep must not flip it).
+        engine = TurboHomPPEngine(workers=1)
         engine.load(store)
         cold = engine.query(PREFIX + sparql)
         warm = engine.query(PREFIX + sparql)
@@ -183,17 +171,18 @@ class TestEnginePipelineParity:
         stats = engine.stats()
         assert stats["region_cache"]["hits"] > 0
 
-    @pytest.mark.parametrize("mode,workers", [("threads", 2), ("processes", 2)])
-    def test_execution_modes_agree_warm_and_cold(self, store, mode, workers):
-        reference = TurboHomPPEngine(region_cache_bytes=0)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sequential_and_shards_agree_warm_and_cold(
+        self, store, assert_same_answers, workers
+    ):
+        reference = BitmapEngine()
         reference.load(store)
-        engine = TurboHomPPEngine(workers=workers, execution_mode=mode)
+        engine = TurboHomPPEngine(workers=workers)
         engine.load(store)
         try:
             for sparql in self.QUERIES:
-                expected = reference.query(PREFIX + sparql)
                 for _ in range(3):  # repeated runs warm the (per-worker) caches
-                    assert engine.query(PREFIX + sparql).same_solutions(expected)
+                    assert_same_answers(engine, reference, PREFIX + sparql)
         finally:
             engine.close()
 
@@ -386,8 +375,8 @@ class TestEngineObservability:
         return store
 
     def test_stats_expose_region_cache_counters(self, store):
-        # Thread mode pinned: the assertions read the engine-held cache.
-        engine = TurboHomPPEngine(execution_mode="threads")
+        # Pinned sequential: the assertions read the engine-held cache.
+        engine = TurboHomPPEngine(workers=1)
         engine.load(store)
         sparql = PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }"
         engine.query(sparql)
@@ -424,7 +413,7 @@ class TestEngineObservability:
             TurboHomPPEngine()
 
     def test_load_invalidates_region_cache_with_plan_cache(self, store):
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(store)
         sparql = PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }"
         engine.query(sparql)
@@ -436,7 +425,7 @@ class TestEngineObservability:
         assert len(engine.region_cache) == 0
 
     def test_process_mode_aggregates_worker_counters(self, store):
-        engine = TurboHomPPEngine(workers=2, execution_mode="processes")
+        engine = TurboHomPPEngine(workers=2)
         engine.load(store)
         sparql = PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }"
         try:

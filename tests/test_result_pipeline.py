@@ -5,9 +5,9 @@
   :class:`GenericMatcher` at the matcher level (isomorphism + homomorphism),
   the bitmap and RDF-3X-style baseline engines — own BGP evaluation plus
   the scalar reference algebra — at the engine level, across the DISTINCT /
-  ORDER BY / LIMIT / OFFSET / OPTIONAL / UNION feature surface and both
-  execution modes.
-* **Ring transport** — in process mode, id-only solutions must cross the
+  ORDER BY / LIMIT / OFFSET / OPTIONAL / UNION feature surface,
+  sequential and on process shards.
+* **Ring transport** — on process shards, id-only solutions must cross the
   worker boundary through the per-worker shared-memory rings with zero
   per-solution pickling (pinned by poisoning ``SolutionBatch`` pickling and
   by counting queue payloads), and a ring too small for a batch must fall
@@ -16,8 +16,9 @@
   full: an unlimited job delivers ⌈solutions / 256⌉ batches plus at most
   one tail per worker, never one batch per candidate region; and the merge
   loop never blocks on a job that has already finished.
-* **Validation** — execution-mode / worker-count knobs (arguments and
-  environment overrides) must raise a clear ``ValueError`` at engine
+* **Validation** — the worker-count knob (argument and environment
+  override) and the retired ``execution_mode`` argument must raise a clear
+  ``ValueError`` at engine
   construction, not deep inside a pool.
 * **Stats** — ``TurboEngine.stats()`` must report plan-cache
   hits/misses/evictions and pipeline/transport counters.
@@ -40,9 +41,9 @@ from hypothesis import strategies as st
 from repro.baselines.bitmap_engine import BitmapEngine
 from repro.baselines.rdf3x import RDF3XEngine
 from repro.engine.turbo_engine import TurboEngine, TurboHomPPEngine
+from repro.exceptions import EngineError
 from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool
 from repro.matching.shard_protocol import StreamOutcome, merge_solution_batches
 from repro.matching.solution_batch import SOLUTION_BATCH_SIZE, SolutionBatch
@@ -154,23 +155,15 @@ class TestMatcherBatchParity:
         query = random_multigraph_query(rng)
         config = MatchConfig.turbo_hom_pp()
         oracle = solution_multiset(GenericMatcher(graph, config).match(query))
-        threads = ParallelMatcher(graph, config, workers=2, chunk_size=2)
         processes = ProcessShardPool(graph, config, workers=2, chunk_size=2)
         try:
-            thread_rows = [
-                row
-                for batch in threads.iter_match_batches(query)
-                for row in batch.iter_rows()
-            ]
             process_rows = [
                 row
                 for batch in processes.iter_match_batches(query)
                 for row in batch.iter_rows()
             ]
-            assert solution_multiset(thread_rows) == oracle
             assert solution_multiset(process_rows) == oracle
         finally:
-            threads.close()
             processes.close()
 
     def test_batch_limit_slices_exactly(self):
@@ -203,7 +196,7 @@ class TestEnginePipelineParity:
 
     @pytest.fixture
     def engines(self, small_rdf_store):
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         oracle = BitmapEngine()
         engine.load(small_rdf_store)
         oracle.load(small_rdf_store)
@@ -218,7 +211,7 @@ class TestEnginePipelineParity:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_engine_equals_bitmap_random_stores(self, assert_same_answers, seed):
         store = random_store(random.Random(seed))
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         oracle = BitmapEngine()
         engine.load(store)
         oracle.load(store)
@@ -232,7 +225,7 @@ class TestEnginePipelineParity:
         compares the solver's id columns with GenericMatcher on the plan's
         own transformed query graph."""
         config = MatchConfig.isomorphism()
-        engine = TurboEngine(type_aware=True, config=config, execution_mode="threads")
+        engine = TurboEngine(type_aware=True, config=config, workers=1)
         engine.load(random_store(random.Random(seed)))
         solver = engine.bgp_solver()
         for sparql in MATCHER_LEVEL_BGPS:
@@ -251,23 +244,23 @@ class TestEnginePipelineParity:
             )
             assert got == oracle, f"{sparql} (seed {seed})"
 
-    @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
-    def test_parallel_engine_equals_bitmap(
-        self, small_rdf_store, assert_same_answers, execution_mode
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sequential_and_sharded_engine_equal_bitmap(
+        self, small_rdf_store, assert_same_answers, workers
     ):
-        parallel = TurboHomPPEngine(workers=2, execution_mode=execution_mode)
+        engine = TurboHomPPEngine(workers=workers)
         oracle = BitmapEngine()
-        parallel.load(small_rdf_store)
+        engine.load(small_rdf_store)
         oracle.load(small_rdf_store)
         try:
             for sparql in FEATURE_QUERIES:
-                assert_same_answers(parallel, oracle, PREFIX + sparql)
+                assert_same_answers(engine, oracle, PREFIX + sparql)
         finally:
-            parallel.close()
+            engine.close()
 
     def test_engine_equals_rdf3x_baseline(self, small_rdf_store, assert_same_answers):
         """A second cross-implementation oracle: the RDF-3X-style baseline."""
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         baseline = RDF3XEngine()
         engine.load(small_rdf_store)
         baseline.load(small_rdf_store)
@@ -373,10 +366,10 @@ class TestBatchShape:
     """Batches belong to the worker, not to the candidate region."""
 
     #: 600 hubs of 3 spokes: 600 candidate regions, 3 solutions each.
-    HUBS, SPOKES, WORKERS = 600, 3, 2
+    HUBS, SPOKES = 600, 3
 
-    @pytest.mark.parametrize("kind", ["threads", "processes"])
-    def test_unlimited_job_ships_full_batches_plus_one_tail_per_worker(self, kind):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unlimited_job_ships_full_batches_plus_one_tail_per_worker(self, workers):
         graph = star_graph(spokes=self.SPOKES, hubs=self.HUBS)
         query = star_query()
         solutions = self.HUBS * self.SPOKES
@@ -384,17 +377,17 @@ class TestBatchShape:
             TurboMatcher(graph, MatchConfig.turbo_hom_pp()).iter_match(query)
         )
         assert sum(oracle.values()) == solutions
-        pool = make_pool(kind, graph, self.WORKERS)
+        pool = make_pool(graph, workers)
         try:
             batches = list(pool.iter_match_batches(query))
             assert solution_multiset(
                 row for batch in batches for row in batch.iter_rows()
             ) == oracle
             partial = [batch for batch in batches if batch.rows < SOLUTION_BATCH_SIZE]
-            assert len(partial) <= self.WORKERS
+            assert len(partial) <= workers
             assert all(batch.rows <= SOLUTION_BATCH_SIZE for batch in batches)
-            assert len(batches) <= math.ceil(solutions / SOLUTION_BATCH_SIZE) + self.WORKERS
-            if kind == "processes":
+            assert len(batches) <= math.ceil(solutions / SOLUTION_BATCH_SIZE) + workers
+            if workers > 1:
                 assert pool.transport.ring_batches == len(batches)
                 assert pool.transport.queue_batches == 0
                 assert pool.transport.solutions == solutions
@@ -446,14 +439,23 @@ class TestMergeLoop:
 
 # ---------------------------------------------------------------- validation
 class TestConfigValidation:
-    def test_unknown_execution_mode_argument(self):
-        with pytest.raises(ValueError, match="execution mode"):
-            TurboHomPPEngine(execution_mode="thread")
-
-    def test_unknown_execution_mode_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTION_MODE", "procceses")
-        with pytest.raises(ValueError, match="execution mode"):
-            TurboHomPPEngine()
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"execution_mode": "threads", "workers": 2},
+            {"execution_mode": "procceses", "workers": 2},
+            {"execution_mode": "processes"},
+            {"execution_mode": "processes", "workers": 1},
+        ],
+        ids=["threads", "typo", "processes-workers-unset", "processes-workers-1"],
+    )
+    def test_retired_execution_mode_argument_is_rejected(self, monkeypatch, kwargs):
+        # Never read from the environment: an env worker count does not
+        # stand in for the explicit ``workers > 1`` the one accepted
+        # spelling (see test_shard_lifecycle) must come with.
+        monkeypatch.setenv("REPRO_EXECUTION_WORKERS", "2")
+        with pytest.raises(EngineError, match="retired"):
+            TurboHomPPEngine(**kwargs)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_non_positive_worker_argument(self, workers):
@@ -466,18 +468,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="REPRO_EXECUTION_WORKERS"):
             TurboHomPPEngine()
 
-    def test_valid_envs_still_resolve(self, monkeypatch):
+    def test_explicit_workers_win_over_the_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EXECUTION_WORKERS", "2")
+        assert TurboHomPPEngine().workers == 2
+        assert TurboHomPPEngine(workers=1).workers == 1
+        assert TurboHomPPEngine(workers=3).workers == 3
+
+    def test_stale_execution_mode_env_changes_nothing(self, monkeypatch, small_rdf_store):
         monkeypatch.setenv("REPRO_EXECUTION_MODE", "threads")
-        monkeypatch.setenv("REPRO_EXECUTION_WORKERS", "3")
+        monkeypatch.delenv("REPRO_EXECUTION_WORKERS", raising=False)
         engine = TurboHomPPEngine()
-        assert engine.execution_mode == "threads"
-        assert engine.workers == 3
+        engine.load(small_rdf_store)
+        assert len(engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")) == 3
+        assert engine.workers == 1 and engine._executor is None
+        assert "execution_mode" not in engine.stats()
 
 
 # --------------------------------------------------------------------- stats
 class TestEngineStats:
     def test_plan_cache_and_pipeline_counters(self, small_rdf_store):
-        engine = TurboHomPPEngine(plan_cache_size=2, execution_mode="threads")
+        engine = TurboHomPPEngine(plan_cache_size=2, workers=1)
         engine.load(small_rdf_store)
         queries = [
             "SELECT ?a ?b WHERE { ?a ex:knows ?b . }",
@@ -488,7 +498,7 @@ class TestEngineStats:
             engine.query(PREFIX + sparql)
         engine.query(PREFIX + queries[-1])  # warm repeat → hit
         stats = engine.stats()
-        assert stats["execution_mode"] == "threads"
+        assert stats["workers"] == 1
         assert stats["pipeline"]["solutions"] > 0
         assert stats["pipeline"]["batches"] > 0
         cache = stats["plan_cache"]
@@ -496,10 +506,10 @@ class TestEngineStats:
         assert cache["hits"] == 1
         assert cache["evictions"] == 1  # capacity 2, three distinct plans
         assert cache["size"] == 2
-        assert stats["transport"] is None  # threads: nothing crosses processes
+        assert stats["transport"] is None  # sequential: nothing crosses processes
 
     def test_transport_counters_in_process_mode(self, small_rdf_store):
-        engine = TurboHomPPEngine(workers=2, execution_mode="processes")
+        engine = TurboHomPPEngine(workers=2)
         engine.load(small_rdf_store)
         try:
             engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
@@ -527,7 +537,7 @@ class TestLateMaterialization:
         return store
 
     def test_solver_batches_carry_raw_id_columns(self, small_rdf_store):
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(small_rdf_store)
         solver = engine.bgp_solver()
         patterns = parse_sparql(
@@ -541,7 +551,7 @@ class TestLateMaterialization:
 
     def test_distinct_limit_decodes_only_delivered_rows(self, fanout_store, monkeypatch):
         """1200 embeddings, DISTINCT → 40, LIMIT 2 → exactly 2 decodes."""
-        engine = TurboHomPPEngine(execution_mode="threads")
+        engine = TurboHomPPEngine(workers=1)
         engine.load(fanout_store)
         decoded = Counter()
         original_node = Dictionary.decode_node

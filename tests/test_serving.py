@@ -315,12 +315,12 @@ class TestShutdownRace:
 
 
 class TestConcurrentClients:
-    @pytest.mark.parametrize("execution_mode", ["threads", "processes"])
-    def test_streams_complete_under_concurrency(self, small_rdf_store, execution_mode):
-        # The serving acceptance pin: concurrent clients over a parallel
-        # engine each receive the complete, correct multiset their query
-        # would produce sequentially — no interleaved or truncated streams.
-        engine = TurboEngine(workers=2, execution_mode=execution_mode)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_streams_complete_under_concurrency(self, small_rdf_store, workers):
+        # The serving acceptance pin: concurrent clients over a sequential
+        # or sharded engine each receive the complete, correct multiset
+        # their query produces alone — no interleaved or truncated streams.
+        engine = TurboEngine(workers=workers)
         engine.load(small_rdf_store)
         try:
             mix = [KNOWS_QUERY, PERSON_QUERY]

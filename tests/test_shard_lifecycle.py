@@ -1,4 +1,4 @@
-"""Lifecycle guarantees of the thread and process shard pools.
+"""Lifecycle guarantees of the process shard pool.
 
 Covers the failure modes that only show up around pool shutdown and
 cancellation: worker exceptions and crashes propagating to the consumer,
@@ -16,7 +16,6 @@ import gc
 import os
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
@@ -25,7 +24,6 @@ from repro.engine.turbo_engine import TurboHomPPEngine
 from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
 from repro.matching.config import MatchConfig
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool, ShardWorkerError
 from repro.matching.shard_protocol import ShardCollector, run_chunk
 from repro.matching.solution_batch import SOLUTION_BATCH_SIZE
@@ -63,10 +61,11 @@ def star_query() -> QueryGraph:
     return query
 
 
-def make_pool(kind: str, graph, workers: int = 2):
-    """The thread or process shard pool over ``graph``, one region per chunk."""
-    pool_class = {"threads": ParallelMatcher, "processes": ProcessShardPool}[kind]
-    return pool_class(graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=1)
+def make_pool(graph, workers: int = 2):
+    """The shard pool over ``graph``, one region per chunk."""
+    return ProcessShardPool(
+        graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=1
+    )
 
 
 def segment_exists(name: str) -> bool:
@@ -76,63 +75,6 @@ def segment_exists(name: str) -> bool:
 def exploding_predicate(_data_vertex: int) -> bool:
     """Module-level so it pickles into shard worker processes."""
     raise RuntimeError("predicate boom")
-
-
-# ----------------------------------------------------------- thread pool fix
-class TestParallelMatcherShutdownOrdering:
-    """Closing the matcher mid-iteration must stop jobs before joining."""
-
-    def test_close_mid_iteration_does_not_deadlock(self):
-        # One candidate region with far more solutions than the bounded
-        # output queue holds, so a worker is parked in its stop-aware put
-        # when close() arrives.
-        graph = star_graph(spokes=4000)
-        matcher = ParallelMatcher(
-            graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1
-        )
-        stream = matcher.iter_match(star_query())
-        assert next(stream) is not None
-
-        closed = threading.Event()
-
-        def closer():
-            matcher.close()
-            closed.set()
-
-        thread = threading.Thread(target=closer, daemon=True)
-        thread.start()
-        thread.join(timeout=20)
-        assert closed.is_set(), "close() deadlocked on the bounded result queue"
-        stream.close()
-
-    def test_new_job_supersedes_open_stream(self):
-        """Same supersede semantics as the process pool, on threads."""
-        graph = star_graph(spokes=5000)
-        matcher = ParallelMatcher(
-            graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1
-        )
-        try:
-            stale = matcher.iter_match(star_query())
-            next(stale)
-            solutions, _ = matcher.match(star_query())  # would starve before
-            assert len(solutions) == 5000
-            leftovers = list(stale)  # drains its own queue, then ends
-            assert len(leftovers) < 5000
-        finally:
-            matcher.close()
-
-    def test_matcher_restarts_after_mid_iteration_close(self):
-        graph = star_graph(spokes=50)
-        matcher = ParallelMatcher(
-            graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1
-        )
-        stream = matcher.iter_match(star_query())
-        next(stream)
-        matcher.close()
-        stream.close()
-        solutions, _ = matcher.match(star_query())
-        assert len(solutions) == 50
-        matcher.close()
 
 
 # ---------------------------------------------------------- process lifecycle
@@ -222,6 +164,9 @@ class TestProcessPoolLifecycle:
         pool.close()
         assert len(list(stream)) < 3000  # ends, no hang, no queue access
         pool.close()
+        solutions, _ = pool.match(star_query())  # a later match restarts it
+        assert len(solutions) == 3000
+        pool.close()
 
     def test_abandoned_generator_stops_shards(self):
         graph = star_graph(spokes=300, hubs=10)
@@ -288,9 +233,9 @@ class TestHeldRowsUnderLimitsAndCancellation:
         # progress is still searched and held, but never emitted.
         assert self.collect(graph, limit=None, stop_after=1) == [SOLUTION_BATCH_SIZE]
 
-    @pytest.mark.parametrize("kind", ["threads", "processes"])
-    def test_limits_stop_early_in_both_pools(self, kind, graph):
-        pool = make_pool(kind, graph)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_limits_stop_early_sequential_and_sharded(self, workers, graph):
+        pool = make_pool(graph, workers)
         try:
             solutions, stats = pool.match(star_query())
             assert len(solutions) == self.HUBS * self.SPOKES
@@ -314,7 +259,7 @@ class TestHeldRowsUnderLimitsAndCancellation:
             pool.close()
 
     def test_no_ring_reservation_leaks_for_dropped_rows(self, graph):
-        pool = make_pool("processes", graph)
+        pool = make_pool(graph)
         query = star_query()
 
         def rings_are_free():
@@ -357,7 +302,7 @@ class TestSharedSegmentCleanup:
         assert not segment_exists(name)
 
     def test_segments_unlinked_on_engine_close(self, small_rdf_store):
-        engine = TurboHomPPEngine(workers=2, execution_mode="processes")
+        engine = TurboHomPPEngine(workers=2)
         engine.load(small_rdf_store)
         try:
             result = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
@@ -370,7 +315,7 @@ class TestSharedSegmentCleanup:
 
     def test_engine_close_query_close_does_not_leak(self, small_rdf_store):
         """A query after close() rebuilds tracked state the next close() finds."""
-        engine = TurboHomPPEngine(workers=2, execution_mode="processes")
+        engine = TurboHomPPEngine(workers=2)
         engine.load(small_rdf_store)
         query = PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }"
         assert len(engine.query(query)) == 3
@@ -381,16 +326,24 @@ class TestSharedSegmentCleanup:
         engine.close()
         assert not segment_exists(name)
 
-    def test_process_mode_with_default_workers_actually_shards(self, small_rdf_store):
-        """execution_mode='processes' alone must not silently run sequential."""
-        engine = TurboHomPPEngine(execution_mode="processes")
-        assert engine.workers > 1
-        engine.load(small_rdf_store)
+    def test_workers_alone_picks_sequential_or_shards(self, lubm1):
+        """``workers=1`` never builds a pool; the spine's retired spelling
+        ``workers=2, execution_mode="processes"`` runs on 2 shard workers."""
+        sequential = TurboHomPPEngine(workers=1)
+        sharded = TurboHomPPEngine(workers=2, execution_mode="processes")
+        sequential.load(lubm1.store)
+        sharded.load(lubm1.store)
         try:
-            assert len(engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")) == 3
-            assert engine._executor is not None
+            expected = sequential.query(lubm1.queries["Q9"])
+            assert len(expected) > 0
+            assert sequential._executor is None
+            assert sequential.stats()["transport"] is None
+            assert sharded.query(lubm1.queries["Q9"]).same_solutions(expected)
+            assert len(sharded._executor.pool._processes) == 2
+            assert sharded.stats()["workers"] == 2
+            assert sharded.stats()["transport"]["ring_batches"] > 0
         finally:
-            engine.close()
+            sharded.close()
 
     def test_segments_unlinked_on_interpreter_exit(self, tmp_path):
         """An engine abandoned without close() must not leak /dev/shm entries."""

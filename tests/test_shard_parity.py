@@ -1,10 +1,10 @@
-"""Property sweep: process shards ≡ thread shards ≡ the naive oracle.
+"""Property sweep: process shards ≡ the naive oracle.
 
 The hard part of multi-process sharding is keeping it semantically
 identical to the serial path under skewed, adversarial inputs.  This sweep
 generates random *multigraph* workloads — duplicate query edges, predicate
 variables (blank edge labels), multi-labelled vertices — and asserts that
-``ProcessShardPool``, ``ParallelMatcher`` and the :class:`GenericMatcher`
+``ProcessShardPool`` and the :class:`GenericMatcher`
 oracle return the same solutions **as unordered multisets** (a Counter
 comparison also catches duplicate or dropped emissions, which plain set
 comparison would mask), in both isomorphism and homomorphism modes.
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
-from repro.matching.parallel import ParallelMatcher
 from repro.matching.process_shard import ProcessShardPool
 from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
@@ -79,25 +78,21 @@ def solution_multiset(solutions) -> Counter:
     return Counter(tuple(solution) for solution in solutions)
 
 
-def assert_all_modes_agree(seed: int, mode_name: str) -> None:
+def assert_shards_match_oracle(seed: int, mode_name: str) -> None:
     rng = random.Random(seed)
     graph = random_multigraph(rng)
     query = random_multigraph_query(rng)
     config = MODES[mode_name]()
 
     oracle = solution_multiset(GenericMatcher(graph, config).match(query))
-    # The oracle cannot emit duplicates; neither may any shard pool.
+    # The oracle cannot emit duplicates; neither may the shard pool.
     assert all(count == 1 for count in oracle.values())
 
-    threads = ParallelMatcher(graph, config, workers=2, chunk_size=2)
     processes = ProcessShardPool(graph, config, workers=2, chunk_size=2)
     try:
-        thread_solutions, _ = threads.match(query)
         process_solutions, _ = processes.match(query)
-        assert solution_multiset(thread_solutions) == oracle, f"threads != oracle (seed {seed})"
         assert solution_multiset(process_solutions) == oracle, f"processes != oracle (seed {seed})"
     finally:
-        threads.close()
         processes.close()
 
 
@@ -105,17 +100,17 @@ class TestShardParity:
     @pytest.mark.parametrize("mode_name", sorted(MODES))
     @pytest.mark.parametrize("seed", REGRESSION_SEEDS)
     def test_pinned_regression_seeds(self, seed, mode_name):
-        assert_all_modes_agree(seed, mode_name)
+        assert_shards_match_oracle(seed, mode_name)
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_homomorphism_sweep(self, seed):
-        assert_all_modes_agree(seed, "homomorphism")
+        assert_shards_match_oracle(seed, "homomorphism")
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_isomorphism_sweep(self, seed):
-        assert_all_modes_agree(seed, "isomorphism")
+        assert_shards_match_oracle(seed, "isomorphism")
 
 
 class TestShardParityWithLimits:
