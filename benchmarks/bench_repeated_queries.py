@@ -65,7 +65,7 @@ def _median_ms(run, repeats: int = REPEATS) -> float:
 
 
 @pytest.mark.parametrize("query_id", ["Q1", "Q4", "Q7"])
-def test_warm_plan_cache_beats_cold(serving_setup, query_id):
+def test_cached_plan_beats_cold_compile(serving_setup, query_id):
     """Warm (cached plan) execution must beat the cold (compile) median."""
     dataset, engine = serving_setup
     parsed = parse_sparql(dataset.queries[query_id]).strip_modifiers()

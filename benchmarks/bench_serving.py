@@ -14,11 +14,7 @@ on LUBM(1):
   (it skips the row-dict detour entirely);
 * **open-loop burst admission** — a burst wider than
   ``max_inflight + queue_depth`` degrades into fast 503s while every
-  admitted query still completes correctly;
-* **workload-aware admission** — on a Zipf-skewed multi-plan mix whose
-  region working set overflows the cache budget, TinyLFU admission must
-  beat plain LRU by >= 1.3x on warm region hit ratio *and* improve warm
-  QPS (the reason ``REPRO_CACHE_ADMISSION`` defaults to ``tinylfu``).
+  admitted query still completes correctly.
 
 Run with ``pytest benchmarks/bench_serving.py -q -s`` for the tables; all
 gates are asserted, so this file doubles as the serving regression gate
@@ -29,7 +25,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import random
 import statistics
 import threading
 import time
@@ -292,137 +287,3 @@ def _get(port, quoted_query):
     finally:
         conn.close()
 
-
-# ------------------------------------------------------- admission gate
-#: Distinct plans in the skewed mix.  The variants differ only in variable
-#: names — identical exploration cost and results, distinct plan-cache
-#: fingerprints — so every plan contributes the same region working set.
-ADMISSION_PLANS = 10
-
-#: Zipf exponent and request count of the skewed serving mix.
-ADMISSION_ZIPF_EXPONENT = 1.2
-ADMISSION_REQUESTS = 300
-
-#: Requests spent seeding caches/frequencies before the warm measurement.
-ADMISSION_SEED = 60
-
-#: Cache budget in units of one plan's region bytes: the 10-plan working
-#: set overflows a 2-plan budget five times over.
-ADMISSION_BUDGET_PLANS = 2.0
-
-
-@pytest.fixture(scope="module")
-def lubm_admission():
-    # Larger than the latency fixture: the gate needs region exploration
-    # (not per-request fixed costs) to dominate each query's runtime.
-    return load_lubm(universities=6)
-
-
-def _admission_variant(rank):
-    # Same star shape for every rank — the variable names are part of the
-    # plan fingerprint, so each rank compiles (and caches regions) as its
-    # own plan while costing exactly the same to explore.
-    return (
-        "PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#> "
-        f"SELECT ?x{rank} ?y{rank} ?z{rank} WHERE {{ "
-        f"?x{rank} ub:takesCourse ?y{rank} . ?x{rank} ub:memberOf ?z{rank} }}"
-    )
-
-
-def _drain_batches(engine, sparql):
-    """Run one query on the batch stream, returning its row count."""
-    rows = 0
-    with engine.query_batches(sparql) as result:
-        for batch in result:
-            rows += batch.rows
-    return rows
-
-
-def _run_admission_mix(lubm, mode, budget_bytes, sequence):
-    """One engine's pass over the skewed mix; returns (hit_ratio, qps, rows)."""
-    engine = TurboHomPPEngine(
-        workers=1,  # pin: the gate reads the engine-held cache
-        cache_admission=mode,
-        region_cache_bytes=budget_bytes,
-    )
-    engine.load(lubm.store)
-    try:
-        rows = 0
-        for rank in sequence[:ADMISSION_SEED]:
-            rows += _drain_batches(engine, _admission_variant(rank))
-        seeded = engine.stats()["region_cache"]
-        begin = time.perf_counter()
-        for rank in sequence[ADMISSION_SEED:]:
-            rows += _drain_batches(engine, _admission_variant(rank))
-        elapsed = time.perf_counter() - begin
-        warm = engine.stats()["region_cache"]
-        hits = warm["hits"] - seeded["hits"]
-        misses = warm["misses"] - seeded["misses"]
-        hit_ratio = hits / max(1, hits + misses)
-        qps = (len(sequence) - ADMISSION_SEED) / elapsed
-        return hit_ratio, qps, rows, warm
-    finally:
-        engine.close()
-
-
-def test_tinylfu_admission_beats_lru_on_skewed_mix(lubm_admission):
-    """The tentpole gate: frequency-aware admission on an overflowing mix.
-
-    Ten equal-cost plans under Zipf(1.2) traffic share a region budget
-    that holds only two plans' regions.  Plain LRU admits every insert, so
-    the cold tail continuously flushes the hot plans' regions; TinyLFU
-    keeps the proven-hot regions resident.  Gates: >= 1.3x warm hit ratio
-    and > 1.05x warm QPS, measured after a shared seeding phase.
-    """
-    # Size the budget from a measured plan: one variant's full region set.
-    probe = TurboHomPPEngine(
-        workers=1, region_cache_bytes=1 << 30
-    )
-    probe.load(lubm_admission.store)
-    try:
-        _drain_batches(probe, _admission_variant(0))
-        plan_bytes = probe.stats()["region_cache"]["bytes"]
-    finally:
-        probe.close()
-    assert plan_bytes > 0
-    budget_bytes = int(ADMISSION_BUDGET_PLANS * plan_bytes)
-    working_set = ADMISSION_PLANS * plan_bytes
-    assert working_set > 2 * budget_bytes, "mix must overflow the budget"
-
-    weights = [
-        1.0 / (rank + 1) ** ADMISSION_ZIPF_EXPONENT
-        for rank in range(ADMISSION_PLANS)
-    ]
-    sequence = random.Random(7).choices(
-        range(ADMISSION_PLANS), weights=weights, k=ADMISSION_REQUESTS
-    )
-
-    lru_hit, lru_qps, lru_rows, lru_stats = _run_admission_mix(
-        lubm_admission, "lru", budget_bytes, sequence
-    )
-    lfu_hit, lfu_qps, lfu_rows, lfu_stats = _run_admission_mix(
-        lubm_admission, "tinylfu", budget_bytes, sequence
-    )
-
-    assert lfu_rows == lru_rows, "admission must not change results"
-    print(
-        f"\nadmission gate: {ADMISSION_PLANS} plans, zipf "
-        f"{ADMISSION_ZIPF_EXPONENT}, budget {budget_bytes / 1024:.0f} KiB "
-        f"(working set {working_set / 1024:.0f} KiB)\n"
-        f"  lru     hit {lru_hit:5.1%}  {lru_qps:7.1f} QPS  "
-        f"evictions {lru_stats['evictions']}\n"
-        f"  tinylfu hit {lfu_hit:5.1%}  {lfu_qps:7.1f} QPS  "
-        f"rejects {lfu_stats['admission_rejects']} "
-        f"accepts {lfu_stats['admission_accepts']} "
-        f"resets {lfu_stats['sketch_resets']}\n"
-        f"  -> hit x{lfu_hit / max(lru_hit, 1e-9):.2f}, "
-        f"QPS x{lfu_qps / lru_qps:.2f}"
-    )
-    assert lfu_stats["admission_rejects"] > 0, "gate never pressured admission"
-    assert lfu_hit >= 1.3 * lru_hit, (
-        f"TinyLFU warm hit ratio {lfu_hit:.1%} must be >= 1.3x "
-        f"LRU's {lru_hit:.1%}"
-    )
-    assert lfu_qps > 1.05 * lru_qps, (
-        f"TinyLFU warm QPS {lfu_qps:.1f} must improve on LRU's {lru_qps:.1f}"
-    )

@@ -24,7 +24,15 @@ def main(scales) -> None:
               f"{dataset.total_triples} after inference ===")
 
         engines = make_engines()
-        timings = compare_engines(dataset, engines, repeats=3)
+        try:
+            timings = compare_engines(dataset, engines, repeats=3)
+        finally:
+            # TurboHOM++ runs on shard processes when REPRO_EXECUTION_WORKERS
+            # asks for them; the baselines hold nothing to release.
+            for engine in engines:
+                close = getattr(engine, "close", None)
+                if close is not None:
+                    close()
         print(timing_table(f"elapsed time in {dataset.name} [ms]", timings, engines).to_text())
 
         # Show which queries have scale-independent answers.

@@ -47,31 +47,34 @@ def main() -> None:
 
     # 2. Build the engine (applies the type-aware transformation).
     engine = TurboHomPPEngine()
-    engine.load(store)
+    try:
+        engine.load(store)
 
-    # 3. SPARQL queries.
-    people = engine.query(
-        "PREFIX ex: <http://ex/> SELECT ?p WHERE { ?p a ex:Person . }"
-    )
-    print("\npersons:", [str(row["p"]) for row in people])
+        # 3. SPARQL queries.
+        people = engine.query(
+            "PREFIX ex: <http://ex/> SELECT ?p WHERE { ?p a ex:Person . }"
+        )
+        print("\npersons:", [str(row["p"]) for row in people])
 
-    colleagues = engine.query(
-        """
-        PREFIX ex: <http://ex/>
-        SELECT ?a ?b WHERE {
-            ?a ex:worksFor ?c . ?b ex:worksFor ?c . ?a ex:knows ?b .
-        }
-        """
-    )
-    print("colleagues who know each other:", [(str(r["a"]), str(r["b"])) for r in colleagues])
+        colleagues = engine.query(
+            """
+            PREFIX ex: <http://ex/>
+            SELECT ?a ?b WHERE {
+                ?a ex:worksFor ?c . ?b ex:worksFor ?c . ?a ex:knows ?b .
+            }
+            """
+        )
+        print("colleagues who know each other:", [(str(r["a"]), str(r["b"])) for r in colleagues])
 
-    adults = engine.query(
-        """
-        PREFIX ex: <http://ex/>
-        SELECT ?p ?age WHERE { ?p ex:age ?age . FILTER (?age > 30) }
-        """
-    )
-    print("over 30:", [(str(r["p"]), r["age"].lexical) for r in adults])
+        adults = engine.query(
+            """
+            PREFIX ex: <http://ex/>
+            SELECT ?p ?age WHERE { ?p ex:age ?age . FILTER (?age > 30) }
+            """
+        )
+        print("over 30:", [(str(r["p"]), r["age"].lexical) for r in adults])
+    finally:
+        engine.close()
 
     # 4. Isomorphism vs homomorphism on the triangle pattern ?x→?y→?z→?x.
     graph, mapping = type_aware_transform(store)

@@ -63,14 +63,17 @@ def main() -> None:
     dataset = load_bsbm(products=200)
     print(f"BSBM dataset: {dataset.total_triples} triples")
     engine = TurboHomPPEngine()
-    engine.load(dataset.store)
-    for description, sparql in QUERIES.items():
-        result = engine.query(sparql)
-        print(f"\n--- {description}")
-        print(f"    {len(result)} solutions; first 3:")
-        for row in result.rows[:3]:
-            printable = {var: getattr(value, "lexical", str(value)) for var, value in row.items()}
-            print(f"    {printable}")
+    try:
+        engine.load(dataset.store)
+        for description, sparql in QUERIES.items():
+            result = engine.query(sparql)
+            print(f"\n--- {description}")
+            print(f"    {len(result)} solutions; first 3:")
+            for row in result.rows[:3]:
+                printable = {var: getattr(value, "lexical", str(value)) for var, value in row.items()}
+                print(f"    {printable}")
+    finally:
+        engine.close()
 
 
 if __name__ == "__main__":

@@ -5,12 +5,6 @@ from repro.engine.base import (
     BGPSolver,
     resolve_worker_count,
 )
-from repro.engine.cache_admission import (
-    CountMinSketch,
-    TinyLfuAdmission,
-    make_admission_policy,
-    resolve_cache_admission,
-)
 from repro.engine.plan import QueryPlan, compile_query
 from repro.engine.plan_cache import PlanCache, bgp_fingerprint
 from repro.engine.region_cache import RegionCache
@@ -20,11 +14,7 @@ from repro.engine.turbo_engine import TurboHomEngine, TurboHomPPEngine, TurboEng
 __all__ = [
     "Engine",
     "BGPSolver",
-    "CountMinSketch",
     "PlanCache",
-    "TinyLfuAdmission",
-    "make_admission_policy",
-    "resolve_cache_admission",
     "RegionCache",
     "QueryPlan",
     "ShardExecutor",

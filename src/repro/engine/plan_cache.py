@@ -86,16 +86,6 @@ class PlanCache(Generic[PlanT]):
             self.hits += 1
             return plan
 
-    def peek(self, key: Hashable) -> Optional[PlanT]:
-        """The cached plan for ``key`` without touching recency or counters.
-
-        Cache warming resolves fingerprints through this so a warm-up pass
-        neither inflates the hit ratio benchmarks report nor reorders the
-        LRU chain ahead of real queries.
-        """
-        with self._lock:
-            return self._plans.get(key)
-
     def put(self, key: Hashable, plan: PlanT) -> None:
         """Store a plan, evicting the least recently used entries if full."""
         with self._lock:

@@ -46,9 +46,6 @@ class ShardExecutor:
         chunk_size: int = 8,
         start_method: Optional[str] = None,
         region_cache_bytes: int = 0,
-        cache_admission: str = "lru",
-        cache_sketch_bytes: int = 0,
-        region_plan_share: float = 1.0,
     ):
         self.pool = ProcessShardPool(
             graph,
@@ -59,13 +56,8 @@ class ShardExecutor:
             worker_context=mapping,
             # Each worker holds its own region cache of this budget, keyed
             # by the same (fingerprint, alternative, component) plan keys
-            # the per-worker plan caches use (0 disables); the admission
-            # knobs configure each worker's private TinyLFU filter and
-            # per-plan share (see repro.engine.cache_admission).
+            # the per-worker plan caches use (0 disables).
             region_cache_bytes=region_cache_bytes,
-            cache_admission=cache_admission,
-            cache_sketch_bytes=cache_sketch_bytes,
-            region_plan_share=region_plan_share,
         )
 
     @property
@@ -99,26 +91,6 @@ class ShardExecutor:
             vertex_predicates=component.pushdown,
             max_results=deep_limit,
             prepared=component.prepared,
-            plan_key=self._plan_key(plan, alternative_index, component_index),
-        )
-
-    def warm_component(
-        self,
-        plan: QueryPlan,
-        alternative_index: int,
-        component_index: int,
-    ) -> bool:
-        """Warm every worker's region cache for one plan component.
-
-        Dispatches a warming job (see :meth:`ProcessShardPool.warm_plan`)
-        under the component's usual plan key, so the very next real
-        execution of the plan hits the freshly cached regions.
-        """
-        component = plan.alternatives[alternative_index].components[component_index]
-        return self.pool.warm_plan(
-            component.query,
-            prepared=component.prepared,
-            vertex_predicates=component.pushdown,
             plan_key=self._plan_key(plan, alternative_index, component_index),
         )
 

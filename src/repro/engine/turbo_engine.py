@@ -56,12 +56,6 @@ from repro.engine.base import (
     resolve_region_cache_bytes,
     resolve_worker_count,
 )
-from repro.engine.cache_admission import (
-    make_admission_policy,
-    resolve_cache_admission,
-    resolve_cache_sketch_bytes,
-    resolve_region_plan_share,
-)
 from repro.engine.operators.context import OperatorContext
 from repro.engine.operators.path import PathResolver
 from repro.engine.plan import AlternativePlan, ComponentPlan, QueryPlan, TypeVariableBinder, compile_query
@@ -80,7 +74,6 @@ from repro.graph.transform import (
     type_aware_transform,
 )
 from repro.matching.config import MatchConfig
-from repro.matching.shard_protocol import ShardCollector, run_chunk
 from repro.matching.solution_batch import SolutionBatch
 from repro.matching.turbo import TurboMatcher
 from repro.rdf.store import TripleStore
@@ -171,10 +164,6 @@ class TurboBGPSolver(BGPSolver):
         #: evaluate PathPattern leaves).
         self.path_manager = path_manager
         self._path_resolver: Optional[PathResolver] = None
-        #: Optional observer called with each solved BGP's fingerprint (the
-        #: plan-cache key).  The serving scheduler installs one to track the
-        #: hot-plan mix that drives cache warming; it must never raise.
-        self.plan_listener = None
         # The sequential matcher is stateless between calls and shared by
         # every component stream; the shard executor (persistent worker
         # processes) is engine-held so it spans queries.
@@ -258,12 +247,8 @@ class TurboBGPSolver(BGPSolver):
                 plan.fingerprint = bgp_fingerprint(
                     patterns, cheap_filters, shape=plan_shape
                 )
-            if self.plan_listener is not None and plan.fingerprint is not None:
-                self.plan_listener(plan.fingerprint)
             return plan
         key = bgp_fingerprint(patterns, cheap_filters, shape=plan_shape)
-        if self.plan_listener is not None:
-            self.plan_listener(key)
         plan = self.plan_cache.get(key)
         if plan is None:
             plan = self._compile(patterns, cheap_filters)
@@ -657,9 +642,6 @@ class TurboEngine(Engine):
         join_memory_bytes: Optional[int] = None,
         join_partitions: Optional[int] = None,
         path_index_bytes: Optional[int] = None,
-        cache_admission: Optional[str] = None,
-        cache_sketch_bytes: Optional[int] = None,
-        region_cache_plan_share: Optional[float] = None,
     ):
         super().__init__()
         self.type_aware = type_aware
@@ -693,27 +675,12 @@ class TurboEngine(Engine):
         self.region_cache_bytes = resolve_region_cache_bytes(
             region_cache_bytes, DEFAULT_REGION_CACHE_BYTES
         )
-        #: Workload-aware cache admission (``"tinylfu"`` via a Count-Min
-        #: sketch, or ``"lru"`` for plain recency eviction), the sketch byte
-        #: budget, and the per-plan share of the region-cache budget.
-        #: ``None`` defers to ``REPRO_CACHE_ADMISSION`` /
-        #: ``REPRO_CACHE_SKETCH_BYTES`` / ``REPRO_REGION_CACHE_PLAN_SHARE``
-        #: and then the defaults.  All validated here, at construction.
-        self.cache_admission = resolve_cache_admission(cache_admission)
-        self.cache_sketch_bytes = resolve_cache_sketch_bytes(cache_sketch_bytes)
-        self.region_cache_plan_share = resolve_region_plan_share(
-            region_cache_plan_share
-        )
         #: Engine-held region cache of the sequential matcher.  With
         #: ``workers > 1`` each shard worker holds its own cache of the same
         #: budget; region keys are plan fingerprints, so the cache is
         #: invalidated together with the plan cache (and on load()).
         self.region_cache: Optional[RegionCache] = make_region_cache(
-            self.region_cache_bytes,
-            admission=make_admission_policy(
-                self.cache_admission, self.cache_sketch_bytes
-            ),
-            plan_share=self.region_cache_plan_share,
+            self.region_cache_bytes
         )
         #: Build-side byte budget of one hybrid hash join (``0`` = unbounded,
         #: no spilling) and its partition fan-out.  ``None`` defers to
@@ -740,13 +707,6 @@ class TurboEngine(Engine):
         self._solver: Optional[TurboBGPSolver] = None
         self._executor: Optional[ShardExecutor] = None
         self._path_manager: Optional[PathIndexManager] = None
-        #: Plan listener installed before the solver exists (see
-        #: :meth:`set_plan_listener`); re-applied on every solver (re)build.
-        self._plan_listener = None
-        #: Shard-pool generations retired by close(); added to the live
-        #: pool's generation so :meth:`pool_generation` stays monotonic
-        #: across engine close/rebuild cycles.
-        self._pool_generation_base = 0
         #: Serializes lazy solver/pool construction so two threads firing
         #: their first query cannot race two worker pools into existence
         #: (one of which would leak unjoined processes).
@@ -786,9 +746,6 @@ class TurboEngine(Engine):
                 self._executor = ShardExecutor(
                     self.graph, self.mapping, self.config, workers=self.workers,
                     region_cache_bytes=self.region_cache_bytes,
-                    cache_admission=self.cache_admission,
-                    cache_sketch_bytes=self.cache_sketch_bytes,
-                    region_plan_share=self.region_cache_plan_share,
                 )
             if self._path_manager is None:
                 # Reachability indexes build lazily per predicate inside the
@@ -798,9 +755,6 @@ class TurboEngine(Engine):
                     self.graph,
                     self.path_index_bytes,
                     shared=self.workers > 1,
-                    admission=make_admission_policy(
-                        self.cache_admission, self.cache_sketch_bytes
-                    ),
                 )
             self._solver = TurboBGPSolver(
                 self.graph,
@@ -819,90 +773,7 @@ class TurboEngine(Engine):
         self._solver.plan_cache = self.plan_cache
         self._solver.region_cache = self.region_cache
         self._solver.path_manager = self._path_manager
-        self._solver.plan_listener = self._plan_listener
         return self._solver
-
-    # ---------------------------------------------------------- cache warming
-    def set_plan_listener(self, listener) -> None:
-        """Install a callback observing each solved BGP's fingerprint.
-
-        The serving scheduler uses this to track the hot-plan mix behind
-        scheduler-driven cache warming; ``None`` uninstalls.  The callback
-        runs on the query thread under no lock and must never raise.
-        """
-        self._plan_listener = listener
-        with self._solver_lock:
-            if self._solver is not None:
-                self._solver.plan_listener = listener
-
-    def pool_generation(self) -> int:
-        """Monotonic generation counter of the process shard pool.
-
-        Increments every time a fresh set of worker processes starts (first
-        lazy build and every rebuild after :meth:`close`), i.e. every time
-        the per-worker region caches start cold.  Stays 0 for a sequential
-        engine, whose engine-held region cache survives close() and leaves
-        warming nothing to repair.
-        """
-        live = self._executor.pool.generation if self._executor is not None else 0
-        return self._pool_generation_base + live
-
-    def warm_cached_plans(self, fingerprints: Iterable[Any]) -> int:
-        """Pre-populate region caches for already-compiled plans.
-
-        For every fingerprint still resident in the plan cache, runs a
-        warm-only exploration pass (see
-        :func:`~repro.matching.shard_protocol.run_chunk`) over each
-        component: candidate regions are explored and stored under their
-        usual plan keys but no search or result emission happens.  With
-        shard workers multi-vertex components warm every worker's private
-        cache through the pool's broadcast warming job; everything else
-        warms the engine-held cache in-process.  Returns the number of
-        plans warmed.  Lookups go through :meth:`PlanCache.peek`, so
-        warming never skews the hit/miss counters benchmarks report.
-        """
-        if self.graph is None or self.plan_cache is None:
-            return 0
-        if self.region_cache is None and self._executor is None:
-            return 0
-        # Materialize the shard pool (so there are worker caches to warm)
-        # exactly as the first query would.
-        self.bgp_solver()
-        warmed = 0
-        for fingerprint in fingerprints:
-            plan = self.plan_cache.peek(fingerprint)
-            if plan is None or plan.fingerprint is None:
-                continue
-            touched = False
-            for alternative_index, alternative in enumerate(plan.alternatives):
-                for component_index, component in enumerate(alternative.components):
-                    if (
-                        self._executor is not None
-                        and component.query.vertex_count() > 1
-                    ):
-                        touched |= self._executor.warm_component(
-                            plan, alternative_index, component_index
-                        )
-                        continue
-                    if self.region_cache is None:
-                        continue
-                    prepared = component.prepared
-                    predicates = component.pushdown or {}
-                    run_chunk(
-                        self.graph, self.config, component.query, prepared,
-                        predicates, predicates.get(prepared.start_vertex),
-                        prepared.start_candidates,
-                        ShardCollector.for_warming(self._close_event.is_set),
-                        region_cache=self.region_cache,
-                        region_key=(
-                            plan.fingerprint, alternative_index, component_index
-                        ),
-                        warm_only=True,
-                    )
-                    touched = True
-            if touched:
-                warmed += 1
-        return warmed
 
     # ------------------------------------------------------------- streaming
     def query_batches(self, query) -> BatchResult:
@@ -950,11 +821,9 @@ class TurboEngine(Engine):
         * ``plan_cache`` — hits / misses / evictions / current size (None
           when caching is disabled),
         * ``region_cache`` — cross-query candidate-region cache counters
-          (bytes held, entries, hits / misses / evictions, per-plan budget
-          evictions, and the TinyLFU admission decisions: accepts, rejects,
-          sketch resets; None when disabled).  With shard workers these
-          are the *summed* per-worker caches, refreshed by each worker's
-          job-completion report,
+          (bytes held, entries, hits / misses / evictions; None when
+          disabled).  With shard workers these are the *summed* per-worker
+          caches, refreshed by each worker's job-completion report,
         * ``pipeline`` — batches/solutions pulled out of the matcher layer,
         * ``transport`` — with shard workers, how results crossed the worker
           boundary: ring batches vs pickled queue fallbacks and the bytes
@@ -1037,9 +906,6 @@ class TurboEngine(Engine):
         # spill recreates its directory lazily.
         self.operator_context.cleanup()
         if self._executor is not None:
-            # Bank the retired pool's generations so pool_generation() keeps
-            # climbing when a later query rebuilds the executor from scratch.
-            self._pool_generation_base += self._executor.pool.generation
             self._executor.close()
             self._executor = None
         # Reachability indexes are graph-scoped: drop them (unlinking any
@@ -1067,9 +933,6 @@ class TurboHomEngine(TurboEngine):
         join_memory_bytes: Optional[int] = None,
         join_partitions: Optional[int] = None,
         path_index_bytes: Optional[int] = None,
-        cache_admission: Optional[str] = None,
-        cache_sketch_bytes: Optional[int] = None,
-        region_cache_plan_share: Optional[float] = None,
     ):
         super().__init__(
             type_aware=False,
@@ -1081,9 +944,6 @@ class TurboHomEngine(TurboEngine):
             join_memory_bytes=join_memory_bytes,
             join_partitions=join_partitions,
             path_index_bytes=path_index_bytes,
-            cache_admission=cache_admission,
-            cache_sketch_bytes=cache_sketch_bytes,
-            region_cache_plan_share=region_cache_plan_share,
         )
 
 
@@ -1102,9 +962,6 @@ class TurboHomPPEngine(TurboEngine):
         join_memory_bytes: Optional[int] = None,
         join_partitions: Optional[int] = None,
         path_index_bytes: Optional[int] = None,
-        cache_admission: Optional[str] = None,
-        cache_sketch_bytes: Optional[int] = None,
-        region_cache_plan_share: Optional[float] = None,
     ):
         super().__init__(
             type_aware=True,
@@ -1116,7 +973,4 @@ class TurboHomPPEngine(TurboEngine):
             join_memory_bytes=join_memory_bytes,
             join_partitions=join_partitions,
             path_index_bytes=path_index_bytes,
-            cache_admission=cache_admission,
-            cache_sketch_bytes=cache_sketch_bytes,
-            region_cache_plan_share=region_cache_plan_share,
         )

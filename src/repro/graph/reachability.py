@@ -48,7 +48,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
@@ -149,13 +149,6 @@ class PathIndexCounters(CounterBundle):
     interval_rejects: int = 0
     #: Probes answered from materialized closure postings.
     closure_hits: int = 0
-    #: Admission decisions (see :mod:`repro.engine.cache_admission`): a
-    #: freshly built index is only cached when its label's request
-    #: frequency beats the LRU victim's; a rejected index still answers
-    #: the probe that built it, it just isn't retained.
-    admission_accepts: int = 0
-    admission_rejects: int = 0
-    sketch_resets: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy (merged into the ``path_index`` stats payload)."""
@@ -696,16 +689,10 @@ class PathIndexManager:
         graph: LabeledGraph,
         budget_bytes: int,
         shared: bool = False,
-        admission=None,
     ) -> None:
         self.graph = graph
         self.budget_bytes = budget_bytes
         self.shared = shared
-        #: Optional :class:`~repro.engine.cache_admission.TinyLfuAdmission`
-        #: (injected by the engine — this module stays engine-agnostic):
-        #: when inserting a fresh index would overflow the budget, it must
-        #: beat the LRU victim label's request frequency to be retained.
-        self.admission = admission
         self.counters = PathIndexCounters()
         self._indexes: "OrderedDict[int, ReachabilityIndex]" = OrderedDict()
         self._handles: Dict[int, SharedIndexHandle] = {}
@@ -723,8 +710,6 @@ class PathIndexManager:
         if self.budget_bytes <= 0 or edge_label in self._too_big:
             self.counters.bfs_fallbacks += 1
             return None
-        if self.admission is not None:
-            self.admission.record_access(edge_label)
         index = self._indexes.get(edge_label)
         if index is not None:
             self.counters.hits += 1
@@ -741,19 +726,6 @@ class PathIndexManager:
             self._too_big.add(edge_label)
             self.counters.bfs_fallbacks += 1
             return None
-        if (
-            self.admission is not None
-            and self._bytes + index.nbytes > self.budget_bytes
-            and self._indexes
-        ):
-            # Inserting would evict: the new label must beat the LRU
-            # victim's request frequency, else the probe uses the fresh
-            # index once and the resident indexes stay put.
-            victim_label = next(iter(self._indexes))
-            if not self.admission.admit(edge_label, victim_label):
-                self.counters.admission_rejects += 1
-                return index
-            self.counters.admission_accepts += 1
         self._indexes[edge_label] = index
         self._bytes += index.nbytes
         if self.shared:
@@ -796,8 +768,6 @@ class PathIndexManager:
     # -------------------------------------------------------------- lifecycle
     def stats(self) -> Dict[str, object]:
         """The ``stats()["path_index"]`` payload."""
-        if self.admission is not None:
-            self.counters.sketch_resets = self.admission.sketch_resets
         return {
             "budget_bytes": self.budget_bytes,
             "entries": len(self._indexes),
@@ -810,8 +780,6 @@ class PathIndexManager:
         """Drop every cached index (and unlink exported segments)."""
         self._indexes.clear()
         self._too_big.clear()
-        if self.admission is not None:
-            self.admission.clear()
         self._bytes = 0
         for handle in self._handles.values():
             handle.unlink()

@@ -191,9 +191,6 @@ def _shard_worker_main(
     ring_manifest: Optional[Tuple[str, int]],
     ring_free,
     region_cache_bytes: int = 0,
-    cache_admission: str = "lru",
-    cache_sketch_bytes: int = 0,
-    region_plan_share: float = 1.0,
 ) -> None:
     """Long-lived worker process: attach the graph once, then serve jobs.
 
@@ -205,10 +202,8 @@ def _shard_worker_main(
     this worker's result ring (``None`` disables it and forces the queue
     fallback).
     ``region_cache_bytes`` sizes this worker's private cross-query region
-    cache (0 disables it), ``cache_admission``/``cache_sketch_bytes``/
-    ``region_plan_share`` configure its admission policy and per-plan
-    budget exactly like the engine-held cache; the cache counters travel
-    back as a cumulative :class:`~repro.engine.region_cache.
+    cache (0 disables it), an LRU exactly like the engine-held cache; the
+    cache counters travel back as a cumulative :class:`~repro.engine.region_cache.
     RegionCacheStats` snapshot on every ``done`` message.  The worker
     intentionally never unlinks the shared segments — the exporting
     process owns them.
@@ -221,20 +216,15 @@ def _shard_worker_main(
     if region_cache_bytes:
         # Lazy import: the engine layer imports this module at its own
         # import time, so the upward import must not run at module scope.
-        from repro.engine.cache_admission import make_admission_policy
         from repro.engine.region_cache import RegionCache
 
-        region_cache = RegionCache(
-            region_cache_bytes,
-            admission=make_admission_policy(cache_admission, cache_sketch_bytes),
-            plan_share=region_plan_share,
-        )
+        region_cache = RegionCache(region_cache_bytes)
     try:
         while True:
             message = control.get()
             if message is None:
                 return
-            _, job_id, plan_key, payload_bytes, warm_only, limit = message
+            _, job_id, plan_key, payload_bytes, limit = message
 
             payload: Optional[ShardPayload] = None
             try:
@@ -252,38 +242,6 @@ def _shard_worker_main(
 
             def stopped(job_id=job_id) -> bool:
                 return cancel.value >= job_id
-
-            if warm_only:
-                # Cache-warming job: no chunk-queue traffic at all — every
-                # worker explores the *full* start-candidate range into its
-                # own private cache (chunks are claimed dynamically on real
-                # jobs, so partial per-worker coverage would be useless),
-                # then reports done.  Cancellation (a real job arriving)
-                # still interrupts between regions via ``stopped``.
-                work = 0
-                if payload is not None and region_cache is not None:
-                    try:
-                        work = run_chunk(
-                            graph, config, payload.query, payload.prepared,
-                            payload.predicates, payload.root_predicate,
-                            payload.prepared.start_candidates,
-                            ShardCollector.for_warming(stopped),
-                            region_cache=region_cache, region_key=plan_key,
-                            warm_only=True,
-                        )
-                    except BaseException as exc:  # noqa: BLE001 - reported to the consumer
-                        _put_error(results, job_id, worker_index, exc, cancel)
-                snapshot = (
-                    region_cache.stats_snapshot()
-                    if region_cache is not None
-                    else None
-                )
-                _put_message(
-                    results,
-                    ("done", job_id, worker_index, work, [], snapshot),
-                    cancel,
-                )
-                continue
 
             def put_bounded(message, stopped=stopped) -> bool:
                 """Cancel-aware bounded put; False once the consumer stopped."""
@@ -461,9 +419,6 @@ class ProcessShardPool:
         worker_context: Any = None,
         ring_slots: int = DEFAULT_RING_SLOTS,
         region_cache_bytes: int = 0,
-        cache_admission: str = "lru",
-        cache_sketch_bytes: int = 0,
-        region_plan_share: float = 1.0,
     ):
         self.graph = graph
         self.config = config if config is not None else MatchConfig.turbo_hom_pp()
@@ -473,16 +428,9 @@ class ProcessShardPool:
         self.worker_context = worker_context
         self.ring_slots = max(0, ring_slots)
         self.region_cache_bytes = max(0, region_cache_bytes)
-        #: Admission knobs forwarded verbatim to every worker's private
-        #: region cache (plain str/int/float, picklable by construction).
-        self.cache_admission = cache_admission
-        self.cache_sketch_bytes = cache_sketch_bytes
-        self.region_plan_share = region_plan_share
         self.last_stats: Optional[ParallelStats] = None
         self.transport = ShardTransportStats()
-        #: How many times worker processes have been (re)started.  Warm-up
-        #: drivers (the serving scheduler) watch this to detect that the
-        #: per-worker caches restarted cold.
+        #: How many times worker processes have been (re)started.
         self.generation = 0
         #: Latest cumulative region-cache counter snapshot per worker index
         #: (a :class:`~repro.engine.region_cache.RegionCacheStats`),
@@ -548,9 +496,6 @@ class ProcessShardPool:
                     self._rings[index].manifest if self._rings else None,
                     self._rings[index].free if self._rings else None,
                     self.region_cache_bytes,
-                    self.cache_admission,
-                    self.cache_sketch_bytes,
-                    self.region_plan_share,
                 ),
                 name=f"turbohom-shard-{index}",
                 daemon=True,
@@ -743,7 +688,7 @@ class ProcessShardPool:
                 # guaranteed to still be cached by every worker.
                 _lru_touch(self._shipped, plan_key, None)
             for control in self._controls:
-                control.put(("job", job.job_id, plan_key, payload_bytes, False, limit))
+                control.put(("job", job.job_id, plan_key, payload_bytes, limit))
             for lo, hi in chunk_ranges(len(prepared.start_candidates), self.chunk_size):
                 self._chunks.put(("range", job.job_id, lo, hi))
             for _ in range(self.workers):
@@ -838,51 +783,6 @@ class ProcessShardPool:
         # solutions are complete (see StreamOutcome.stopped_early).
         if job.errors and not outcome.stopped_early:
             raise job.errors[0]
-
-    def warm_plan(
-        self,
-        query: QueryGraph,
-        prepared: Optional[PreparedQuery] = None,
-        vertex_predicates: Optional[Dict[int, VertexPredicate]] = None,
-        plan_key: Any = None,
-    ) -> bool:
-        """Pre-populate every worker's region cache for one plan component.
-
-        Broadcasts a *warming job*: each worker explores (and caches) the
-        full start-candidate range of the prepared query — no chunk-queue
-        traffic, no result batches, just the ``done`` handshake.  Full
-        coverage per worker is deliberate: real jobs claim chunks
-        dynamically, so partially warmed private caches would miss on
-        whatever a different worker explored.  Used by the serving
-        scheduler after a pool (re)start; returns False when there is
-        nothing to warm (caches disabled, single worker, trivial query).
-        """
-        if not self.region_cache_bytes:
-            return False
-        if query.vertex_count() <= 1 or self.workers == 1:
-            return False  # such queries take the sequential path (no pool cache)
-        predicates = vertex_predicates or {}
-        if prepared is None:
-            prepared = prepare_query(self.graph, query, self.config)
-        lease = self._gate.acquire()
-        try:
-            self._ensure_pool()
-            self._supersede_active_job()
-            job = _JobState(next(self._job_ids), self.workers)
-            payload_bytes: Optional[bytes] = None
-            if plan_key is None or plan_key not in self._shipped:
-                payload_bytes = pickle.dumps(ShardPayload(query, prepared, predicates))
-            if plan_key is not None:
-                _lru_touch(self._shipped, plan_key, None)
-            for control in self._controls:
-                control.put(("job", job.job_id, plan_key, payload_bytes, True, None))
-            # No cancel: warming runs to completion unless a real job
-            # supersedes it (its dispatch bumps the cancel counter past us).
-            self._await_job_end(job)
-            job.retired = True
-        finally:
-            self._gate.release(lease)
-        return True
 
     def _supersede_active_job(self) -> None:
         """Cancel and drain a predecessor whose stream was left open.

@@ -7,7 +7,7 @@ chunk and run candidate-region exploration + subgraph search on it, and
 the consumer merges streamed solution batches.  This module holds the
 transport-independent pieces of that scheme, kept apart from the pool's
 process and shared-memory plumbing so they can be driven in-process (the
-engine's cache warming and the tests do):
+tests do):
 
 * :func:`run_chunk` — the per-chunk matching core (regions, matching order,
   work accounting).  It is the only place a shard worker runs the matcher.
@@ -217,12 +217,6 @@ class ShardCollector:
         self.columns = SolutionBatch.collector(width)
         self.rows = 0
 
-    @classmethod
-    def for_warming(cls, stopped: Callable[[], bool]) -> "ShardCollector":
-        """The collector of a ``warm_only`` pass: it carries the stop flag
-        :func:`run_chunk` polls and is never filled."""
-        return cls(0, None, lambda batch: True, stopped)
-
     def flush(self) -> bool:
         """Ship the held rows, if any; False once the consumer stopped."""
         batch = SolutionBatch(self.columns, self.rows)
@@ -244,13 +238,11 @@ def run_chunk(
     collector: ShardCollector,
     region_cache=None,
     region_key=None,
-    warm_only: bool = False,
 ) -> int:
     """Match every start data vertex of one chunk into the worker's collector.
 
     This is the worker-side matching core of Algorithm 1's start-vertex loop
-    (lines 9–15), run by every shard worker and by the engine's in-process
-    cache warming.
+    (lines 9–15), run by every shard worker.
     One pooled region arena and one explicit-stack searcher serve the whole
     chunk: exploration writes into the arena, the searcher packs solutions
     straight into ``collector``'s columns (no per-solution lists), and both
@@ -264,12 +256,7 @@ def run_chunk(
     promptly.
     ``region_cache``/``region_key`` enable cross-query region reuse exactly
     as in :meth:`TurboMatcher.iter_match_batches` — each shard worker holds
-    its own cache, in-process warming fills the engine's.
-    ``warm_only`` turns the chunk into a cache-warming pass: regions are
-    explored (and stored) exactly as usual, but the subgraph search is
-    skipped and the collector stays untouched — the scheduler-driven warm-up
-    uses this to pre-populate worker caches after a pool (re)start.  Returns
-    the chunk's work units (candidate-region vertices explored plus search
+    its own cache.  Returns the chunk's work units (candidate-region vertices explored plus search
     recursions), the load-balance quantity the Figure 16 benchmark reports.
     """
     work = 0
@@ -309,8 +296,6 @@ def run_chunk(
             if region is None:
                 continue
             work += region.size()
-            if warm_only:
-                continue
             order = determine_matching_order(tree, region, order_cache)
             search_stats = SearchStatistics()
             searcher.reset(graph, query, tree, region, order, config, search_stats)

@@ -10,20 +10,16 @@ from repro.serving.scheduler import (
     DEFAULT_MAX_INFLIGHT,
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_TIMEOUT_MS,
-    DEFAULT_WARM_PLANS,
-    PlanMixTracker,
     QueryScheduler,
     QueryTimeout,
     RunningQuery,
     SERVE_MAX_INFLIGHT_ENV,
     SERVE_QUEUE_DEPTH_ENV,
     SERVE_TIMEOUT_MS_ENV,
-    SERVE_WARM_PLANS_ENV,
     ServerOverloaded,
     resolve_serve_max_inflight,
     resolve_serve_queue_depth,
     resolve_serve_timeout_ms,
-    resolve_serve_warm_plans,
 )
 from repro.serving.server import ServerThread, SparqlServer
 
@@ -31,20 +27,16 @@ __all__ = [
     "DEFAULT_MAX_INFLIGHT",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_TIMEOUT_MS",
-    "DEFAULT_WARM_PLANS",
-    "PlanMixTracker",
     "QueryScheduler",
     "QueryTimeout",
     "RunningQuery",
     "SERVE_MAX_INFLIGHT_ENV",
     "SERVE_QUEUE_DEPTH_ENV",
     "SERVE_TIMEOUT_MS_ENV",
-    "SERVE_WARM_PLANS_ENV",
     "ServerOverloaded",
     "ServerThread",
     "SparqlServer",
     "resolve_serve_max_inflight",
     "resolve_serve_queue_depth",
     "resolve_serve_timeout_ms",
-    "resolve_serve_warm_plans",
 ]

@@ -35,9 +35,8 @@ import asyncio
 import concurrent.futures
 import os
 import threading
-from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, List, Optional
+from typing import Optional
 
 from repro.exceptions import EngineError
 from repro.utils.stats import CounterBundle
@@ -54,19 +53,9 @@ SERVE_TIMEOUT_MS_ENV = "REPRO_SERVE_TIMEOUT_MS"
 #: wait for a slot before new arrivals are rejected with 503).
 SERVE_QUEUE_DEPTH_ENV = "REPRO_SERVE_QUEUE_DEPTH"
 
-#: Environment override for scheduler-driven cache warming: how many of the
-#: hottest plan fingerprints to re-warm after a shard-pool (re)start.
-#: ``0`` disables warming.
-SERVE_WARM_PLANS_ENV = "REPRO_SERVE_WARM_PLANS"
-
 DEFAULT_MAX_INFLIGHT = 4
 DEFAULT_TIMEOUT_MS = 30_000
 DEFAULT_QUEUE_DEPTH = 16
-DEFAULT_WARM_PLANS = 8
-
-#: Distinct fingerprints the plan-mix tracker holds before compacting away
-#: the cold tail (bounds memory under adversarial query streams).
-_PLAN_MIX_CAPACITY = 1024
 
 #: Chunks a producer may buffer ahead of the slowest-reading client.
 _CHUNK_QUEUE_DEPTH = 8
@@ -126,59 +115,6 @@ def resolve_serve_queue_depth(value: Optional[int] = None) -> int:
     return value
 
 
-def resolve_serve_warm_plans(value: Optional[int] = None) -> int:
-    """Validate the warm-plan count (>= 0, 0 = no warming), env fallback."""
-    if value is None:
-        env = os.environ.get(SERVE_WARM_PLANS_ENV, "").strip()
-        if not env:
-            return DEFAULT_WARM_PLANS
-        try:
-            value = int(env)
-        except ValueError as error:
-            raise EngineError(f"invalid {SERVE_WARM_PLANS_ENV}={env!r}") from error
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise EngineError(
-            f"serve warm_plans must be a non-negative integer, got {value!r}"
-        )
-    return value
-
-
-class PlanMixTracker:
-    """Thread-safe frequency tracking of the served plan-fingerprint mix.
-
-    Fed by the engine's plan listener (one ``record`` per solved BGP), read
-    by :meth:`QueryScheduler.maybe_warm` to pick the top-K plans worth
-    re-warming after a shard-pool restart.  Bounded: when the tracker holds
-    more than ``capacity`` distinct fingerprints it compacts to the hottest
-    half, so an adversarial stream of one-off queries cannot grow it
-    without limit (the hot plans warming cares about survive compaction by
-    construction).
-    """
-
-    def __init__(self, capacity: int = _PLAN_MIX_CAPACITY):
-        self.capacity = max(2, capacity)
-        self._lock = threading.Lock()
-        self._counts: "Counter[Hashable]" = Counter()
-
-    def record(self, fingerprint: Hashable) -> None:
-        """Count one execution of a plan (the engine plan-listener hook)."""
-        with self._lock:
-            self._counts[fingerprint] += 1
-            if len(self._counts) > self.capacity:
-                self._counts = Counter(
-                    dict(self._counts.most_common(self.capacity // 2))
-                )
-
-    def top(self, count: int) -> List[Hashable]:
-        """The ``count`` hottest fingerprints, most frequent first."""
-        with self._lock:
-            return [key for key, _ in self._counts.most_common(count)]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._counts)
-
-
 class ServerOverloaded(RuntimeError):
     """Raised when admission rejects a query (queue full) — the 503."""
 
@@ -197,10 +133,6 @@ class SchedulerCounters(CounterBundle):
     timed_out: int = 0
     failed: int = 0
     cancelled: int = 0
-    #: Cache-warming passes triggered after shard-pool restarts, and how
-    #: many hot plans those passes re-warmed in total.
-    warm_runs: int = 0
-    plans_warmed: int = 0
 
     def snapshot(self) -> dict:
         return self.as_dict()
@@ -327,16 +259,11 @@ class QueryScheduler:
         max_inflight: Optional[int] = None,
         queue_depth: Optional[int] = None,
         timeout_ms: Optional[int] = None,
-        warm_plans: Optional[int] = None,
     ):
         self.max_inflight = resolve_serve_max_inflight(max_inflight)
         self.queue_depth = resolve_serve_queue_depth(queue_depth)
         self.timeout_ms = resolve_serve_timeout_ms(timeout_ms)
-        self.warm_plans = resolve_serve_warm_plans(warm_plans)
         self.counters = SchedulerCounters()
-        #: Hot-plan mix of everything served, fed by the engine's plan
-        #: listener (see :meth:`attach_engine`); drives cache warming.
-        self.plan_mix = PlanMixTracker()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.max_inflight, thread_name_prefix="repro-serve"
         )
@@ -344,76 +271,12 @@ class QueryScheduler:
         self._waiting = 0
         self._inflight = 0
         self._closed = False
-        #: Pool generation the last warming pass covered, and the one-at-a-
-        #: time latch for the background warm thread.
-        self._warm_seen = 0
-        self._warm_lock = threading.Lock()
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
         """Refuse new queries and release the executor threads."""
         self._closed = True
         self._executor.shutdown(wait=False)
-
-    # ---------------------------------------------------------- cache warming
-    def attach_engine(self, engine) -> None:
-        """Start tracking the engine's served plan mix (when supported).
-
-        Installs :meth:`PlanMixTracker.record` as the engine's plan
-        listener so every solved BGP feeds the hot-plan ranking behind
-        :meth:`maybe_warm`.  Engines without ``set_plan_listener`` are left
-        alone (warming simply never finds candidates).
-        """
-        installer = getattr(engine, "set_plan_listener", None)
-        if self.warm_plans > 0 and callable(installer):
-            installer(self.plan_mix.record)
-
-    def maybe_warm(self, engine) -> bool:
-        """Re-warm worker caches once per shard-pool generation.
-
-        Called after each served query: when the engine's pool generation
-        advanced past the last warmed one (worker processes restarted with
-        cold caches), ships the top-``warm_plans`` fingerprints to
-        ``engine.warm_cached_plans`` on a daemon thread — serving latency
-        never waits on warming, and a single latch keeps concurrent
-        completions from stacking warm passes.  Returns True when a pass
-        was started.
-        """
-        if self.warm_plans <= 0 or self._closed:
-            return False
-        generation_of = getattr(engine, "pool_generation", None)
-        warm = getattr(engine, "warm_cached_plans", None)
-        if not callable(generation_of) or not callable(warm):
-            return False
-        generation = generation_of()
-        if generation == 0 or generation == self._warm_seen:
-            return False
-        fingerprints = self.plan_mix.top(self.warm_plans)
-        if not fingerprints:
-            return False
-        if not self._warm_lock.acquire(blocking=False):
-            return False
-        self._warm_seen = generation
-
-        def _warm_pass() -> None:
-            try:
-                self.counters.plans_warmed += warm(fingerprints)
-                self.counters.warm_runs += 1
-            except Exception:
-                pass  # warming is best-effort; the next query pays the miss
-            finally:
-                # Warming itself may have rebuilt the pool (close() →
-                # lazy restart): cover the generation it produced so the
-                # next completion does not immediately re-warm.
-                try:
-                    self._warm_seen = max(self._warm_seen, generation_of())
-                finally:
-                    self._warm_lock.release()
-
-        threading.Thread(
-            target=_warm_pass, name="repro-serve-warm", daemon=True
-        ).start()
-        return True
 
     # ------------------------------------------------------------ admission
     async def submit(self, produce) -> RunningQuery:
@@ -477,9 +340,7 @@ class QueryScheduler:
             "max_inflight": self.max_inflight,
             "queue_depth": self.queue_depth,
             "timeout_ms": self.timeout_ms,
-            "warm_plans": self.warm_plans,
             "inflight": self._inflight,
             "waiting": self._waiting,
-            "tracked_plans": len(self.plan_mix),
             **self.counters.snapshot(),
         }

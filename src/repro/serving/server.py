@@ -80,7 +80,6 @@ class SparqlServer:
         max_inflight: Optional[int] = None,
         queue_depth: Optional[int] = None,
         timeout_ms: Optional[int] = None,
-        warm_plans: Optional[int] = None,
     ):
         self.engine = engine
         self.host = host
@@ -89,11 +88,7 @@ class SparqlServer:
             max_inflight=max_inflight,
             queue_depth=queue_depth,
             timeout_ms=timeout_ms,
-            warm_plans=warm_plans,
         )
-        # Track the served plan mix so maybe_warm() can re-warm worker
-        # caches with the hottest plans after a shard-pool restart.
-        self.scheduler.attach_engine(engine)
         self._server: Optional[asyncio.AbstractServer] = None
 
     # ------------------------------------------------------------- lifecycle
@@ -330,10 +325,6 @@ class SparqlServer:
             return False
         finally:
             await run.finish()
-            # Worker caches start cold after a shard-pool (re)start; a
-            # completed query is the cheapest point to notice and re-warm
-            # (runs on a daemon thread, never blocks this handler).
-            self.scheduler.maybe_warm(self.engine)
 
     # ----------------------------------------------------------------- misc
     def _stats(self) -> dict:

@@ -19,11 +19,12 @@ import warnings
 
 import pytest
 
-from repro.engine.turbo_engine import TurboEngine
+from repro.engine.turbo_engine import TurboEngine, TurboHomEngine, TurboHomPPEngine
 from repro.serving import (
     QueryScheduler,
     RunningQuery,
     ServerThread,
+    SparqlServer,
     resolve_serve_max_inflight,
     resolve_serve_queue_depth,
     resolve_serve_timeout_ms,
@@ -180,34 +181,28 @@ class TestProtocol:
 
     def test_stats_schema_pins_cache_surfaces(self, engine):
         # The /stats payload is the serving observability contract: the
-        # scheduler block (admission + warming) and the engine's three
-        # cache surfaces, including the TinyLFU admission counters.
+        # scheduler block and the engine's three plain-LRU cache surfaces.
         with ServerThread(engine) as server:
             sparql_get(server.port, PERSON_QUERY)
             stats = json.loads(get(server.port, "/stats")[2])
             assert set(stats["scheduler"]) == {
-                "max_inflight", "queue_depth", "timeout_ms", "warm_plans",
-                "inflight", "waiting", "tracked_plans", "admitted",
-                "completed", "rejected", "timed_out", "failed", "cancelled",
-                "warm_runs", "plans_warmed",
+                "max_inflight", "queue_depth", "timeout_ms", "inflight",
+                "waiting", "admitted", "completed", "rejected", "timed_out",
+                "failed", "cancelled",
             }
-            assert stats["scheduler"]["tracked_plans"] >= 1
             engine_stats = stats["engine"]
             assert set(engine_stats["plan_cache"]) == {
                 "size", "capacity", "hits", "misses", "evictions",
             }
             assert set(engine_stats["region_cache"]) == {
                 "capacity_bytes", "bytes", "entries", "hits", "misses",
-                "evictions", "plan_evictions", "admission_accepts",
-                "admission_rejects", "sketch_resets",
+                "evictions",
             }
-            path_index = engine_stats["path_index"]
-            for field in (
-                "budget_bytes", "entries", "bytes", "builds", "hits",
-                "misses", "evictions", "admission_accepts",
-                "admission_rejects", "sketch_resets",
-            ):
-                assert field in path_index, field
+            assert set(engine_stats["path_index"]) == {
+                "budget_bytes", "entries", "bytes", "shared", "builds", "hits",
+                "misses", "evictions", "oversized", "bfs_fallbacks",
+                "pruned_walks", "interval_rejects", "closure_hits",
+            }
 
 
 class TestAdmissionAndDeadlines:
@@ -372,5 +367,51 @@ class TestConcurrentClients:
                 for thread in threads:
                     thread.join(timeout=120)
                 assert not failures
+        finally:
+            engine.close()
+
+
+class TestRetiredCacheKnobs:
+    """Every cache is a plain LRU: the admission, per-plan-share and
+    warming knobs are gone from the constructors and the environment."""
+
+    @pytest.mark.parametrize(
+        "factory, keyword",
+        [
+            pytest.param(cls, keyword, id=f"{cls.__name__}-{keyword}")
+            for cls in (TurboEngine, TurboHomEngine, TurboHomPPEngine)
+            for keyword in (
+                "cache_admission", "cache_sketch_bytes", "region_cache_plan_share",
+            )
+        ]
+        + [
+            pytest.param(
+                lambda **kw: SparqlServer(TurboEngine(workers=1), **kw),
+                "warm_plans",
+                id="SparqlServer-warm_plans",
+            ),
+            pytest.param(QueryScheduler, "warm_plans", id="QueryScheduler-warm_plans"),
+        ],
+    )
+    def test_retired_keyword_is_a_type_error(self, factory, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            factory(**{keyword: 1})
+
+    @pytest.mark.parametrize("value", ["bogus", "-1"])
+    def test_retired_env_vars_are_not_read(self, monkeypatch, small_rdf_store, value):
+        for name in (
+            "REPRO_CACHE_ADMISSION", "REPRO_CACHE_SKETCH_BYTES",
+            "REPRO_REGION_CACHE_PLAN_SHARE", "REPRO_SERVE_WARM_PLANS",
+        ):
+            monkeypatch.setenv(name, value)
+        engine = TurboEngine()
+        engine.load(small_rdf_store)
+        try:
+            expected = sorted(str(row["p"]) for row in engine.query(PERSON_QUERY))
+            assert expected
+            with ServerThread(engine) as server:
+                status, _, body = sparql_get(server.port, PERSON_QUERY)
+                assert status == 200
+                assert sorted(r["p"]["value"] for r in json_rows(body)) == expected
         finally:
             engine.close()
