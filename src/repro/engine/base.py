@@ -45,10 +45,6 @@ REGION_CACHE_BYTES_ENV = "REPRO_REGION_CACHE_BYTES"
 #: :data:`repro.engine.operators.context.DEFAULT_JOIN_MEMORY_BYTES`).
 JOIN_MEMORY_BYTES_ENV = "REPRO_JOIN_MEMORY_BYTES"
 
-#: Environment override for the hybrid hash join's partition fan-out of
-#: engines constructed without an explicit ``join_partitions``.
-JOIN_PARTITIONS_ENV = "REPRO_JOIN_PARTITIONS"
-
 #: Environment override for the per-predicate reachability-index byte budget
 #: of engines constructed without an explicit ``path_index_bytes``.  ``0``
 #: disables path indexing entirely (every transitive probe takes the BFS
@@ -105,17 +101,14 @@ def resolve_join_memory_bytes(budget: Optional[int] = None) -> int:
 
 
 def resolve_join_partitions(partitions: Optional[int] = None) -> int:
-    """Validate the hybrid hash join's partition fan-out (at least 2)."""
+    """Validate the hybrid hash join's partition fan-out (at least 2).
+
+    ``None`` is the fixed default fan-out; no environment variable is read.
+    """
     from repro.engine.operators.context import DEFAULT_JOIN_PARTITIONS
 
     if partitions is None:
-        env = os.environ.get(JOIN_PARTITIONS_ENV, "").strip()
-        if not env:
-            return DEFAULT_JOIN_PARTITIONS
-        try:
-            partitions = int(env)
-        except ValueError as error:
-            raise EngineError(f"invalid {JOIN_PARTITIONS_ENV}={env!r}") from error
+        return DEFAULT_JOIN_PARTITIONS
     if not isinstance(partitions, int) or isinstance(partitions, bool) or partitions < 2:
         raise EngineError(
             f"join_partitions must be an integer >= 2, got {partitions!r}"

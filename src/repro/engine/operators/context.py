@@ -7,8 +7,9 @@ It carries
 * the **join memory budget** — the byte budget one hash join's build side
   may hold resident before it starts spilling victim partitions
   (``REPRO_JOIN_MEMORY_BYTES``; ``0`` disables spilling entirely);
-* the **partition fan-out** of the hybrid hash join
-  (``REPRO_JOIN_PARTITIONS``);
+* the **partition fan-out** of the hybrid hash join (an explicit
+  ``join_partitions`` argument, else the fixed
+  :data:`DEFAULT_JOIN_PARTITIONS`);
 * the **spill directory** — created lazily on first spill, removed on
   :meth:`cleanup` (wired to ``TurboEngine.close()``) and, as a safety net,
   by a ``weakref.finalize`` hook so crashed workers cannot leak temp files

@@ -17,18 +17,29 @@ hash salt, up to a depth bound; at the bound the join gives up gracefully
 and builds the partition in memory anyway (``join_fallbacks`` counts
 these).
 
-SPARQL compatibility semantics (``None`` is a wildcard that matches
-anything) interact with partitioning:
+Every build-side row store is a :class:`KeyIndex`, so one fully-bound
+probe costs O(1 + matches + wildcard keys) and a join O(n + m + output):
 
-* build rows whose join key contains ``None`` can match *any* probe key,
-  so they live in a dedicated always-resident **wildcard partition**
-  probed by every row;
-* probe rows whose key contains ``None`` must scan *all* build rows; the
-  resident ones are scanned immediately and a snapshot of the row is kept
-  to scan each spilled partition during cleanup.
+* fully-bound build keys live in an **exact dict**; a fully-bound probe is
+  one ``dict.get``, and its hits are compatible by construction (equal,
+  fully-bound keys), so they skip any per-pair check;
+* build keys containing ``None`` (SPARQL's unbound wildcard) are recorded
+  at insert time in a **wildcard list**, which every probe walks with
+  :func:`keys_compatible`; it is empty for almost every join;
+* a probe key containing ``None`` (an OPTIONAL-unbound row) walks every
+  exact key with :func:`keys_compatible`, O(m) per such row.  No benchmark
+  workload produces one, so no index serves them.
+
+Partitioning keeps that layout: build rows with ``None`` key parts live
+in an always-resident **wildcard partition** probed by every row; probe
+rows with ``None`` key parts walk every resident partition at once, and a
+snapshot of the row walks each spilled partition during cleanup.
 
 Keys mix id and term domains per variable (see
-:func:`~repro.sparql.binding_batch.resolve_kind`); partitioning hashes
+:func:`~repro.sparql.binding_batch.resolve_kind`); the first probe batch
+fixes the joint domain for the whole probe stream, and a later batch whose
+term column meets an id key domain raises :class:`EngineError` (its keys
+could never equal an id).  Partitioning hashes
 keys in the build-side domain, which matches the joint build/probe domain
 in all but pathological mixed-kind streams — those abandon the budget and
 fall back to the resident path (``join_fallbacks``).
@@ -41,6 +52,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.engine.operators.context import OperatorContext
 from repro.engine.operators.spill import SpillFile, batch_bytes
+from repro.exceptions import EngineError
 from repro.sparql.binding_batch import (
     KIND_ID,
     KIND_TERM,
@@ -71,41 +83,72 @@ def row_key(
     return tuple(key)
 
 
-def probe_buckets(buckets: Dict[Tuple, List], key: Tuple) -> Iterator:
-    """Probe a bucket dict, scanning everything when the key has wildcards.
-
-    Yields the exact bucket, then every ``None``-containing bucket (their
-    wildcard parts may still be compatible); the order is not a contract.
-    """
-    if any(part is None for part in key):
-        for bucket in buckets.values():
-            yield from bucket
-        return
-    yield from buckets.get(key, ())
-    for other_key, bucket in buckets.items():
-        if other_key != key and any(part is None for part in other_key):
-            yield from bucket
-
-
-def pair_compatible(
-    left: BindingBatch,
-    left_row: int,
-    right: BindingBatch,
-    right_row: int,
-    shared: Sequence[str],
-    key_kinds: Dict[str, str],
-) -> bool:
-    """SPARQL compatibility on raw cells (None is a wildcard)."""
-    for var in shared:
-        if key_kinds[var] == KIND_ID:
-            lv = left.raw(var, left_row)
-            rv = right.raw(var, right_row)
-        else:
-            lv = left.term(var, left_row)
-            rv = right.term(var, right_row)
-        if lv is not None and rv is not None and lv != rv:
+def keys_compatible(probe: Tuple, build: Tuple) -> bool:
+    """SPARQL compatibility of two packed keys (None is a wildcard)."""
+    for probe_part, build_part in zip(probe, build):
+        if probe_part is not None and build_part is not None and probe_part != build_part:
             return False
     return True
+
+
+Ref = Tuple[BindingBatch, int]
+
+
+class KeyIndex:
+    """Build rows by join key, so that a fully-bound probe costs O(1 + matches + wildcards).
+
+    * ``exact`` maps every fully-bound key to its rows: a fully-bound probe
+      is one ``dict.get``, and its hits are compatible by construction.
+    * ``wildcards`` lists, at insert time, the ``(key, row)`` pairs whose
+      key contains ``None``; every probe walks it with :func:`keys_compatible`.
+      It is empty for almost every join.
+
+    A probe key that contains ``None`` walks ``exact`` with
+    :func:`keys_compatible` instead.
+    """
+
+    __slots__ = ("exact", "wildcards")
+
+    def __init__(self) -> None:
+        self.exact: Dict[Tuple, List[Ref]] = {}
+        self.wildcards: List[Tuple[Tuple, Ref]] = []
+
+    def add(self, key: Tuple, ref: Ref) -> None:
+        if None in key:
+            self.wildcards.append((key, ref))
+            return
+        bucket = self.exact.get(key)
+        if bucket is None:
+            self.exact[key] = [ref]
+        else:
+            bucket.append(ref)
+
+    def matches(self, key: Tuple) -> Iterable[Ref]:
+        """Every build row compatible with ``key``; the order is not a contract."""
+        if None in key:
+            hits: Iterable[Ref] = [
+                ref
+                for build_key, bucket in self.exact.items()
+                if keys_compatible(key, build_key)
+                for ref in bucket
+            ]
+        else:
+            hits = self.exact.get(key, ())
+        if not self.wildcards:
+            return hits
+        return itertools.chain(
+            hits,
+            [ref for build_key, ref in self.wildcards if keys_compatible(key, build_key)],
+        )
+
+
+def build_key_index(
+    rows: Iterable[Ref], shared: Sequence[str], key_kinds: Dict[str, str]
+) -> KeyIndex:
+    index = KeyIndex()
+    for batch, row in rows:
+        index.add(row_key(batch, row, shared, key_kinds), (batch, row))
+    return index
 
 
 def merged_value(
@@ -153,7 +196,7 @@ class _Partition:
         self.bytes = 0
         self.rows = 0
         self.spill: Optional[SpillFile] = None
-        self.buckets: Optional[Dict[Tuple, List[Tuple[BindingBatch, int]]]] = None
+        self.buckets: Optional[KeyIndex] = None
 
     @property
     def spilled(self) -> bool:
@@ -172,13 +215,9 @@ class _Partition:
 
     def build_buckets(
         self, shared: Sequence[str], key_kinds: Dict[str, str]
-    ) -> Dict[Tuple, List[Tuple[BindingBatch, int]]]:
+    ) -> KeyIndex:
         if self.buckets is None:
-            buckets: Dict[Tuple, List[Tuple[BindingBatch, int]]] = {}
-            for segment, row in self.resident_rows():
-                key = row_key(segment, row, shared, key_kinds)
-                buckets.setdefault(key, []).append((segment, row))
-            self.buckets = buckets
+            self.buckets = build_key_index(self.resident_rows(), shared, key_kinds)
         return self.buckets
 
 
@@ -210,8 +249,7 @@ class HybridIndex:
         # Resident mode state (mirrors the classic _BatchIndex).
         self.batches: List[BindingBatch] = []
         self.resident_bytes = 0
-        self.buckets: Optional[Dict[Tuple, List[Tuple[BindingBatch, int]]]] = None
-        self.key_kinds: Optional[Dict[str, str]] = None
+        self.buckets: Optional[KeyIndex] = None
         # Partitioned mode state.
         self.partitioned = False
         self.partitions: List[_Partition] = []
@@ -379,22 +417,14 @@ class HybridIndex:
                 if recorded is not None and recorded != key_kinds[var]:
                     self._restore_resident(count_fallback=True)
                     break
-        self.key_kinds = key_kinds
         return key_kinds
 
-    def resident_buckets(
-        self, key_kinds: Dict[str, str]
-    ) -> Dict[Tuple, List[Tuple[BindingBatch, int]]]:
-        """The classic single-dict index (resident mode only)."""
-        if self.buckets is not None and key_kinds == self.key_kinds:
-            return self.buckets
-        buckets: Dict[Tuple, List[Tuple[BindingBatch, int]]] = {}
-        for batch in self.batches:
-            for row in range(batch.rows):
-                key = row_key(batch, row, self.shared, key_kinds)
-                buckets.setdefault(key, []).append((batch, row))
-        self.buckets = buckets
-        return buckets
+    def resident_buckets(self, key_kinds: Dict[str, str]) -> KeyIndex:
+        """The single key index over every build row (resident mode only)."""
+        if self.buckets is None:
+            rows = ((batch, row) for batch in self.batches for row in range(batch.rows))
+            self.buckets = build_key_index(rows, self.shared, key_kinds)
+        return self.buckets
 
     def partition_for(self, key: Tuple) -> _Partition:
         return self.partitions[hash((0,) + key) % self.fanout]
@@ -497,19 +527,16 @@ def _hybrid_join(
         for batch in left:
             if batch.rows == 0:
                 continue
-            if not index.partitioned:
-                # Defensive per-batch re-resolve (and bucket rebuild on
-                # change), matching the classic index for kind-evolving
-                # probe streams.
+            if key_kinds is None:
+                # The first probe batch fixes the joint key domain and the
+                # output schema (resolve_key_kinds falls back to the
+                # resident path when the domain disagrees with the
+                # partitioning); later batches must not leave it.
                 key_kinds = index.resolve_key_kinds(batch)
-            elif key_kinds is None:
-                # Partitioned mode fixes the joint domain from the first
-                # probe batch; streams are kind-consistent per producer
-                # contract (resolve_key_kinds falls back to the resident
-                # path when the domain disagrees with the partitioning).
-                key_kinds = index.resolve_key_kinds(batch)
-            if schema is None:
                 schema = join_schema(batch, index, right_variables)
+            else:
+                _check_key_domain(batch, shared, key_kinds)
+            assert schema is not None
             variables, kinds = schema
             builder = BatchBuilder(variables, kinds, batch.decoder or index.decoder)
             if not index.partitioned:
@@ -549,14 +576,51 @@ def _hybrid_join(
                 builder = BatchBuilder(variables, kinds, index.decoder)
                 for snap, row, matched in wildcard_stash:
                     if not matched:
-                        builder.append(
-                            [merged_value(v, kinds[v], snap, row, None, 0)
-                             for v in variables]
-                        )
+                        _null_extend(builder, variables, kinds, snap, row)
                 if builder.rows:
                     yield builder.batch()
     finally:
         index.dispose()
+
+
+def _check_key_domain(
+    batch: BindingBatch, shared: Sequence[str], key_kinds: Dict[str, str]
+) -> None:
+    """Reject a probe batch whose term column meets the stream's id key domain."""
+    for var in shared:
+        if key_kinds[var] == KIND_ID and batch.kind(var) == KIND_TERM:
+            raise EngineError(
+                f"join probe stream switched ?{var} from ids to terms mid-stream"
+            )
+
+
+def _emit(
+    builder: BatchBuilder,
+    variables: Sequence[str],
+    kinds: Dict[str, str],
+    batch: BindingBatch,
+    row: int,
+    candidates: Iterable[Ref],
+) -> bool:
+    """Append the merge of one probe row with each candidate; True if any."""
+    matched = False
+    for candidate_batch, candidate_row in candidates:
+        matched = True
+        builder.append(
+            [merged_value(var, kinds[var], batch, row, candidate_batch, candidate_row)
+             for var in variables]
+        )
+    return matched
+
+
+def _null_extend(
+    builder: BatchBuilder,
+    variables: Sequence[str],
+    kinds: Dict[str, str],
+    batch: BindingBatch,
+    row: int,
+) -> None:
+    builder.append([merged_value(var, kinds[var], batch, row, None, 0) for var in variables])
 
 
 def _probe_resident(
@@ -569,27 +633,15 @@ def _probe_resident(
     builder: BatchBuilder,
     outer: bool,
 ) -> None:
-    """Classic probe against the single resident index."""
-    buckets = index.resident_buckets(key_kinds) if index.rows else {}
+    """Probe the single resident key index."""
+    buckets = index.resident_buckets(key_kinds) if index.rows else None
     for row in range(batch.rows):
-        matched = False
-        if buckets:
-            key = row_key(batch, row, shared, key_kinds)
-            for candidate_batch, candidate_row in probe_buckets(buckets, key):
-                if pair_compatible(
-                    batch, row, candidate_batch, candidate_row, shared, key_kinds
-                ):
-                    matched = True
-                    builder.append(
-                        [merged_value(var, kinds[var], batch, row,
-                                      candidate_batch, candidate_row)
-                         for var in variables]
-                    )
+        matched = buckets is not None and _emit(
+            builder, variables, kinds, batch, row,
+            buckets.matches(row_key(batch, row, shared, key_kinds)),
+        )
         if outer and not matched:
-            builder.append(
-                [merged_value(var, kinds[var], batch, row, None, 0)
-                 for var in variables]
-            )
+            _null_extend(builder, variables, kinds, batch, row)
 
 
 def _probe_partitioned(
@@ -609,68 +661,34 @@ def _probe_partitioned(
     any_spilled = index.any_spilled()
     for row in range(batch.rows):
         key = row_key(batch, row, shared, key_kinds)
-        matched = False
         # Wildcard build rows can match every probe row.
-        for candidate_batch, candidate_row in probe_buckets(wildcard_buckets, key):
-            if pair_compatible(
-                batch, row, candidate_batch, candidate_row, shared, key_kinds
-            ):
-                matched = True
-                builder.append(
-                    [merged_value(var, kinds[var], batch, row,
-                                  candidate_batch, candidate_row)
-                     for var in variables]
-                )
-        if any(part is None for part in key):
-            # Wildcard probe: scan every resident partition now; spilled
-            # partitions are owed a scan during cleanup.
+        matched = _emit(
+            builder, variables, kinds, batch, row, wildcard_buckets.matches(key)
+        )
+        if None in key:
+            # Wildcard probe: walk every resident partition now; spilled
+            # partitions are owed a walk during cleanup.
             for partition in index.partitions:
-                if partition.spilled:
-                    continue
-                for candidate_batch, candidate_row in partition.resident_rows():
-                    if pair_compatible(
-                        batch, row, candidate_batch, candidate_row, shared, key_kinds
-                    ):
-                        matched = True
-                        builder.append(
-                            [merged_value(var, kinds[var], batch, row,
-                                          candidate_batch, candidate_row)
-                             for var in variables]
-                        )
+                if not partition.spilled:
+                    candidates = partition.build_buckets(shared, key_kinds).matches(key)
+                    matched = _emit(builder, variables, kinds, batch, row, candidates) or matched
             if any_spilled:
-                snap = batch.take([row])
-                wildcard_stash.append([snap, 0, matched])
+                wildcard_stash.append([batch.take([row]), 0, matched])
                 continue  # emission decided after cleanup
-            if outer and not matched:
-                builder.append(
-                    [merged_value(var, kinds[var], batch, row, None, 0)
-                     for var in variables]
-                )
-            continue
-        partition = index.partition_for(key)
-        if partition.spilled:
-            probe = probe_spills.get(id(partition))
-            if probe is None:
-                probe = probe_spills[id(partition)] = _SpilledProbe(context)
-            probe.add(batch, row, matched)
-            if len(probe.pending) >= SPILL_SPAN_ROWS:
-                probe.flush(context.counters)
-            continue
-        bucket = partition.build_buckets(shared, key_kinds).get(key)
-        if bucket:
-            # Keys here are fully bound and equal, hence compatible.
-            matched = True
-            for candidate_batch, candidate_row in bucket:
-                builder.append(
-                    [merged_value(var, kinds[var], batch, row,
-                                  candidate_batch, candidate_row)
-                     for var in variables]
-                )
+        else:
+            partition = index.partition_for(key)
+            if partition.spilled:
+                probe = probe_spills.get(id(partition))
+                if probe is None:
+                    probe = probe_spills[id(partition)] = _SpilledProbe(context)
+                probe.add(batch, row, matched)
+                if len(probe.pending) >= SPILL_SPAN_ROWS:
+                    probe.flush(context.counters)
+                continue
+            candidates = partition.build_buckets(shared, key_kinds).matches(key)
+            matched = _emit(builder, variables, kinds, batch, row, candidates) or matched
         if outer and not matched:
-            builder.append(
-                [merged_value(var, kinds[var], batch, row, None, 0)
-                 for var in variables]
-            )
+            _null_extend(builder, variables, kinds, batch, row)
 
 
 def _resolve_spilled(
@@ -698,44 +716,26 @@ def _resolve_spilled(
     if budget and estimate > budget:
         context.counters.join_fallbacks += 1
     # Build the partition in memory and probe it with its spilled rows.
-    spans: List[BindingBatch] = []
-    buckets: Dict[Tuple, List[Tuple[BindingBatch, int]]] = {}
-    for span, _ in build_file.read(index.decoder):
-        spans.append(span)
-        for row in range(span.rows):
-            key = row_key(span, row, shared, key_kinds)
-            buckets.setdefault(key, []).append((span, row))
+    buckets = build_key_index(
+        ((span, row) for span, _ in build_file.read(index.decoder)
+         for row in range(span.rows)),
+        shared, key_kinds,
+    )
     builder = BatchBuilder(variables, kinds, index.decoder)
-    # Wildcard probe snapshots owe a scan of every spilled build row.
+    # Wildcard probe snapshots owe a lookup in every spilled partition.
     for entry in wildcard_stash:
         snap, snap_row, _ = entry
-        for span in spans:
-            for row in range(span.rows):
-                if pair_compatible(snap, snap_row, span, row, shared, key_kinds):
-                    entry[2] = True
-                    builder.append(
-                        [merged_value(var, kinds[var], snap, snap_row, span, row)
-                         for var in variables]
-                    )
+        candidates = buckets.matches(row_key(snap, snap_row, shared, key_kinds))
+        if _emit(builder, variables, kinds, snap, snap_row, candidates):
+            entry[2] = True
     if probe_file is not None:
         for span, flags in probe_file.read(index.decoder):
             for row in range(span.rows):
-                key = row_key(span, row, shared, key_kinds)
                 matched = bool(flags[row]) if flags else False
-                bucket = buckets.get(key)
-                if bucket:
-                    matched = True
-                    for candidate_batch, candidate_row in bucket:
-                        builder.append(
-                            [merged_value(var, kinds[var], span, row,
-                                          candidate_batch, candidate_row)
-                             for var in variables]
-                        )
+                candidates = buckets.matches(row_key(span, row, shared, key_kinds))
+                matched = _emit(builder, variables, kinds, span, row, candidates) or matched
                 if outer and not matched:
-                    builder.append(
-                        [merged_value(var, kinds[var], span, row, None, 0)
-                         for var in variables]
-                    )
+                    _null_extend(builder, variables, kinds, span, row)
                 if builder.rows >= SPILL_SPAN_ROWS:
                     yield builder.batch()
                     builder = BatchBuilder(variables, kinds, index.decoder)

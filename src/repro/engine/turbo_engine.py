@@ -684,8 +684,8 @@ class TurboEngine(Engine):
         )
         #: Build-side byte budget of one hybrid hash join (``0`` = unbounded,
         #: no spilling) and its partition fan-out.  ``None`` defers to
-        #: ``REPRO_JOIN_MEMORY_BYTES`` / ``REPRO_JOIN_PARTITIONS`` and then
-        #: the defaults.  Validated here, at construction.
+        #: ``REPRO_JOIN_MEMORY_BYTES`` and then the default budget, and to
+        #: the fixed default fan-out.  Validated here, at construction.
         self.join_memory_bytes = resolve_join_memory_bytes(join_memory_bytes)
         self.join_partitions = resolve_join_partitions(join_partitions)
         #: Byte budget of the per-predicate reachability-index LRU backing

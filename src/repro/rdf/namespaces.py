@@ -6,7 +6,7 @@
 
 from __future__ import annotations
 
-from repro.rdf.terms import IRI
+from repro.rdf.terms import IRI, XSD_NAMESPACE
 
 
 class Namespace:
@@ -45,7 +45,7 @@ class Namespace:
 
 RDF = Namespace("http://www.w3.org/1999/02/22-rdf-syntax-ns#")
 RDFS = Namespace("http://www.w3.org/2000/01/rdf-schema#")
-XSD = Namespace("http://www.w3.org/2001/XMLSchema#")
+XSD = Namespace(XSD_NAMESPACE)
 OWL = Namespace("http://www.w3.org/2002/07/owl#")
 
 #: The two predicates given special treatment by the type-aware transformation.

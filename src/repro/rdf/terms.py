@@ -42,6 +42,16 @@ class BlankNode(str):
         return f"_:{self}"
 
 
+#: The XSD namespace IRI; ``repro.rdf.namespaces.XSD`` is built from it,
+#: since that module imports this one.
+XSD_NAMESPACE = "http://www.w3.org/2001/XMLSchema#"
+# ``Literal.to_python`` runs once per FILTER comparison: its datatype IRIs
+# are built once here.
+_INTEGER_TYPES = frozenset(IRI(XSD_NAMESPACE + local) for local in ("integer", "int", "long"))
+_FLOAT_TYPES = frozenset(IRI(XSD_NAMESPACE + local) for local in ("decimal", "double", "float"))
+_XSD_BOOLEAN = IRI(XSD_NAMESPACE + "boolean")
+
+
 class Literal(NamedTuple):
     """An RDF literal with optional datatype IRI and language tag."""
 
@@ -66,19 +76,18 @@ class Literal(NamedTuple):
 
     def to_python(self) -> Union[int, float, bool, str]:
         """Convert to the closest Python value based on the XSD datatype."""
-        from repro.rdf.namespaces import XSD
-
-        if self.datatype in (XSD.integer, XSD.int, XSD.long):
+        datatype = self.datatype
+        if datatype in _INTEGER_TYPES:
             try:
                 return int(self.lexical)
             except ValueError:
                 return self.lexical
-        if self.datatype in (XSD.decimal, XSD.double, XSD.float):
+        if datatype in _FLOAT_TYPES:
             try:
                 return float(self.lexical)
             except ValueError:
                 return self.lexical
-        if self.datatype == XSD.boolean:
+        if datatype == _XSD_BOOLEAN:
             return self.lexical in ("true", "1")
         return self.lexical
 

@@ -16,7 +16,8 @@
   unbounded join's multiset (wildcard/OPTIONAL rows included); the engine
   must clean every temp spill file up on ``close()``.
 * **Validation** — the ``join_memory_bytes`` / ``join_partitions`` knobs
-  (arguments and environment overrides) raise at engine construction.
+  raise at engine construction (arguments, and the ``join_memory_bytes``
+  environment override); the retired ``REPRO_JOIN_PARTITIONS`` is ignored.
 * **Late materialization** — grouping and ORDER BY decode only what they
   emit (group rows, sort keys), pinned by counting dictionary decodes.
 """
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.bitmap_engine import BitmapEngine
 from repro.engine.base import EngineError, resolve_join_memory_bytes, resolve_join_partitions
-from repro.engine.operators.context import OperatorContext
+from repro.engine.operators.context import DEFAULT_JOIN_PARTITIONS, OperatorContext
 from repro.engine.operators.join import batch_hash_join, batch_left_outer_join
 from repro.engine.operators.spill import SpillFile, batch_bytes
 from repro.engine.plan_cache import bgp_fingerprint
@@ -480,17 +481,22 @@ class TestKnobValidation:
         with pytest.raises(EngineError):
             TurboHomPPEngine()
 
-    def test_bad_join_partitions_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOIN_PARTITIONS", "1")
-        with pytest.raises(EngineError):
-            TurboHomPPEngine()
+    @pytest.mark.parametrize("value", ["1", "bogus", "-1", "8"])
+    def test_retired_join_partitions_env_changes_nothing(self, monkeypatch, value):
+        # REPRO_JOIN_PARTITIONS is no longer read: a stale or malformed
+        # value neither raises nor moves the fan-out off its default.
+        monkeypatch.setenv("REPRO_JOIN_PARTITIONS", value)
+        engine = TurboHomPPEngine(workers=1)
+        assert engine.join_partitions == DEFAULT_JOIN_PARTITIONS
+        engine.load(TripleStore())
+        assert engine.query("SELECT ?s WHERE { ?s ?p ?o . }").rows == []
+        engine.close()
+        assert TurboHomPPEngine(join_partitions=4).join_partitions == 4
 
-    def test_valid_envs_resolve(self, monkeypatch):
+    def test_valid_join_memory_env_resolves(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOIN_MEMORY_BYTES", "4096")
-        monkeypatch.setenv("REPRO_JOIN_PARTITIONS", "8")
         engine = TurboHomPPEngine()
         assert engine.join_memory_bytes == 4096
-        assert engine.join_partitions == 8
 
     def test_explicit_arguments_beat_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOIN_MEMORY_BYTES", "4096")
@@ -501,6 +507,7 @@ class TestKnobValidation:
         assert resolve_join_memory_bytes(0) == 0
         assert resolve_join_memory_bytes(1 << 20) == 1 << 20
         assert resolve_join_partitions(2) == 2
+        assert resolve_join_partitions(None) == DEFAULT_JOIN_PARTITIONS
 
 
 # ------------------------------------------------------ late materialization

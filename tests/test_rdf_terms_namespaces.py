@@ -44,6 +44,43 @@ class TestTerms:
     def test_literal_to_python_malformed_number_falls_back_to_text(self):
         assert Literal("not-a-number", XSD.integer).to_python() == "not-a-number"
 
+    @pytest.mark.parametrize(
+        "lexical, datatype, expected",
+        [
+            ("42", XSD.integer, 42),
+            ("-7", XSD.int, -7),
+            ("9000000000", XSD.long, 9000000000),
+            ("2.50", XSD.decimal, 2.5),
+            ("1e3", XSD.double, 1000.0),
+            ("0.25", XSD.float, 0.25),
+            ("true", XSD.boolean, True),
+            ("1", XSD.boolean, True),
+            ("false", XSD.boolean, False),
+            ("0", XSD.boolean, False),
+            ("42", None, "42"),
+            ("42", XSD.string, "42"),
+            ("12x", XSD.int, "12x"),
+            ("", XSD.long, ""),
+            ("1,5", XSD.decimal, "1,5"),
+            ("NaN-ish", XSD.float, "NaN-ish"),
+        ],
+    )
+    def test_literal_to_python_conversions(self, lexical, datatype, expected):
+        value = Literal(lexical, datatype).to_python()
+        assert value == expected
+        assert type(value) is type(expected)
+
+    def test_literal_to_python_builds_no_namespace_iris(self, monkeypatch):
+        # The datatype sets are module constants: converting a literal must
+        # not go through Namespace attribute lookups on every call.
+        def forbidden(self, local):
+            raise AssertionError(f"Namespace.__getattr__({local!r}) called")
+
+        literals = [Literal("3", XSD.integer), Literal("0.5", XSD.double),
+                    Literal("true", XSD.boolean), Literal("x")]
+        monkeypatch.setattr(Namespace, "__getattr__", forbidden)
+        assert [lit.to_python() for lit in literals] == [3, 0.5, True, "x"]
+
     def test_triple_n3(self):
         triple = Triple(IRI("http://s"), IRI("http://p"), Literal("o"))
         assert triple.n3() == '<http://s> <http://p> "o"'
