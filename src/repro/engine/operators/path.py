@@ -40,6 +40,7 @@ from repro.sparql.binding_batch import (
     KIND_TERM,
     BatchBuilder,
     BindingBatch,
+    Decoder,
 )
 
 #: A raw endpoint value: a data-vertex id, or a term outside the graph.
@@ -50,20 +51,21 @@ class PathResolver:
     """Everything path evaluation needs from one engine's loaded dataset.
 
     Bundles the CSR graph (one-hop adjacency), the graph mapping
-    (term ↔ vertex), and the engine's :class:`PathIndexManager` (closure
-    probes, BFS fallback, counters).  Handed out by
-    ``BGPSolver.path_resolver()``; solvers without one cannot evaluate
-    :class:`~repro.sparql.ast.PathPattern` leaves.
+    (term → vertex), the engine's :class:`PathIndexManager` (closure
+    probes, BFS fallback, counters) and its vertex → term decoder.
+    Handed out by ``BGPSolver.path_resolver()``; solvers without one cannot
+    evaluate :class:`~repro.sparql.ast.PathPattern` leaves.
     """
 
-    __slots__ = ("graph", "mapping", "manager")
+    __slots__ = ("graph", "mapping", "manager", "decode")
 
-    def __init__(
-        self, graph: LabeledGraph, mapping: GraphMapping, manager: PathIndexManager
-    ):
+    def __init__(self, graph: LabeledGraph, mapping: GraphMapping,
+                 manager: PathIndexManager, decode: Decoder):
         self.graph = graph
         self.mapping = mapping
         self.manager = manager
+        #: The engine's id → term decoder, also attached to emitted batches.
+        self.decode = decode
 
     # ------------------------------------------------------------------ terms
     def edge_label(self, predicate: Term) -> Optional[int]:
@@ -86,10 +88,6 @@ class PathResolver:
         if node_id is None:
             return IMPOSSIBLE
         return self.mapping.vertex_for_node(node_id)
-
-    def term_for_vertex(self, vertex: int) -> Term:
-        """Decode one data vertex (the id→term decoder of emitted columns)."""
-        return self.mapping.term_for_vertex(vertex)
 
     # -------------------------------------------------------------- adjacency
     def targets(self, edge_label: int, vertex: int) -> List[int]:
@@ -341,7 +339,7 @@ def batch_path_apply(
             else:
                 variables.append(name)
                 kinds[name] = KIND_TERM if term_mode else KIND_ID
-        builder = BatchBuilder(variables, kinds, resolver.term_for_vertex)
+        builder = BatchBuilder(variables, kinds, resolver.decode)
 
         for row in range(batch.rows):
             start = (
@@ -372,7 +370,7 @@ def batch_path_apply(
                         kinds[var] == KIND_TERM
                         and isinstance(value, int)
                     ):
-                        value = resolver.term_for_vertex(value)
+                        value = resolver.decode(value)
                     values.append(value)
                 builder.append(values)
                 counters.path_rows_emitted += 1

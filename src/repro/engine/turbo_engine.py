@@ -87,6 +87,7 @@ from repro.sparql.binding_batch import (
     BatchBuilder,
     BatchResult,
     BindingBatch,
+    Decoder,
     slice_batches,
 )
 from repro.sparql.results import Binding
@@ -137,6 +138,7 @@ class TurboBGPSolver(BGPSolver):
         mapping: GraphMapping,
         config: MatchConfig,
         type_aware: bool,
+        decode: Decoder,
         plan_cache: Optional[PlanCache] = None,
         executor: Optional[ShardExecutor] = None,
         counters: Optional[PipelineCounters] = None,
@@ -148,6 +150,7 @@ class TurboBGPSolver(BGPSolver):
         self.mapping = mapping
         self.config = config
         self.type_aware = type_aware
+        self.decode = decode  # ``GraphMapping.vertex_terms``'s lookup
         self.plan_cache = plan_cache
         #: Cross-query candidate-region cache of the sequential matcher
         #: (process shards hold per-worker caches instead); keyed below by
@@ -185,7 +188,7 @@ class TurboBGPSolver(BGPSolver):
             or self._path_resolver.manager is not self.path_manager
         ):
             self._path_resolver = PathResolver(
-                self.graph, self.mapping, self.path_manager
+                self.graph, self.mapping, self.path_manager, self.decode
             )
         return self._path_resolver
 
@@ -385,14 +388,12 @@ class TurboBGPSolver(BGPSolver):
             if name in term_variables:
                 # Term-bound elsewhere in the plan: decode the whole column
                 # once so the stream stays kind-consistent for this name.
-                columns[name] = self.mapping.terms_for_vertices(column)
+                columns[name] = list(map(self.decode, column))
                 kinds[name] = KIND_TERM
             else:
                 columns[name] = column
                 kinds[name] = KIND_ID
-        batch = BindingBatch(
-            variables, columns, kinds, solution_batch.rows, self.mapping.term_for_vertex
-        )
+        batch = BindingBatch(variables, columns, kinds, solution_batch.rows, self.decode)
         if not component.predicate_variable_edges:
             return batch, None
         choices = [
@@ -439,7 +440,7 @@ class TurboBGPSolver(BGPSolver):
         """
         components = plan.alternatives[alternative_index].components
         if not components:
-            yield BindingBatch.unit(self.mapping.term_for_vertex), None
+            yield BindingBatch.unit(self.decode), None
             return
         if len(components) == 1:
             yield from self._component_batches(
@@ -468,7 +469,7 @@ class TurboBGPSolver(BGPSolver):
                     if var not in kinds:
                         variables.append(var)
                         kinds[var] = part.kinds[var]
-            builder = BatchBuilder(variables, kinds, self.mapping.term_for_vertex)
+            builder = BatchBuilder(variables, kinds, self.decode)
             merged_choices: Optional[List[Dict[str, List[Term]]]] = (
                 []
                 if first_choices is not None or any(
@@ -524,7 +525,7 @@ class TurboBGPSolver(BGPSolver):
                 if name not in kinds:
                     variables.append(name)
                     kinds[name] = KIND_TERM
-            builder = BatchBuilder(variables, kinds, self.mapping.term_for_vertex)
+            builder = BatchBuilder(variables, kinds, self.decode)
             for row in range(batch.rows):
                 base = {var: batch.raw(var, row) for var in batch.variables}
                 rows = [base]
@@ -664,6 +665,7 @@ class TurboEngine(Engine):
             )
         self.graph: Optional[LabeledGraph] = None
         self.mapping: Optional[GraphMapping] = None
+        self._decode: Optional[Decoder] = None
         #: Compiled-plan cache shared by every query of this engine
         #: (``plan_cache_size=0`` disables caching).
         self.plan_cache: Optional[PlanCache] = (
@@ -724,6 +726,7 @@ class TurboEngine(Engine):
             self.graph, self.mapping = type_aware_transform(store)
         else:
             self.graph, self.mapping = direct_transform(store)
+        self._decode = self.mapping.vertex_terms().__getitem__
         # New graph: compiled plans, cached regions and the worker pool are
         # stale (shard workers restart with empty caches when the pool is
         # rebuilt, so they need no extra fan-out).
@@ -761,6 +764,7 @@ class TurboEngine(Engine):
                 self.mapping,
                 self.config,
                 self.type_aware,
+                self._decode,
                 plan_cache=self.plan_cache,
                 executor=self._executor,
                 counters=self.pipeline_counters,

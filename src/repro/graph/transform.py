@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
 from repro.graph.query_graph import QueryGraph
@@ -66,17 +66,17 @@ class GraphMapping:
         """Decode a graph vertex back to its RDF term."""
         return self.dictionary.decode_node(self.node_for_vertex(vertex))
 
-    def terms_for_vertices(self, vertices: Iterable[int]) -> List[Term]:
-        """Bulk-decode a whole id column to terms in one pass.
+    def vertex_terms(self) -> List[Optional[Term]]:
+        """The vertex → term table: ``table[v]`` is vertex ``v``'s term.
 
-        The batch pipeline's materialization primitive: one call decodes an
-        entire :class:`~repro.sparql.binding_batch.BindingBatch` column at
-        the results boundary instead of one dictionary round trip per cell.
+        A trailing ``None`` slot makes ``table[NULL_ID]`` (−1) ``None``, so
+        ``table.__getitem__`` decodes a whole id column with no null branch.
+        One 8 B list slot per vertex: the terms are the dictionary's objects.
         """
-        if self.vertex_to_node is None:
-            return self.dictionary.decode_nodes(vertices)
-        vertex_to_node = self.vertex_to_node
-        return self.dictionary.decode_nodes(vertex_to_node[v] for v in vertices)
+        nodes = self.vertex_to_node
+        if nodes is None:
+            nodes = range(self.dictionary.node_count)
+        return [*map(self.dictionary.decode_node, nodes), None]
 
     def term_for_label(self, label: int) -> Term:
         """Decode a vertex label back to its RDF term (class IRI)."""

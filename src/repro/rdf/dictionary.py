@@ -45,17 +45,6 @@ class Dictionary:
         """Return the term for a node id."""
         return self._id_to_term[node_id]
 
-    def decode_nodes(self, node_ids: Iterable[int]) -> List[Term]:
-        """Bulk-decode many node ids in one pass over the id table.
-
-        The batch result pipeline's late-materialization hook: a whole
-        column of ids becomes terms with a single call (and a single bound
-        lookup of the table), instead of one :meth:`decode_node` round trip
-        per solution cell.
-        """
-        table = self._id_to_term
-        return [table[node_id] for node_id in node_ids]
-
     # ------------------------------------------------------------- predicates
     def encode_predicate(self, predicate: IRI) -> int:
         """Return the id for a predicate, assigning one if new."""

@@ -7,13 +7,13 @@ possible.  This is what lets the batch result pipeline practice *late
 materialization*: solutions travel from the matcher through joins, DISTINCT
 and LIMIT/OFFSET as flat integer arrays, and ids are decoded to RDF terms
 only for the rows that actually reach the
-:class:`~repro.sparql.results.ResultSet` boundary
-(:meth:`ResultSet.from_batches` → :meth:`BindingBatch.iter_bindings`).
+:class:`~repro.sparql.results.ResultSet` boundary or a wire serializer
+(:meth:`BindingBatch.term_column`).
 
 Columns come in two kinds:
 
 * ``id`` — an ``array('q')`` of data-vertex ids, decoded through the
-  batch's ``decoder`` (the engine's ``GraphMapping.term_for_vertex``).
+  batch's ``decoder`` (the engine's ``GraphMapping.vertex_terms`` lookup).
   Vertex ids are non-negative, so :data:`NULL_ID` (−1) doubles as the
   null/OPTIONAL mask — no separate bitmap is needed.
 * ``term`` — a plain list of already-materialized terms (``None`` = null),
@@ -47,8 +47,9 @@ NULL_ID = -1
 KIND_ID = "id"
 KIND_TERM = "term"
 
-#: An id→term decoder (typically ``GraphMapping.term_for_vertex``).
-Decoder = Callable[[int], Term]
+#: An id→term decoder; it maps :data:`NULL_ID` to ``None`` (an engine's
+#: decoder is its vertex → term table's ``__getitem__``).
+Decoder = Callable[[int], Optional[Term]]
 
 Column = Union[array, List[Optional[Term]]]
 
@@ -108,35 +109,32 @@ class BindingBatch:
 
     def term(self, var: str, row: int) -> Optional[Term]:
         """The materialized term of one cell (None for null/missing)."""
-        value = self.raw(var, row)
-        if value is None:
+        column = self.columns.get(var)
+        if column is None:
             return None
         if self.kinds[var] == KIND_ID:
-            assert self.decoder is not None, "id column without a decoder"
-            return self.decoder(value)
-        return value
+            return self.decoder(column[row])
+        return column[row]
 
     def term_column(self, var: str) -> List[Optional[Term]]:
-        """One whole column, materialized (the bulk decode of one variable)."""
+        """One whole column, materialized: one decoder call per id cell."""
         column = self.columns.get(var)
         if column is None:
             return [None] * self.rows
         if self.kinds[var] == KIND_ID:
-            decode = self.decoder
-            assert decode is not None, "id column without a decoder"
-            return [None if value < 0 else decode(value) for value in column]
+            return list(map(self.decoder, column))
         return list(column)
 
-    def iter_bindings(self) -> Iterator[Dict[str, Optional[Term]]]:
-        """Materialize the batch into ``Binding`` dicts.
-
-        This is the single point where ids become RDF terms: each id column is decoded once, in
-        bulk, no matter how many operators the batch flowed through.
-        """
-        variables = self.variables
-        materialized = [self.term_column(var) for var in variables]
-        for row in range(self.rows):
-            yield {var: materialized[i][row] for i, var in enumerate(variables)}
+    def iter_bindings(self) -> List[Dict[str, Optional[Term]]]:
+        """Materialize the batch into ``Binding`` dicts, column by column."""
+        if not self.variables:
+            return [{} for _ in range(self.rows)]
+        first, *rest = self.variables
+        block = [{first: term} for term in self.term_column(first)]
+        for var in rest:
+            for row, term in zip(block, self.term_column(var)):
+                row[var] = term
+        return block
 
     # -------------------------------------------------------------- reshaping
     def project(self, variables: Sequence[str]) -> "BindingBatch":

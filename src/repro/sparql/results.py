@@ -46,14 +46,14 @@ class ResultSet:
     ) -> "ResultSet":
         """Materialize a columnar batch stream into a result set.
 
-        The single place the batch pipeline decodes ids to RDF terms (late
+        Where the batch pipeline decodes ids to RDF terms (late
         materialization): every batch that reaches this boundary has already
-        been joined, deduplicated and sliced on its raw columns.
+        been joined, deduplicated and sliced on its raw columns.  Rows are
+        built eagerly, column by column (:meth:`BindingBatch.iter_bindings`).
         """
         result = cls(variables)
-        rows = result.rows
         for batch in batches:
-            rows.extend(batch.iter_bindings())
+            result.rows.extend(batch.iter_bindings())
         return result
 
     # ------------------------------------------------------------- collection

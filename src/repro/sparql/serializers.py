@@ -5,7 +5,8 @@ consumes a :class:`~repro.sparql.binding_batch.BindingBatch` stream and
 yields encoded byte chunks, decoding ids **per emitted batch** via
 :meth:`BindingBatch.term_column` — a ``LIMIT k`` query therefore decodes
 (and serializes) exactly ``k`` rows, and a large result never exists as a
-row-dict list anywhere between the matcher and the socket.
+row-dict list anywhere between the matcher and the socket.  Cells are
+encoded column by column and then joined row-wise.
 
 Three formats, per the SPARQL 1.1 results recommendations:
 
@@ -29,9 +30,10 @@ aborting a started response.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import re
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.rdf.terms import BlankNode, IRI, Literal, Term
+from repro.rdf.terms import BlankNode, Literal, Term
 from repro.sparql.binding_batch import BindingBatch
 
 #: The supported result media types (negotiation targets).
@@ -44,18 +46,33 @@ Serializer = Callable[[Sequence[str], Iterator[BindingBatch]], Iterator[bytes]]
 
 
 # ----------------------------------------------------------------- JSON format
-def _json_term(term: Term) -> Dict[str, str]:
-    """One RDF term in Query Results JSON Format shape."""
-    if isinstance(term, Literal):
-        encoded = {"type": "literal", "value": term.lexical}
-        if term.language:
-            encoded["xml:lang"] = term.language
-        elif term.datatype:
-            encoded["datatype"] = str(term.datatype)
-        return encoded
-    if isinstance(term, BlankNode):
-        return {"type": "bnode", "value": str(term)}
-    return {"type": "uri", "value": str(term)}
+#: The string escaper ``json.dumps(..., ensure_ascii=False)`` applies.
+_json_string = json.encoder.encode_basestring
+
+
+def _json_cells(var: str, column: List[Optional[Term]]) -> List[Optional[str]]:
+    """Each cell's ``"var": {...}`` row-object member (None = unbound, omitted).
+
+    Byte for byte what ``json.dumps(row, ensure_ascii=False)`` writes for it.
+    """
+    key = _json_string(var) + ': {"type": '
+    cells: List[Optional[str]] = []
+    for term in column:
+        if term is None:
+            cells.append(None)
+        elif isinstance(term, Literal):
+            if term.language:
+                extra = ', "xml:lang": ' + _json_string(term.language)
+            elif term.datatype:
+                extra = ', "datatype": ' + _json_string(str(term.datatype))
+            else:
+                extra = ""
+            cells.append(f'{key}"literal", "value": {_json_string(term.lexical)}{extra}}}')
+        elif isinstance(term, BlankNode):
+            cells.append(f'{key}"bnode", "value": {_json_string(str(term))}}}')
+        else:
+            cells.append(f'{key}"uri", "value": {_json_string(str(term))}}}')
+    return cells
 
 
 def serialize_json(
@@ -63,6 +80,7 @@ def serialize_json(
 ) -> Iterator[bytes]:
     """SPARQL Query Results JSON Format, one chunk per batch."""
     names = list(variables)
+    members = list(dict.fromkeys(names))  # a row object holds each key once
     stream = iter(batches)
     first = next(stream, None)
     yield (
@@ -70,24 +88,21 @@ def serialize_json(
     ).encode("utf-8")
     emitted = False
     for batch in _chain_first(first, stream):
-        columns = [batch.term_column(var) for var in names]
-        rows: List[str] = []
-        for row in range(batch.rows):
-            binding = {
-                var: _json_term(columns[index][row])
-                for index, var in enumerate(names)
-                if columns[index][row] is not None
-            }
-            rows.append(json.dumps(binding, ensure_ascii=False))
-        if not rows:
+        if not batch.rows:
             continue
+        columns = [_json_cells(var, batch.term_column(var)) for var in members]
+        rows = [", ".join(filter(None, cells)) for cells in _rows(columns, batch.rows)]
         prefix = ", " if emitted else ""
         emitted = True
-        yield (prefix + ", ".join(rows)).encode("utf-8")
+        yield (prefix + "{" + "}, {".join(rows) + "}").encode("utf-8")
     yield b"]}}"
 
 
 # ------------------------------------------------------------------ CSV format
+#: A CSV field needs RFC 4180 quoting when it holds any of these.
+_csv_needs_quotes = re.compile('[,"\n\r]').search
+
+
 def _csv_value(term: Optional[Term]) -> str:
     """Plain lexical form, RFC 4180-quoted when needed (unbound = empty)."""
     if term is None:
@@ -98,7 +113,7 @@ def _csv_value(term: Optional[Term]) -> str:
         text = f"_:{term}"
     else:
         text = str(term)
-    if any(ch in text for ch in (',', '"', '\n', '\r')):
+    if _csv_needs_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -112,22 +127,16 @@ def serialize_csv(
     first = next(stream, None)
     yield (",".join(names) + "\r\n").encode("utf-8")
     for batch in _chain_first(first, stream):
-        columns = [batch.term_column(var) for var in names]
-        chunk = "".join(
-            ",".join(_csv_value(columns[index][row]) for index in range(len(names)))
-            + "\r\n"
-            for row in range(batch.rows)
-        )
-        if chunk:
-            yield chunk.encode("utf-8")
+        if batch.rows:
+            columns = [list(map(_csv_value, batch.term_column(var))) for var in names]
+            rows = map(",".join, _rows(columns, batch.rows))
+            yield ("\r\n".join(rows) + "\r\n").encode("utf-8")
 
 
 # ------------------------------------------------------------------ TSV format
 def _tsv_value(term: Optional[Term]) -> str:
     """SPARQL-syntax term (N-Triples shape; unbound = empty field)."""
-    if term is None:
-        return ""
-    return term.n3()
+    return "" if term is None else term.n3()
 
 
 def serialize_tsv(
@@ -139,14 +148,15 @@ def serialize_tsv(
     first = next(stream, None)
     yield ("\t".join(f"?{var}" for var in names) + "\n").encode("utf-8")
     for batch in _chain_first(first, stream):
-        columns = [batch.term_column(var) for var in names]
-        chunk = "".join(
-            "\t".join(_tsv_value(columns[index][row]) for index in range(len(names)))
-            + "\n"
-            for row in range(batch.rows)
-        )
-        if chunk:
-            yield chunk.encode("utf-8")
+        if batch.rows:
+            columns = [list(map(_tsv_value, batch.term_column(var))) for var in names]
+            rows = map("\t".join, _rows(columns, batch.rows))
+            yield ("\n".join(rows) + "\n").encode("utf-8")
+
+
+def _rows(columns: List[List[Optional[str]]], rows: int) -> Iterable[Tuple]:
+    """Encoded columns turned row-wise (empty rows when nothing is projected)."""
+    return zip(*columns) if columns else [()] * rows
 
 
 def _chain_first(

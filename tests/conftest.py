@@ -9,6 +9,7 @@ import pytest
 from repro.datasets import load_bsbm, load_btc, load_lubm, load_yago
 from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
+from repro.graph.transform import GraphMapping
 from repro.rdf.namespaces import Namespace, RDF
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal, Triple
@@ -142,3 +143,35 @@ def assert_same_answers():
     """The cross-engine comparison helper (a fixture so Hypothesis tests and
     every test module share one copy without importing ``conftest``)."""
     return _assert_same_answers
+
+
+class CountingTable(list):
+    """A vertex → term table that counts its lookups: one per decoded cell."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return list.__getitem__(self, index)
+
+
+@pytest.fixture
+def decoded_cells(monkeypatch):
+    """A callable returning how many cells engines loaded since have decoded.
+
+    Every id → term decode goes through the table ``GraphMapping.vertex_terms``
+    builds at ``load()``, so counting its lookups counts decoded cells no
+    matter which operator or boundary decodes them.
+    """
+    tables = []
+    build = GraphMapping.vertex_terms
+
+    def counting_vertex_terms(mapping):
+        table = CountingTable(build(mapping))
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(GraphMapping, "vertex_terms", counting_vertex_terms)
+    return lambda: sum(table.lookups for table in tables)

@@ -43,11 +43,10 @@ from repro.engine.plan_cache import bgp_fingerprint
 from repro.engine.turbo_engine import TurboEngine, TurboHomPPEngine
 from repro.exceptions import SPARQLSyntaxError
 from repro.matching.config import MatchConfig
-from repro.rdf.dictionary import Dictionary
 from repro.rdf.namespaces import Namespace, RDF
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Literal, Triple
-from repro.sparql.binding_batch import KIND_ID, KIND_TERM, BatchBuilder
+from repro.sparql.binding_batch import KIND_ID, KIND_TERM, NULL_ID, BatchBuilder
 from repro.sparql.parser import parse_sparql
 
 from test_result_pipeline import MODES, random_store
@@ -268,9 +267,14 @@ class TestPlanShapeFingerprint:
 
 
 # ------------------------------------------------------------ kernel spill
+def decode_vertex(vertex):
+    """A stand-in engine decoder (NULL_ID decodes to None)."""
+    return None if vertex == NULL_ID else EX[f"v{vertex}"]
+
+
 def id_batches(rows, variables=("a", "b"), chunk=256, decoder=None):
     """Pack ``rows`` (tuples of ints/None) into id-column batches."""
-    decode = decoder if decoder is not None else (lambda i: EX[f"v{i}"])
+    decode = decoder if decoder is not None else decode_vertex
     kinds = {var: KIND_ID for var in variables}
     batches = []
     builder = BatchBuilder(list(variables), kinds, decode)
@@ -369,12 +373,11 @@ class TestHybridJoinSpill:
         assert context.counters.spilled_partitions == 0
 
     def test_spill_file_round_trip(self, tmp_path):
-        decode = lambda i: EX[f"v{i}"]
-        (batch,) = id_batches([(1, 2), (3, None)], ("a", "b"), decoder=decode)
+        (batch,) = id_batches([(1, 2), (3, None)], ("a", "b"))
         spill = SpillFile(str(tmp_path / "span.spill"))
         written = spill.write(batch, [1, 0])
         assert written > 0 and spill.bytes_written == written
-        ((restored, flags),) = list(spill.read(decode))
+        ((restored, flags),) = list(spill.read(decode_vertex))
         assert flags == [1, 0]
         assert restored.rows == 2
         assert restored.raw("a", 0) == 1 and restored.raw("b", 1) is None
@@ -524,29 +527,10 @@ class TestAggregateLateMaterialization:
         store.freeze()
         return store
 
-    def count_decodes(self, monkeypatch):
-        decoded = Counter()
-        original_node = Dictionary.decode_node
-        original_nodes = Dictionary.decode_nodes
-
-        def counting_node(self, node_id):
-            decoded["cells"] += 1
-            return original_node(self, node_id)
-
-        def counting_nodes(self, node_ids):
-            result = original_nodes(self, node_ids)
-            decoded["cells"] += len(result)
-            return result
-
-        monkeypatch.setattr(Dictionary, "decode_node", counting_node)
-        monkeypatch.setattr(Dictionary, "decode_nodes", counting_nodes)
-        return decoded
-
-    def test_grouping_decodes_only_emitted_groups(self, fanout_store, monkeypatch):
-        """1200 embeddings → 40 groups → at most 40 decoded group keys."""
+    def test_grouping_decodes_only_emitted_groups(self, fanout_store, decoded_cells):
+        """1200 embeddings → 40 groups → 40 decoded group keys."""
         engine = TurboHomPPEngine(workers=1)
         engine.load(fanout_store)
-        decoded = self.count_decodes(monkeypatch)
         result = engine.query(
             PREFIX + "SELECT ?x (COUNT(?y) AS ?n) WHERE { ?x ex:knows ?y . } GROUP BY ?x"
         )
@@ -555,17 +539,16 @@ class TestAggregateLateMaterialization:
             (EX[f"p{i}"],): (30,) for i in range(40)
         }
         # Only the 40 emitted group keys decode; counts are born as terms.
-        assert decoded["cells"] <= 40
+        assert decoded_cells() == 40
 
-    def test_order_by_decodes_keys_then_slice(self, fanout_store, monkeypatch):
+    def test_order_by_decodes_keys_then_slice(self, fanout_store, decoded_cells):
         """ORDER BY decodes one term per distinct sort key, plus the slice."""
         engine = TurboHomPPEngine(workers=1)
         engine.load(fanout_store)
-        decoded = self.count_decodes(monkeypatch)
         result = engine.query(
             PREFIX + "SELECT ?x ?y WHERE { ?x ex:knows ?y . } ORDER BY ?x LIMIT 5"
         )
         assert len(result) == 5
         # Key decode: ≤40 distinct ?x terms via the memo (not 1200 rows);
         # output decode: 5 rows × 2 columns, with ?x cells memo-free.
-        assert decoded["cells"] <= 40 + 10
+        assert decoded_cells() == 40 + 10

@@ -13,6 +13,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +24,14 @@ from repro.engine.operators.context import OperatorContext
 from repro.engine.operators.join import batch_hash_join, batch_left_outer_join
 from repro.exceptions import EngineError
 from repro.rdf.terms import IRI
-from repro.sparql.binding_batch import KIND_ID, KIND_TERM, BatchBuilder
+from repro.sparql.binding_batch import KIND_ID, KIND_TERM, NULL_ID, BatchBuilder
 
 PREFIX = "http://example.org/v"
 KEY_VARS = ("k0", "k1", "k2")
 
 
-def decode(value: int) -> IRI:
-    return IRI(f"{PREFIX}{value}")
+def decode(value: int) -> Optional[IRI]:
+    return None if value == NULL_ID else IRI(f"{PREFIX}{value}")
 
 
 def make_batches(rows, variables, kinds, chunk):

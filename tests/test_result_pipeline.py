@@ -48,7 +48,6 @@ from repro.matching.process_shard import ProcessShardPool
 from repro.matching.shard_protocol import StreamOutcome, merge_solution_batches
 from repro.matching.solution_batch import SOLUTION_BATCH_SIZE, SolutionBatch
 from repro.matching.turbo import TurboMatcher
-from repro.rdf.dictionary import Dictionary
 from repro.rdf.namespaces import Namespace, RDF
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Literal, Triple
@@ -549,29 +548,14 @@ class TestLateMaterialization:
             assert set(batch.variables) == {"a", "b"}
             assert all(batch.kinds[var] == KIND_ID for var in batch.variables)
 
-    def test_distinct_limit_decodes_only_delivered_rows(self, fanout_store, monkeypatch):
+    def test_distinct_limit_decodes_only_delivered_rows(self, fanout_store, decoded_cells):
         """1200 embeddings, DISTINCT → 40, LIMIT 2 → exactly 2 decodes."""
         engine = TurboHomPPEngine(workers=1)
         engine.load(fanout_store)
-        decoded = Counter()
-        original_node = Dictionary.decode_node
-        original_nodes = Dictionary.decode_nodes
-
-        def counting_node(self, node_id):
-            decoded["cells"] += 1
-            return original_node(self, node_id)
-
-        def counting_nodes(self, node_ids):
-            result = original_nodes(self, node_ids)
-            decoded["cells"] += len(result)
-            return result
-
-        monkeypatch.setattr(Dictionary, "decode_node", counting_node)
-        monkeypatch.setattr(Dictionary, "decode_nodes", counting_nodes)
         result = engine.query(
             PREFIX + "SELECT DISTINCT ?x WHERE { ?x ex:knows ?y . } LIMIT 2"
         )
         assert len(result) == 2
         # DISTINCT deduplicated and LIMIT sliced on raw ids; only the two
         # delivered rows (one projected variable each) were materialized.
-        assert decoded["cells"] <= 4
+        assert decoded_cells() == 2
