@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 import os
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.exceptions import EngineError
 from repro.rdf.store import TripleStore
@@ -51,6 +51,10 @@ JOIN_MEMORY_BYTES_ENV = "REPRO_JOIN_MEMORY_BYTES"
 #: fallback kernels); unset keeps the default budget (see
 #: :data:`repro.graph.reachability.DEFAULT_PATH_INDEX_BYTES`).
 PATH_INDEX_BYTES_ENV = "REPRO_PATH_INDEX_BYTES"
+
+#: A bound join's ``restrict`` map: variable name → the data-vertex ids the
+#: join's small left side binds it to (see :meth:`BGPSolver.supports_batches`).
+Restriction = Mapping[str, FrozenSet[int]]
 
 
 def resolve_region_cache_bytes(capacity: Optional[int], default: int) -> int:
@@ -229,13 +233,17 @@ class BGPSolver(abc.ABC):
         """True when :meth:`solve_batches` streams columnar batches.
 
         Solvers that return True must implement ``solve_batches(patterns,
-        cheap_filters, limit_hint, plan_shape)`` yielding
+        cheap_filters, limit_hint, plan_shape, restrict=None)`` yielding
         :class:`~repro.sparql.binding_batch.BindingBatch` objects with the
         exact multiset semantics of :meth:`solve`; the evaluator then runs
         the batch operator kernels and materializes terms only at the
         :class:`~repro.sparql.results.ResultSet` boundary (``plan_shape`` is
         an opaque string folded into the solver's plan-cache key, see
-        :func:`repro.engine.plan_cache.bgp_fingerprint`).  The default is
+        :func:`repro.engine.plan_cache.bgp_fingerprint`).  ``restrict`` is a
+        bound join's map from variable name to the frozenset of data-vertex
+        ids the join's small left side binds it to: the solver may drop rows
+        binding such a variable to any other id, or ignore the map entirely,
+        just as it may ignore ``cheap_filters``.  The default is
         the scalar reference algebra of the baseline engines, which shares
         no code with the batch kernels and is what tests compare against.
         """

@@ -54,6 +54,11 @@ class OperatorCounters:
     #: Rows emitted by the property-path operator (both pipelines meter
     #: their shared pair kernel through the batch context).
     path_rows_emitted: int = 0
+    #: UNION/OPTIONAL joins whose right side ran with a non-empty
+    #: ``restrict`` map (a left side of at most 256 rows).
+    bound_joins: int = 0
+    #: Sum of those restrictions' id-set sizes.
+    bound_ids: int = 0
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy (the ``stats()["operators"]`` payload)."""

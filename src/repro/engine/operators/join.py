@@ -515,6 +515,7 @@ def _hybrid_join(
     context: OperatorContext,
 ) -> Iterator[BindingBatch]:
     index = HybridIndex(right, shared, context)
+    probe_spills: Dict[int, _SpilledProbe] = {}
     try:
         if index.rows == 0 and not outer:
             return
@@ -523,7 +524,6 @@ def _hybrid_join(
         # Snapshots of wildcard-key probe rows still owed matches against
         # spilled partitions: [batch, row-in-batch, matched?].
         wildcard_stash: List[List] = []
-        probe_spills: Dict[int, _SpilledProbe] = {}
         for batch in left:
             if batch.rows == 0:
                 continue
@@ -581,6 +581,9 @@ def _hybrid_join(
                     yield builder.batch()
     finally:
         index.dispose()
+        # A join closed mid-probe still holds its probe spill files open.
+        for probe in probe_spills.values():
+            probe.file.delete()
 
 
 def _check_key_domain(

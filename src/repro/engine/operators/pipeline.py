@@ -15,14 +15,19 @@ A ``limit_hint`` is threaded into the solver only when every operator above
 it preserves rows: DISTINCT, ORDER BY and aggregation (grouping must consume
 the full input) block it.  The query's aggregate/path shape is forwarded to
 the solver so its plan cache keys differently shaped plans apart.
+
+Each UNION and OPTIONAL join is a *bound join* when its left side is small:
+the left stream is pulled first, and if it ends within
+:data:`BOUND_JOIN_ROWS` rows its distinct ids restrict the right side's BGP
+(see :func:`_bound_join` and ``docs/query_algebra.md``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.engine.base import BGPSolver
+from repro.engine.base import BGPSolver, Restriction
 from repro.engine.operators.aggregate import batch_aggregate
 from repro.engine.operators.context import OperatorContext, OperatorCounters
 from repro.engine.operators.distinct import batch_distinct
@@ -31,10 +36,15 @@ from repro.engine.operators.join import batch_hash_join, batch_left_outer_join
 from repro.engine.operators.limit import batch_limit_offset
 from repro.engine.operators.path import batch_path_apply, require_path_resolver
 from repro.engine.operators.sort import batch_order_by
+from repro.matching.solution_batch import SOLUTION_BATCH_SIZE
 from repro.sparql import expressions as expr
 from repro.sparql.ast import GraphPattern, SelectQuery
-from repro.sparql.binding_batch import BindingBatch, slice_batches
+from repro.sparql.binding_batch import KIND_ID, NULL_ID, BindingBatch, slice_batches
 from repro.sparql.results import ResultSet
+
+#: A join whose left side ends within this many rows is a bound join: one
+#: matcher batch, the most a restricted search starts from.
+BOUND_JOIN_ROWS = SOLUTION_BATCH_SIZE
 
 
 def _count_decoded(
@@ -114,12 +124,16 @@ def evaluate_group_batches(
     limit_hint: Optional[int] = None,
     context: Optional[OperatorContext] = None,
     plan_shape: Optional[str] = None,
+    restrict: Optional[Restriction] = None,
 ) -> Iterator[BindingBatch]:
     """Stream the solutions of a group graph pattern as columnar batches.
 
     ``limit_hint`` bounds how many solutions the caller will consume; it is
     forwarded to the BGP solver only when the group has no filters, paths or
     UNION blocks (OPTIONAL never drops left rows, so it is hint-safe).
+    ``restrict`` is a bound join's map from variables of the group's own
+    triple patterns to the ids the enclosing join's left side binds them
+    to; it is forwarded to the group's BGP.
     """
     if context is None:
         context = solver.operator_context()
@@ -134,7 +148,11 @@ def evaluate_group_batches(
         )
         stream: Iterator[BindingBatch] = iter(
             solver.solve_batches(
-                group.triples, cheap, limit_hint=bgp_hint, plan_shape=plan_shape
+                group.triples,
+                cheap,
+                limit_hint=bgp_hint,
+                plan_shape=plan_shape,
+                restrict=restrict,
             )
         )
     else:
@@ -154,24 +172,18 @@ def evaluate_group_batches(
         union_bound: Set[str] = set()
         for alternative in union.alternatives:
             union_bound |= _bindable_variables(alternative)
-        union_stream = itertools.chain.from_iterable(
-            evaluate_group_batches(alternative, solver, None, context, plan_shape)
-            for alternative in union.alternatives
-        )
-        stream = batch_hash_join(
-            stream, union_stream, sorted(bound & union_bound), context
+        stream = _bound_join(
+            stream, union.alternatives, sorted(bound & union_bound), None,
+            solver, context, plan_shape,
         )
         bound |= union_bound
 
     # 3. OPTIONAL blocks: left outer join in declaration order.
     for optional in group.optionals:
         optional_bound = _bindable_variables(optional)
-        stream = batch_left_outer_join(
-            stream,
-            evaluate_group_batches(optional, solver, None, context, plan_shape),
-            sorted(bound & optional_bound),
-            sorted(optional_bound),
-            context,
+        stream = _bound_join(
+            stream, (optional,), sorted(bound & optional_bound),
+            sorted(optional_bound), solver, context, plan_shape,
         )
         bound |= optional_bound
 
@@ -182,6 +194,88 @@ def evaluate_group_batches(
     if limit_hint is not None:
         stream = slice_batches(stream, 0, limit_hint)
     return stream
+
+
+def _bound_join(
+    left: Iterator[BindingBatch],
+    groups: Sequence[GraphPattern],
+    shared: List[str],
+    optional_variables: Optional[List[str]],
+    solver: BGPSolver,
+    context: OperatorContext,
+    plan_shape: Optional[str],
+) -> Iterator[BindingBatch]:
+    """Join ``left`` with the concatenated solutions of ``groups``.
+
+    One UNION (``optional_variables`` None: inner join) or one OPTIONAL
+    (left outer join binding ``optional_variables``).  The left stream is
+    pulled first.  If it ends within :data:`BOUND_JOIN_ROWS` rows, each
+    group's BGP is evaluated with the left's distinct ids for every shared
+    variable that the group's own triple patterns bind and that is id-kind
+    and non-null in every left row.  Such a variable binds every right row
+    it appears in, so a right row whose id is not among them is compatible
+    with no left row, and dropping it changes neither join.  A longer left
+    side is chained back together and joined as before.
+
+    Lazy: nothing is pulled before the first ``next()``.  The left stream
+    is closed on exit.  The join kernels are looked up by their module
+    names at call time (the spine tracer wraps them there).
+    """
+    held: List[BindingBatch] = []
+    rows = 0
+    try:
+        for batch in left:
+            held.append(batch)
+            rows += batch.rows
+            if rows > BOUND_JOIN_ROWS:
+                probe: Iterator[BindingBatch] = itertools.chain(held, left)
+                restricts = [{} for _ in groups]
+                break
+        else:
+            probe = iter(held)
+            ids = _left_ids(held, shared)
+            restricts = [
+                {var: ids[var] for var in _bindable_variables_of_triples(group) if var in ids}
+                for group in groups
+            ]
+            if any(restricts):
+                context.counters.bound_joins += 1
+                context.counters.bound_ids += sum(
+                    len(values) for restrict in restricts for values in restrict.values()
+                )
+        right = itertools.chain.from_iterable(
+            evaluate_group_batches(group, solver, None, context, plan_shape, restrict)
+            for group, restrict in zip(groups, restricts)
+        )
+        if optional_variables is None:
+            yield from batch_hash_join(probe, right, shared, context)
+        else:
+            yield from batch_left_outer_join(
+                probe, right, shared, optional_variables, context
+            )
+    finally:
+        close = getattr(left, "close", None)
+        if close is not None:
+            close()
+
+
+def _left_ids(
+    held: Sequence[BindingBatch], shared: Sequence[str]
+) -> Dict[str, FrozenSet[int]]:
+    """Distinct ids per shared variable that is id-kind and non-null in every held row."""
+    ids: Dict[str, FrozenSet[int]] = {}
+    for var in shared:
+        values: Set[int] = set()
+        for batch in held:
+            if not batch.rows:
+                continue
+            if batch.kind(var) != KIND_ID:
+                break
+            values.update(batch.columns[var])
+        else:
+            if NULL_ID not in values:
+                ids[var] = frozenset(values)
+    return ids
 
 
 # ---------------------------------------------------------- join attributes

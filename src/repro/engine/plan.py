@@ -39,6 +39,8 @@ from repro.graph.transform import (
 )
 from repro.matching.candidate_region import VertexPredicate
 from repro.matching.config import MatchConfig
+from repro.matching.matching_order import OrderCache
+from repro.matching.query_tree import QueryTree, write_query_tree
 from repro.matching.turbo import PreparedQuery, prepare_query
 from repro.rdf.namespaces import RDF
 from repro.rdf.terms import Term
@@ -60,6 +62,22 @@ class ComponentPlan:
     #: For each predicate variable: the (source, target) component vertex
     #: index pairs of the query edges it labels (the ``Me`` binder input).
     predicate_variable_edges: Dict[str, List[Tuple[int, int]]] = field(default_factory=dict)
+    #: Query trees and ``+REUSE`` order slots re-rooted at another vertex,
+    #: by root; filled on demand by :meth:`rooted_at`.
+    reroots: Dict[int, Tuple[QueryTree, OrderCache]] = field(default_factory=dict)
+
+    def rooted_at(self, root: int) -> Tuple[QueryTree, OrderCache]:
+        """The component's query tree rooted at ``root``, with its order slot.
+
+        A bound join roots a component at a restricted vertex the way
+        ``choose_start`` roots it at a constant; the tree depends only on
+        the query graph and the root, so each one is built once per plan.
+        """
+        rerooted = self.reroots.get(root)
+        if rerooted is None:
+            rerooted = (write_query_tree(self.query, root), OrderCache())
+            self.reroots[root] = rerooted
+        return rerooted
 
 
 @dataclass

@@ -25,7 +25,8 @@ Query answering follows a compile-once / stream-everywhere split:
   ``rdf:type ?t`` type-variable expansion and the cross product between
   connected components are lazy decorators on that stream; a ``limit_hint``
   from the evaluator terminates matching early instead of trimming a
-  materialized list.
+  materialized list, and a bound join's ``restrict`` map roots a component
+  at a restricted vertex the way a constant roots it.
 
 Batches are the only representation inside the engine: pending
 predicate-variable choices ride beside each batch as a per-row list internal
@@ -44,12 +45,13 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.base import (
     BGPSolver,
     Engine,
+    Restriction,
     resolve_join_memory_bytes,
     resolve_join_partitions,
     resolve_path_index_bytes,
@@ -75,7 +77,8 @@ from repro.graph.transform import (
 )
 from repro.matching.config import MatchConfig
 from repro.matching.solution_batch import SolutionBatch
-from repro.matching.turbo import TurboMatcher
+from repro.matching.start_vertex import restricted_start_candidates
+from repro.matching.turbo import PreparedQuery, TurboMatcher
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 from repro.sparql import expressions as expr
@@ -172,6 +175,9 @@ class TurboBGPSolver(BGPSolver):
         # processes) is engine-held so it spans queries.
         self._matcher = TurboMatcher(graph, config)
         self._executor = executor
+        #: Per thread: how many of its shard streams are open (see
+        #: :meth:`_shard_batches`).
+        self._shard_streams = threading.local()
 
     def supports_filter_pushdown(self) -> bool:
         return True
@@ -199,6 +205,7 @@ class TurboBGPSolver(BGPSolver):
         cheap_filters: Sequence[expr.Expression] = (),
         limit_hint: Optional[int] = None,
         plan_shape: Optional[str] = None,
+        restrict: Optional[Restriction] = None,
     ) -> Iterator[BindingBatch]:
         """Stream the bindings of a basic graph pattern as columnar batches.
 
@@ -217,10 +224,17 @@ class TurboBGPSolver(BGPSolver):
         ``plan_shape`` (the query's aggregate/path shape) is folded into the
         plan-cache key so differently shaped queries never share a cached
         plan slot.
+
+        ``restrict`` (a bound join's small left side) maps variables to the
+        data-vertex ids the caller will join them against; rows binding
+        such a variable to another id may be dropped, never added.  It does
+        not enter the plan key: per component, the restricted vertex with
+        the fewest ids roots the search when it beats the plan's start
+        candidates (:meth:`_restricted_start`).
         """
         plan = self.plan(patterns, cheap_filters, plan_shape)
         deep_limit = limit_hint if plan.supports_direct_limit() else None
-        stream = self._execute_batches(plan, deep_limit)
+        stream = self._execute_batches(plan, deep_limit, restrict or {})
         if limit_hint is not None:
             stream = slice_batches(stream, 0, limit_hint)
         return stream
@@ -302,7 +316,7 @@ class TurboBGPSolver(BGPSolver):
         return names
 
     def _execute_batches(
-        self, plan: QueryPlan, deep_limit: Optional[int]
+        self, plan: QueryPlan, deep_limit: Optional[int], restrict: Restriction
     ) -> Iterator[BindingBatch]:
         """Stream the plan's alternatives as batches (lazy concatenation)."""
         term_variables = self._term_variables(plan)
@@ -318,12 +332,12 @@ class TurboBGPSolver(BGPSolver):
             if expansion_free and len(alternative.components) == 1:
                 # Hot path: id columns flow straight through.
                 for batch, _ in self._component_batches(
-                    plan, alternative_index, 0, deep_limit, term_variables
+                    plan, alternative_index, 0, deep_limit, term_variables, restrict
                 ):
                     yield batch
                 continue
             stream = self._stream_component_batches(
-                plan, alternative_index, term_variables
+                plan, alternative_index, term_variables, restrict
             )
             if expansion_free:
                 for batch, _ in stream:
@@ -338,29 +352,42 @@ class TurboBGPSolver(BGPSolver):
         component_index: int,
         deep_limit: Optional[int],
         term_variables: Set[str],
+        restrict: Restriction,
     ) -> Iterator[Tuple[BindingBatch, Optional[List[Dict[str, List[Term]]]]]]:
         """One component's matcher batches, adopted into binding batches.
 
         Yields ``(batch, choices)`` where ``choices`` carries the pending
         predicate-variable candidate terms per row (None when the component
         has none), consumed by :meth:`_expand_batches`.
+
+        A restricted component runs in the parent even with shard workers:
+        it has at most a few hundred start vertices, so shipping them to a
+        worker is pure overhead.  A re-rooted one caches its regions under
+        the plan's region key plus the root.
         """
         component = plan.alternatives[alternative_index].components[component_index]
         query = component.query
+        restricted = self._restricted_start(component, restrict) if restrict else None
+        prepared = component.prepared if restricted is None else restricted
         region_key = self._region_key(plan, alternative_index, component_index)
+        if region_key is not None and prepared.start_vertex != component.prepared.start_vertex:
+            region_key += (prepared.start_vertex,)
         region_cache = self.region_cache if region_key is not None else None
-        if self._executor is not None and query.vertex_count() > 1:
-            solution_batches: Iterable[SolutionBatch] = (
-                self._executor.iter_component_batches(
-                    plan, alternative_index, component_index, deep_limit
-                )
+        if (
+            restricted is None
+            and self._executor is not None
+            and query.vertex_count() > 1
+            and not getattr(self._shard_streams, "open", 0)
+        ):
+            solution_batches: Iterable[SolutionBatch] = self._shard_batches(
+                plan, alternative_index, component_index, deep_limit
             )
         else:
             solution_batches = self._matcher.iter_match_batches(
                 query,
                 vertex_predicates=component.pushdown,
                 max_results=deep_limit,
-                prepared=component.prepared,
+                prepared=prepared,
                 region_cache=region_cache,
                 region_key=region_key,
             )
@@ -368,6 +395,64 @@ class TurboBGPSolver(BGPSolver):
             self.counters.batches += 1
             self.counters.solutions += solution_batch.rows
             yield self._adopt_solution_batch(component, solution_batch, term_variables)
+
+    def _restricted_start(
+        self, component: ComponentPlan, restrict: Restriction
+    ) -> Optional[PreparedQuery]:
+        """The component's start state under a bound join's restriction.
+
+        A restricted vertex is a multi-valued constant: the one with the
+        fewest allowed ids wins, and it must beat the plan's start-candidate
+        count, ``choose_start``'s own rule.  When it is the plan's start
+        vertex its candidates are filtered and the tree stays; otherwise the
+        component re-roots at it (the tree memoised on the plan) and the
+        allowed ids pass the label, ID, degree and NLF checks.  None runs
+        the plan as is.
+        """
+        prepared = component.prepared
+        best: Optional[Tuple[int, FrozenSet[int]]] = None
+        for vertex in component.query.vertices:
+            ids = restrict.get(vertex.name) if vertex.is_variable else None
+            if ids is not None and (best is None or len(ids) < len(best[1])):
+                best = (vertex.index, ids)
+        if best is None or len(best[1]) >= len(prepared.start_candidates):
+            return None
+        root, ids = best
+        if root == prepared.start_vertex:
+            return replace(
+                prepared,
+                start_candidates=[v for v in prepared.start_candidates if v in ids],
+            )
+        tree, order_cache = component.rooted_at(root)
+        candidates = restricted_start_candidates(
+            self.graph, component.query, root, ids, self.config
+        )
+        return PreparedQuery(
+            component.query, root, candidates, tree, prepared.requirements, order_cache
+        )
+
+    def _shard_batches(
+        self,
+        plan: QueryPlan,
+        alternative_index: int,
+        component_index: int,
+        deep_limit: Optional[int],
+    ) -> Iterator[SolutionBatch]:
+        """One component's batches from the shard workers.
+
+        The pool runs one job at a time, and a job started by a thread whose
+        earlier stream is still open supersedes (truncates) that stream.
+        While this one is open — a bound join holding its left side — the
+        thread's other components therefore run in the parent.
+        """
+        streams = self._shard_streams
+        streams.open = getattr(streams, "open", 0) + 1
+        try:
+            yield from self._executor.iter_component_batches(
+                plan, alternative_index, component_index, deep_limit
+            )
+        finally:
+            streams.open -= 1
 
     def _adopt_solution_batch(
         self,
@@ -426,7 +511,11 @@ class TurboBGPSolver(BGPSolver):
         return choices
 
     def _stream_component_batches(
-        self, plan: QueryPlan, alternative_index: int, term_variables: Set[str]
+        self,
+        plan: QueryPlan,
+        alternative_index: int,
+        term_variables: Set[str],
+        restrict: Restriction,
     ) -> Iterator[Tuple[BindingBatch, Optional[List[Dict[str, List[Term]]]]]]:
         """Batch cross product of the alternative's connected components.
 
@@ -444,14 +533,15 @@ class TurboBGPSolver(BGPSolver):
             return
         if len(components) == 1:
             yield from self._component_batches(
-                plan, alternative_index, 0, None, term_variables
+                plan, alternative_index, 0, None, term_variables, restrict
             )
             return
         rest: List[List[Tuple[BindingBatch, int, Optional[Dict[str, List[Term]]]]]] = []
         for component_index in range(1, len(components)):
             rows: List[Tuple[BindingBatch, int, Optional[Dict[str, List[Term]]]]] = []
             for batch, choices in self._component_batches(
-                plan, alternative_index, component_index, None, term_variables
+                plan, alternative_index, component_index, None, term_variables,
+                restrict,
             ):
                 for row in range(batch.rows):
                     rows.append((batch, row, choices[row] if choices else None))
@@ -459,7 +549,7 @@ class TurboBGPSolver(BGPSolver):
                 return
             rest.append(rows)
         for first_batch, first_choices in self._component_batches(
-            plan, alternative_index, 0, None, term_variables
+            plan, alternative_index, 0, None, term_variables, restrict
         ):
             variables = list(first_batch.variables)
             kinds = dict(first_batch.kinds)
@@ -836,8 +926,8 @@ class TurboEngine(Engine):
         * ``operators`` — batch operator-kernel counters (hybrid-join
           spill volume, repartition passes, budget fallbacks, groups
           emitted by aggregation, rows decoded at the ResultSet boundary,
-          property-path rows emitted) plus the configured join budget and
-          fan-out,
+          property-path rows emitted, bound joins and the ids they
+          restricted) plus the configured join budget and fan-out,
         * ``path_index`` — the per-predicate reachability-index LRU behind
           transitive property paths: the configured byte budget, resident
           entries/bytes, build / hit / miss / eviction counts, oversized

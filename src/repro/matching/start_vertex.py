@@ -12,12 +12,16 @@ Special cases handled as in Section 4.2:
   the id does not exist in the graph),
 * a query vertex with neither label nor ID uses the predicate index of an
   incident labeled edge to estimate its frequency.
+
+A query vertex restricted to a few allowed ids (a bound join's left side,
+see ``docs/query_algebra.md``) is a multi-valued constant:
+:func:`restricted_start_candidates` checks only those ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
@@ -107,6 +111,59 @@ def estimate_frequency(graph: LabeledGraph, query: QueryGraph, query_vertex: int
     return best if best is not None else graph.vertex_count
 
 
+def filter_start_candidates(
+    graph: LabeledGraph,
+    query: QueryGraph,
+    query_vertex: int,
+    candidates: Iterable[int],
+    config: MatchConfig,
+) -> List[int]:
+    """Apply the degree / NLF filters ``config`` enables to start candidates."""
+    if not (config.use_degree_filter or config.use_nlf_filter):
+        return list(candidates)
+    requirements = vertex_requirements(query, query_vertex, config.homomorphism)
+    return [
+        v
+        for v in candidates
+        if passes_filters(
+            graph,
+            query,
+            query_vertex,
+            v,
+            config.homomorphism,
+            config.use_degree_filter,
+            config.use_nlf_filter,
+            requirements,
+        )
+    ]
+
+
+def restricted_start_candidates(
+    graph: LabeledGraph,
+    query: QueryGraph,
+    query_vertex: int,
+    allowed: Iterable[int],
+    config: MatchConfig,
+) -> List[int]:
+    """The ``allowed`` data vertices that can start a region for ``query_vertex``.
+
+    The per-vertex form of :func:`candidate_start_vertices` plus the degree /
+    NLF filters: each allowed id must exist, equal the ID attribute when the
+    query vertex has one, and carry the query vertex's labels.  Costs
+    O(|allowed|), whatever the label's frequency.
+    """
+    vertex = query.vertices[query_vertex]
+    pinned, labels = vertex.vertex_id, vertex.labels
+    candidates = [
+        v
+        for v in sorted(allowed)
+        if 0 <= v < graph.vertex_count
+        and (pinned is None or v == pinned)
+        and (not labels or labels <= graph.vertex_labels(v))
+    ]
+    return filter_start_candidates(graph, query, query_vertex, candidates, config)
+
+
 def choose_start_vertex(
     graph: LabeledGraph,
     query: QueryGraph,
@@ -139,23 +196,9 @@ def choose_start(
     best_vertex = top_k[0]
     best_candidates: Optional[List[int]] = None
     for u in top_k:
-        candidates = candidate_start_vertices(graph, query, u)
-        if config.use_degree_filter or config.use_nlf_filter:
-            requirements = vertex_requirements(query, u, config.homomorphism)
-            candidates = [
-                v
-                for v in candidates
-                if passes_filters(
-                    graph,
-                    query,
-                    u,
-                    v,
-                    config.homomorphism,
-                    config.use_degree_filter,
-                    config.use_nlf_filter,
-                    requirements,
-                )
-            ]
+        candidates = filter_start_candidates(
+            graph, query, u, candidate_start_vertices(graph, query, u), config
+        )
         if best_candidates is None or len(candidates) < len(best_candidates):
             best_vertex = u
             best_candidates = candidates

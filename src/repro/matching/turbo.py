@@ -52,12 +52,16 @@ from repro.matching.candidate_region import (
     query_requirements,
 )
 from repro.matching.config import MatchConfig
-from repro.matching.filters import VertexRequirements, passes_filters, vertex_requirements
+from repro.matching.filters import VertexRequirements
 from repro.matching.matching_order import OrderCache, determine_matching_order
 from repro.matching.query_tree import QueryTree, write_query_tree
 from repro.matching.region_arena import EMPTY_REGION, acquire_arena, release_arena
 from repro.matching.solution_batch import SOLUTION_BATCH_SIZE, SolutionBatch
-from repro.matching.start_vertex import candidate_start_vertices, choose_start
+from repro.matching.start_vertex import (
+    candidate_start_vertices,
+    choose_start,
+    filter_start_candidates,
+)
 from repro.matching.subgraph_search import (
     SearchStatistics,
     acquire_searcher,
@@ -104,23 +108,9 @@ def prepare_query(
     queries.
     """
     if query.vertex_count() == 1 and query.edge_count() == 0:
-        candidates = candidate_start_vertices(graph, query, 0)
-        if config.use_degree_filter or config.use_nlf_filter:
-            requirements = vertex_requirements(query, 0, config.homomorphism)
-            candidates = [
-                v
-                for v in candidates
-                if passes_filters(
-                    graph,
-                    query,
-                    0,
-                    v,
-                    config.homomorphism,
-                    config.use_degree_filter,
-                    config.use_nlf_filter,
-                    requirements,
-                )
-            ]
+        candidates = filter_start_candidates(
+            graph, query, 0, candidate_start_vertices(graph, query, 0), config
+        )
         return PreparedQuery(query, 0, candidates, None, {}, OrderCache())
     selection = choose_start(graph, query, config)
     tree = write_query_tree(query, selection.vertex)
