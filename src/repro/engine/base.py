@@ -209,6 +209,16 @@ class BGPSolver(abc.ABC):
         """
         return None
 
+    def streams_hold_workers(self) -> bool:
+        """True when an open :meth:`solve_batches` stream may hold a job on
+        a worker pool that runs one job per thread at a time.
+
+        A second stream started from the same thread would supersede that
+        job, so the batch pipeline never holds such a stream open while it
+        starts another.
+        """
+        return False
+
     def operator_context(self):
         """The :class:`~repro.engine.operators.context.OperatorContext`
         shared by this solver's batch operator kernels.

@@ -19,13 +19,13 @@ the solver so its plan cache keys differently shaped plans apart.
 Each UNION and OPTIONAL join is a *bound join* when its left side is small:
 the left stream is pulled first, and if it ends within
 :data:`BOUND_JOIN_ROWS` rows its distinct ids restrict the right side's BGP
-(see :func:`_bound_join` and ``docs/query_algebra.md``).
+(see :func:`_join_chain` and ``docs/query_algebra.md``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.base import BGPSolver, Restriction
 from repro.engine.operators.aggregate import batch_aggregate
@@ -139,53 +139,56 @@ def evaluate_group_batches(
         context = solver.operator_context()
     cheap, expensive = expr.split_filters(group.filters)
 
-    # 1. Basic graph pattern (columnar batches straight from the solver).
-    if group.triples:
-        bgp_hint = (
-            limit_hint
-            if not (group.filters or group.unions or group.paths)
-            else None
-        )
-        stream: Iterator[BindingBatch] = iter(
-            solver.solve_batches(
-                group.triples,
-                cheap,
-                limit_hint=bgp_hint,
-                plan_shape=plan_shape,
-                restrict=restrict,
+    def base() -> Iterator[BindingBatch]:
+        # 1. Basic graph pattern (columnar batches straight from the solver).
+        if group.triples:
+            bgp_hint = (
+                limit_hint
+                if not (group.filters or group.unions or group.paths)
+                else None
             )
-        )
-    else:
-        stream = iter((BindingBatch.unit(),))
+            stream: Iterator[BindingBatch] = iter(
+                solver.solve_batches(
+                    group.triples,
+                    cheap,
+                    limit_hint=bgp_hint,
+                    plan_shape=plan_shape,
+                    restrict=restrict,
+                )
+            )
+        else:
+            stream = iter((BindingBatch.unit(),))
+        # 1b. Property-path steps join the stream like extra patterns (each
+        #     row constrains the endpoints; closure probes hit the path
+        #     indexes).
+        if group.paths:
+            resolver = require_path_resolver(solver)
+            for path in group.paths:
+                stream = batch_path_apply(stream, path, resolver, context)
+        return stream
+
     bound = _bindable_variables_of_triples(group)
+    for path in group.paths:
+        bound.update(str(v) for v in path.variables())
 
-    # 1b. Property-path steps join the stream like extra patterns (each row
-    #     constrains the endpoints; closure probes hit the path indexes).
-    if group.paths:
-        resolver = require_path_resolver(solver)
-        for path in group.paths:
-            stream = batch_path_apply(stream, path, resolver, context)
-            bound.update(str(v) for v in path.variables())
-
-    # 2. UNION blocks join with the rest of the group.
+    # 2. UNION blocks join with the rest of the group, then 3. OPTIONAL
+    #    blocks left-outer-join in declaration order.
+    joins: List[_Join] = []
     for union in group.unions:
         union_bound: Set[str] = set()
         for alternative in union.alternatives:
             union_bound |= _bindable_variables(alternative)
-        stream = _bound_join(
-            stream, union.alternatives, sorted(bound & union_bound), None,
-            solver, context, plan_shape,
-        )
+        joins.append((union.alternatives, sorted(bound & union_bound), None))
         bound |= union_bound
-
-    # 3. OPTIONAL blocks: left outer join in declaration order.
     for optional in group.optionals:
         optional_bound = _bindable_variables(optional)
-        stream = _bound_join(
-            stream, (optional,), sorted(bound & optional_bound),
-            sorted(optional_bound), solver, context, plan_shape,
+        joins.append(
+            ((optional,), sorted(bound & optional_bound), sorted(optional_bound))
         )
         bound |= optional_bound
+    stream = base()
+    if joins:
+        stream = _join_chain(stream, base, joins, solver, context, plan_shape)
 
     # 4. FILTER conditions (all of them, cheap ones included for safety).
     for condition in itertools.chain(cheap, expensive):
@@ -194,6 +197,53 @@ def evaluate_group_batches(
     if limit_hint is not None:
         stream = slice_batches(stream, 0, limit_hint)
     return stream
+
+
+#: One UNION or OPTIONAL step of a group: the right groups (a UNION's
+#: alternatives or the one OPTIONAL group), the shared variables, and the
+#: variables an OPTIONAL binds (None for a UNION: inner join).
+_Join = Tuple[Sequence[GraphPattern], List[str], Optional[List[str]]]
+
+
+def _join_chain(
+    left: Iterator[BindingBatch],
+    base: Callable[[], Iterator[BindingBatch]],
+    joins: Sequence[_Join],
+    solver: BGPSolver,
+    context: OperatorContext,
+    plan_shape: Optional[str],
+) -> Iterator[BindingBatch]:
+    """The group's base stream ``left`` joined with its UNION and OPTIONAL steps.
+
+    Every step is a :func:`_bound_join`.  When the solver's streams hold
+    worker jobs (process shards), the base is pulled here first: if it
+    passes :data:`BOUND_JOIN_ROWS` rows it is closed and ``base()`` starts
+    it again, and each step builds its whole right side before its left
+    side is pulled, as joins always did.  Holding the base open instead
+    would leave its shard job running while the right sides start theirs,
+    and the pool runs one job per thread.  The restart re-matches the
+    rows pulled so far.  A base that ends within the threshold is held, and
+    nothing the steps pull afterwards holds a job open: their left sides
+    derive from it and from right sides already built.
+
+    Lazy: nothing is pulled before the first ``next()``.
+    """
+    if solver.streams_hold_workers():
+        held, ended = _hold(left)
+        if not ended:
+            _close(left)
+            stream = base()
+            for groups, shared, optional_variables in joins:
+                right = _right_side(groups, [None] * len(groups), solver, context, plan_shape)
+                stream = _join(stream, right, shared, optional_variables, context)
+            yield from stream
+            return
+        left = iter(held)
+    for groups, shared, optional_variables in joins:
+        left = _bound_join(
+            left, groups, shared, optional_variables, solver, context, plan_shape
+        )
+    yield from left
 
 
 def _bound_join(
@@ -207,34 +257,24 @@ def _bound_join(
 ) -> Iterator[BindingBatch]:
     """Join ``left`` with the concatenated solutions of ``groups``.
 
-    One UNION (``optional_variables`` None: inner join) or one OPTIONAL
-    (left outer join binding ``optional_variables``).  The left stream is
-    pulled first.  If it ends within :data:`BOUND_JOIN_ROWS` rows, each
-    group's BGP is evaluated with the left's distinct ids for every shared
-    variable that the group's own triple patterns bind and that is id-kind
-    and non-null in every left row.  Such a variable binds every right row
-    it appears in, so a right row whose id is not among them is compatible
-    with no left row, and dropping it changes neither join.  A longer left
-    side is chained back together and joined as before.
+    The left stream is pulled first.  If it ends within
+    :data:`BOUND_JOIN_ROWS` rows, each group's BGP is evaluated with the
+    left's distinct ids for every shared variable that the group's own
+    triple patterns bind and that is id-kind and non-null in every left
+    row.  Such a variable binds every right row it appears in, so a right
+    row whose id is not among them is compatible with no left row, and
+    dropping it changes neither join.  A longer left side is chained back
+    together and joined unrestricted (:func:`_join_chain` says why no
+    worker job is open then).
 
-    Lazy: nothing is pulled before the first ``next()``.  The left stream
-    is closed on exit.  The join kernels are looked up by their module
-    names at call time (the spine tracer wraps them there).
+    The left stream is closed on exit.
     """
-    held: List[BindingBatch] = []
-    rows = 0
     try:
-        for batch in left:
-            held.append(batch)
-            rows += batch.rows
-            if rows > BOUND_JOIN_ROWS:
-                probe: Iterator[BindingBatch] = itertools.chain(held, left)
-                restricts = [{} for _ in groups]
-                break
-        else:
-            probe = iter(held)
+        held, ended = _hold(left)
+        if ended:
+            probe: Iterator[BindingBatch] = iter(held)
             ids = _left_ids(held, shared)
-            restricts = [
+            restricts: List[Optional[Restriction]] = [
                 {var: ids[var] for var in _bindable_variables_of_triples(group) if var in ids}
                 for group in groups
             ]
@@ -243,20 +283,62 @@ def _bound_join(
                 context.counters.bound_ids += sum(
                     len(values) for restrict in restricts for values in restrict.values()
                 )
-        right = itertools.chain.from_iterable(
-            evaluate_group_batches(group, solver, None, context, plan_shape, restrict)
-            for group, restrict in zip(groups, restricts)
-        )
-        if optional_variables is None:
-            yield from batch_hash_join(probe, right, shared, context)
         else:
-            yield from batch_left_outer_join(
-                probe, right, shared, optional_variables, context
-            )
+            probe = itertools.chain(held, left)
+            restricts = [None] * len(groups)
+        right = _right_side(groups, restricts, solver, context, plan_shape)
+        yield from _join(probe, right, shared, optional_variables, context)
     finally:
-        close = getattr(left, "close", None)
-        if close is not None:
-            close()
+        _close(left)
+
+
+def _hold(left: Iterator[BindingBatch]) -> Tuple[List[BindingBatch], bool]:
+    """Pull ``left`` until it ends (True) or passes :data:`BOUND_JOIN_ROWS` rows."""
+    held: List[BindingBatch] = []
+    rows = 0
+    for batch in left:
+        held.append(batch)
+        rows += batch.rows
+        if rows > BOUND_JOIN_ROWS:
+            return held, False
+    return held, True
+
+
+def _close(stream: Iterator[BindingBatch]) -> None:
+    close = getattr(stream, "close", None)
+    if close is not None:
+        close()
+
+
+def _right_side(
+    groups: Sequence[GraphPattern],
+    restricts: Sequence[Optional[Restriction]],
+    solver: BGPSolver,
+    context: OperatorContext,
+    plan_shape: Optional[str],
+) -> Iterator[BindingBatch]:
+    """The concatenated solutions of ``groups``, each under its restriction."""
+    return itertools.chain.from_iterable(
+        evaluate_group_batches(group, solver, None, context, plan_shape, restrict)
+        for group, restrict in zip(groups, restricts)
+    )
+
+
+def _join(
+    left: Iterator[BindingBatch],
+    right: Iterator[BindingBatch],
+    shared: List[str],
+    optional_variables: Optional[List[str]],
+    context: OperatorContext,
+) -> Iterator[BindingBatch]:
+    """Inner join (UNION) or left outer join (OPTIONAL).
+
+    The kernels are looked up by their module names at call time (the
+    spine tracer wraps them there).
+    """
+    if optional_variables is None:
+        return batch_hash_join(left, right, shared, context)
+    return batch_left_outer_join(left, right, shared, optional_variables, context)
 
 
 def _left_ids(

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.base import (
@@ -175,15 +175,15 @@ class TurboBGPSolver(BGPSolver):
         # processes) is engine-held so it spans queries.
         self._matcher = TurboMatcher(graph, config)
         self._executor = executor
-        #: Per thread: how many of its shard streams are open (see
-        #: :meth:`_shard_batches`).
-        self._shard_streams = threading.local()
 
     def supports_filter_pushdown(self) -> bool:
         return True
 
     def supports_batches(self) -> bool:
         return True
+
+    def streams_hold_workers(self) -> bool:
+        return self._executor is not None
 
     def path_resolver(self) -> Optional[PathResolver]:
         """Resolver for property-path evaluation (None without a manager)."""
@@ -373,14 +373,11 @@ class TurboBGPSolver(BGPSolver):
         if region_key is not None and prepared.start_vertex != component.prepared.start_vertex:
             region_key += (prepared.start_vertex,)
         region_cache = self.region_cache if region_key is not None else None
-        if (
-            restricted is None
-            and self._executor is not None
-            and query.vertex_count() > 1
-            and not getattr(self._shard_streams, "open", 0)
-        ):
-            solution_batches: Iterable[SolutionBatch] = self._shard_batches(
-                plan, alternative_index, component_index, deep_limit
+        if restricted is None and self._executor is not None and query.vertex_count() > 1:
+            solution_batches: Iterable[SolutionBatch] = (
+                self._executor.iter_component_batches(
+                    plan, alternative_index, component_index, deep_limit
+                )
             )
         else:
             solution_batches = self._matcher.iter_match_batches(
@@ -403,11 +400,11 @@ class TurboBGPSolver(BGPSolver):
 
         A restricted vertex is a multi-valued constant: the one with the
         fewest allowed ids wins, and it must beat the plan's start-candidate
-        count, ``choose_start``'s own rule.  When it is the plan's start
-        vertex its candidates are filtered and the tree stays; otherwise the
-        component re-roots at it (the tree memoised on the plan) and the
-        allowed ids pass the label, ID, degree and NLF checks.  None runs
-        the plan as is.
+        count, ``choose_start``'s own rule.  Its start candidates are the
+        allowed ids that pass the label, ID, degree and NLF checks, in
+        O(ids).  When it is the plan's start vertex the tree stays;
+        otherwise the component re-roots at it (the tree memoised on the
+        plan).  None runs the plan as is.
         """
         prepared = component.prepared
         best: Optional[Tuple[int, FrozenSet[int]]] = None
@@ -418,41 +415,16 @@ class TurboBGPSolver(BGPSolver):
         if best is None or len(best[1]) >= len(prepared.start_candidates):
             return None
         root, ids = best
-        if root == prepared.start_vertex:
-            return replace(
-                prepared,
-                start_candidates=[v for v in prepared.start_candidates if v in ids],
-            )
-        tree, order_cache = component.rooted_at(root)
         candidates = restricted_start_candidates(
             self.graph, component.query, root, ids, self.config
         )
+        if root == prepared.start_vertex:
+            tree, order_cache = prepared.tree, prepared.order_cache
+        else:
+            tree, order_cache = component.rooted_at(root)
         return PreparedQuery(
             component.query, root, candidates, tree, prepared.requirements, order_cache
         )
-
-    def _shard_batches(
-        self,
-        plan: QueryPlan,
-        alternative_index: int,
-        component_index: int,
-        deep_limit: Optional[int],
-    ) -> Iterator[SolutionBatch]:
-        """One component's batches from the shard workers.
-
-        The pool runs one job at a time, and a job started by a thread whose
-        earlier stream is still open supersedes (truncates) that stream.
-        While this one is open — a bound join holding its left side — the
-        thread's other components therefore run in the parent.
-        """
-        streams = self._shard_streams
-        streams.open = getattr(streams, "open", 0) + 1
-        try:
-            yield from self._executor.iter_component_batches(
-                plan, alternative_index, component_index, deep_limit
-            )
-        finally:
-            streams.open -= 1
 
     def _adopt_solution_batch(
         self,

@@ -10,7 +10,9 @@
   isomorphism config too.  The queries cover a left column with
   OPTIONAL-unbound cells, a predicate-variable (term-kind) join variable,
   a restricted vertex that is not the plan's start vertex (a re-root) and
-  one that carries an ``rdf:type`` label.
+  one that carries an ``rdf:type`` label.  A 700-row base is matched once
+  in one process; on process shards it is restarted after the right
+  sides, which still ship through the shard transport.
 * **Counts** — never timings: one BSBM Q7 instance is one bound join whose
   matcher solutions are the rows of its BGPs restricted to the product;
   ``query_batches`` pulls nothing before the first ``next()``; a bound
@@ -205,18 +207,44 @@ class TestBoundJoinParity:
         finally:
             engine.close()
 
-    def test_open_left_stream_on_shards_is_not_superseded(self, assert_same_answers):
-        """A left side over 256 rows stays open on the shard pool while the
-        right side runs; the pool serves one job at a time, so the right
-        side must run in the parent instead of truncating the left."""
+    @pytest.mark.parametrize("sparql", [QUERIES[0][0], QUERIES[3][0]])
+    def test_large_base_keeps_the_right_side_on_shards(
+        self, assert_same_answers, sparql
+    ):
+        """A base over 256 rows is closed and restarted after the right sides
+        are built.  They run on the shard pool (one job per thread at a
+        time) without superseding the open base and without moving to the
+        parent process."""
         store = layered_store(seed=5, left_rows=700)
         engine = TurboHomPPEngine(workers=2)
         oracle = BitmapEngine()
         engine.load(store)
         oracle.load(store)
+        right_rows = len(oracle.query(PREFIX + "SELECT * WHERE { ?b ex:q ?c }"))
         try:
-            assert_same_answers(engine, oracle, PREFIX + QUERIES[0][0])
+            engine.bgp_solver()  # builds the executor whose transport counts
+            before = engine.stats()["transport"]["solutions"]
+            assert_same_answers(engine, oracle, PREFIX + sparql)
+            shipped = engine.stats()["transport"]["solutions"] - before
             assert bound_joins(engine) == 0
+            # The restarted 700-row base and the first right side, at least.
+            assert shipped >= 700 + right_rows
+        finally:
+            engine.close()
+
+    def test_large_base_in_one_process_is_matched_once(self):
+        """Without worker jobs nothing needs a restart: the held batches are
+        chained in front of the rest of the base."""
+        store = layered_store(seed=5, left_rows=700)
+        engine = TurboHomPPEngine(workers=1)
+        oracle = BitmapEngine()
+        engine.load(store)
+        oracle.load(store)
+        right_rows = len(oracle.query(PREFIX + "SELECT * WHERE { ?b ex:q ?c }"))
+        try:
+            engine.query(PREFIX + QUERIES[0][0])
+            assert bound_joins(engine) == 0
+            assert engine.stats()["pipeline"]["solutions"] == 700 + right_rows
         finally:
             engine.close()
 
