@@ -1,21 +1,19 @@
-"""Property-path reachability index vs the BFS kernel — the PR-7 perf gate.
+"""Property-path reachability index vs the BFS kernel — a perf gate.
 
 Workload: a deep 2000-edge ``p`` chain with four 50-vertex cyclic hubs
 hanging off its tail (the condensation therefore mixes 2000+ singleton
 SCCs with large cyclic SCCs), and 250 ``q`` candidate edges sampled over
-chain/hub vertex pairs.  The probe query
+chain/hub vertex pairs.  Each ``q`` pair is one bound-bound ``p+``
+reachability probe — the probe ``SELECT ?s ?t WHERE { ?s q ?t . ?s p+ ?t }``
+makes per row.  The engine's :class:`PathIndexManager` answers it from its
+index (a closure-row bisect, or the cyclic bit within one SCC), while
+:func:`bfs_reaches` pays one early-exit BFS over up to the whole chain.
 
-    SELECT ?s ?t WHERE { ?s q ?t . ?s p+ ?t }
-
-turns every ``q`` row into a bound-bound ``p+`` reachability probe: the
-interval-labelled index answers each probe with an O(1) label comparison
-(or a closure-row bisect), while the ``path_index_bytes=0`` fallback pays
-one early-exit BFS over up to the whole chain per row.
-
-Rounds alternate between the two engines and the gate compares *minima*
-(the least-noise estimate of each side's true cost): the indexed engine
-must be >= 5x faster.  Run with ``pytest benchmarks/bench_property_paths.py
--q -s`` to see the table; the assertion makes this file a CI gate.
+Rounds alternate between the two and the gate compares *minima* (the
+least-noise estimate of each side's true cost): the index must be >= 5x
+faster, with identical answers.  Run with ``pytest
+benchmarks/bench_property_paths.py -q -s`` to see the table; the assertion
+makes this file a CI gate.
 """
 
 from __future__ import annotations
@@ -23,10 +21,10 @@ from __future__ import annotations
 import gc
 import random
 import time
-from collections import Counter
-from typing import List
+from typing import List, Tuple
 
 from repro.engine.turbo_engine import TurboHomPPEngine
+from repro.graph.reachability import bfs_reaches
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Triple
 
@@ -48,18 +46,11 @@ def hub_node(hub: int, i: int) -> IRI:
     return IRI(f"http://bench.test/h{hub}_{i}")
 
 
-def build_store() -> TripleStore:
-    store = TripleStore()
-    for i in range(CHAIN):
-        store.add(Triple(chain_node(i), P, chain_node(i + 1)))
-    for hub in range(HUBS):
-        for i in range(HUB_SIZE):
-            store.add(Triple(hub_node(hub, i), P, hub_node(hub, (i + 1) % HUB_SIZE)))
-        # The chain tail feeds every hub: cyclic SCCs sit below the chain
-        # in the condensation instead of forming a disconnected island.
-        store.add(Triple(chain_node(CHAIN), P, hub_node(hub, 0)))
+def probe_pairs() -> List[Tuple[IRI, IRI]]:
+    """The ``PROBES`` distinct (source, target) pairs of the ``q`` edges."""
     rng = random.Random(20150707)
     seen = set()
+    pairs = []
     while len(seen) < PROBES:
         kind = rng.randrange(4)
         if kind < 2:  # chain-to-chain, both directions (hit and miss probes)
@@ -77,68 +68,75 @@ def build_store() -> TripleStore:
             )
         if pair not in seen:
             seen.add(pair)
-            store.add(Triple(pair[0], Q, pair[1]))
+            pairs.append(pair)
+    return pairs
+
+
+def build_store() -> TripleStore:
+    store = TripleStore()
+    for i in range(CHAIN):
+        store.add(Triple(chain_node(i), P, chain_node(i + 1)))
+    for hub in range(HUBS):
+        for i in range(HUB_SIZE):
+            store.add(Triple(hub_node(hub, i), P, hub_node(hub, (i + 1) % HUB_SIZE)))
+        # The chain tail feeds every hub: cyclic SCCs sit below the chain
+        # in the condensation instead of forming a disconnected island.
+        store.add(Triple(chain_node(CHAIN), P, hub_node(hub, 0)))
+    for source, target in probe_pairs():
+        store.add(Triple(source, Q, target))
     return store
 
 
-PROBE_QUERY = (
-    f"SELECT ?s ?t WHERE {{ ?s <{Q}> ?t . ?s <{P}>+ ?t }}"
-)
-
-
-def rows_multiset(result) -> Counter:
-    variables = sorted(result.variables)
-    return Counter(tuple(str(b[v]) for v in variables) for b in result)
-
-
 def test_path_index_beats_bfs_kernel():
-    """Indexed bound-bound ``p+`` probes >= 5x over the BFS fallback."""
-    store = build_store()
-    indexed = TurboHomPPEngine()
-    fallback = TurboHomPPEngine(path_index_bytes=0)
+    """Indexed bound-bound ``p+`` probes >= 5x over the BFS kernel."""
+    engine = TurboHomPPEngine()
     try:
-        indexed.load(store)
-        fallback.load(store)
+        engine.load(build_store())
+        resolver = engine.bgp_solver().path_resolver()
+        graph, manager = resolver.graph, resolver.manager
+        label = resolver.edge_label(P)
+        pairs = [
+            (resolver.vertex_for_term(source), resolver.vertex_for_term(target))
+            for source, target in probe_pairs()
+        ]
 
-        # Parity first (also warms plan caches and builds the index).
-        expected = rows_multiset(indexed.query(PROBE_QUERY))
-        assert rows_multiset(fallback.query(PROBE_QUERY)) == expected
-        assert expected, "probe workload must produce reachable pairs"
+        # Parity first (also builds the index).
+        expected = [bfs_reaches(graph, label, s, t) for s, t in pairs]
+        assert [manager.reaches(label, s, t) for s, t in pairs] == expected
+        assert any(expected) and not all(expected), "probes must hit and miss"
 
         indexed_times: List[float] = []
-        fallback_times: List[float] = []
+        bfs_times: List[float] = []
         gc.disable()
         try:
             for _ in range(ROUNDS):
                 begin = time.perf_counter()
-                assert rows_multiset(fallback.query(PROBE_QUERY)) == expected
-                fallback_times.append(time.perf_counter() - begin)
+                answers = [bfs_reaches(graph, label, s, t) for s, t in pairs]
+                bfs_times.append(time.perf_counter() - begin)
+                assert answers == expected
                 begin = time.perf_counter()
-                assert rows_multiset(indexed.query(PROBE_QUERY)) == expected
+                answers = [manager.reaches(label, s, t) for s, t in pairs]
                 indexed_times.append(time.perf_counter() - begin)
+                assert answers == expected
         finally:
             gc.enable()
 
-        bfs_ms = min(fallback_times) * 1000.0
+        bfs_ms = min(bfs_times) * 1000.0
         idx_ms = min(indexed_times) * 1000.0
         speedup = bfs_ms / idx_ms
-        stats = indexed.stats()["path_index"]
+        stats = manager.stats()
         print(
-            f"\nproperty-path probes ({PROBES} bound-bound p+ rows, "
+            f"\nproperty-path probes ({PROBES} bound-bound p+ pairs, "
             f"chain={CHAIN}, hubs={HUBS}x{HUB_SIZE}):\n"
             f"  BFS kernel {bfs_ms:8.2f} ms | index {idx_ms:8.2f} ms | "
             f"x{speedup:.2f}\n"
             f"  index: builds={stats['builds']} bytes={stats['bytes']} "
-            f"closure_hits={stats['closure_hits']} "
-            f"interval_rejects={stats['interval_rejects']} "
-            f"pruned_walks={stats['pruned_walks']}"
+            f"closure_hits={stats['closure_hits']}"
         )
-        assert stats["builds"] == 1 and stats["bfs_fallbacks"] == 0
-        assert fallback.stats()["path_index"]["bfs_fallbacks"] > 0
+        assert stats["builds"] == 1
         assert speedup >= 5.0, (
             f"reachability index should be >= 5x over the BFS kernel on the "
             f"deep-chain + cyclic-hub probe workload (observed x{speedup:.2f})"
         )
     finally:
-        indexed.close()
-        fallback.close()
+        engine.close()

@@ -45,63 +45,56 @@ REGION_CACHE_BYTES_ENV = "REPRO_REGION_CACHE_BYTES"
 #: :data:`repro.engine.operators.context.DEFAULT_JOIN_MEMORY_BYTES`).
 JOIN_MEMORY_BYTES_ENV = "REPRO_JOIN_MEMORY_BYTES"
 
-#: Environment override for the per-predicate reachability-index byte budget
-#: of engines constructed without an explicit ``path_index_bytes``.  ``0``
-#: disables path indexing entirely (every transitive probe takes the BFS
-#: fallback kernels); unset keeps the default budget (see
-#: :data:`repro.graph.reachability.DEFAULT_PATH_INDEX_BYTES`).
-PATH_INDEX_BYTES_ENV = "REPRO_PATH_INDEX_BYTES"
-
 #: A bound join's ``restrict`` map: variable name → the data-vertex ids the
 #: join's small left side binds it to (see :meth:`BGPSolver.supports_batches`).
 Restriction = Mapping[str, FrozenSet[int]]
 
 
-def resolve_region_cache_bytes(capacity: Optional[int], default: int) -> int:
-    """Validate a region-cache byte budget, falling back to the environment.
+def resolve_int_setting(
+    value: Optional[int], env_name: str, default: int, minimum: int, label: str
+) -> int:
+    """Validate one integer setting, falling back to its environment variable.
 
-    An explicit non-None ``capacity`` always wins; ``None`` consults
-    ``REPRO_REGION_CACHE_BYTES`` and finally ``default``.  ``0`` disables
-    region caching; negative or malformed values raise at construction.
+    An explicit non-None ``value`` always wins; ``None`` consults
+    ``env_name`` and finally ``default``.  ``minimum`` is 0 (non-negative)
+    or 1 (positive).  Values below it, non-integers and malformed
+    environment values raise at construction, never deep inside a query.
     """
-    if capacity is None:
-        env = os.environ.get(REGION_CACHE_BYTES_ENV, "").strip()
+    requirement = "a positive integer" if minimum > 0 else "a non-negative integer"
+    if value is None:
+        env = os.environ.get(env_name, "").strip()
         if not env:
             return default
         try:
-            capacity = int(env)
+            value = int(env)
         except ValueError as error:
-            raise EngineError(f"invalid {REGION_CACHE_BYTES_ENV}={env!r}") from error
-    if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 0:
-        raise EngineError(
-            f"region_cache_bytes must be a non-negative integer, got {capacity!r}"
-        )
-    return capacity
+            raise EngineError(f"invalid {env_name}={env!r}") from error
+        if value < minimum:
+            raise EngineError(
+                f"invalid {env_name}={env!r}: {label} must be {requirement}"
+            )
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise EngineError(f"{label} must be {requirement}, got {value!r}")
+    return value
+
+
+def resolve_region_cache_bytes(capacity: Optional[int], default: int) -> int:
+    """Region-cache byte budget: ``capacity``, ``REPRO_REGION_CACHE_BYTES``
+    or ``default``; ``0`` disables region caching."""
+    return resolve_int_setting(
+        capacity, REGION_CACHE_BYTES_ENV, default, 0, "region_cache_bytes"
+    )
 
 
 def resolve_join_memory_bytes(budget: Optional[int] = None) -> int:
-    """Validate a join-memory byte budget, falling back to the environment.
-
-    An explicit non-None ``budget`` always wins; ``None`` consults
-    ``REPRO_JOIN_MEMORY_BYTES`` and finally the package default.  ``0``
-    disables spilling (unbounded in-memory build sides); negative or
-    malformed values raise at construction, never inside a join.
-    """
+    """Join-memory byte budget: ``budget``, ``REPRO_JOIN_MEMORY_BYTES`` or
+    the package default; ``0`` disables spilling (unbounded build sides)."""
     from repro.engine.operators.context import DEFAULT_JOIN_MEMORY_BYTES
 
-    if budget is None:
-        env = os.environ.get(JOIN_MEMORY_BYTES_ENV, "").strip()
-        if not env:
-            return DEFAULT_JOIN_MEMORY_BYTES
-        try:
-            budget = int(env)
-        except ValueError as error:
-            raise EngineError(f"invalid {JOIN_MEMORY_BYTES_ENV}={env!r}") from error
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise EngineError(
-            f"join_memory_bytes must be a non-negative integer, got {budget!r}"
-        )
-    return budget
+    return resolve_int_setting(
+        budget, JOIN_MEMORY_BYTES_ENV, DEFAULT_JOIN_MEMORY_BYTES, 0,
+        "join_memory_bytes",
+    )
 
 
 def resolve_join_partitions(partitions: Optional[int] = None) -> int:
@@ -120,58 +113,14 @@ def resolve_join_partitions(partitions: Optional[int] = None) -> int:
     return partitions
 
 
-def resolve_path_index_bytes(budget: Optional[int] = None) -> int:
-    """Validate a path-index byte budget, falling back to the environment.
-
-    An explicit non-None ``budget`` always wins; ``None`` consults
-    ``REPRO_PATH_INDEX_BYTES`` and finally the package default.  ``0``
-    disables path indexing (transitive steps fall back to the BFS
-    kernels); negative or malformed values raise at construction, never
-    inside a query.
-    """
-    from repro.graph.reachability import DEFAULT_PATH_INDEX_BYTES
-
-    if budget is None:
-        env = os.environ.get(PATH_INDEX_BYTES_ENV, "").strip()
-        if not env:
-            return DEFAULT_PATH_INDEX_BYTES
-        try:
-            budget = int(env)
-        except ValueError as error:
-            raise EngineError(f"invalid {PATH_INDEX_BYTES_ENV}={env!r}") from error
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise EngineError(
-            f"path_index_bytes must be a non-negative integer, got {budget!r}"
-        )
-    return budget
-
-
 def resolve_worker_count(workers: Optional[int] = None) -> int:
-    """Validate a worker count, falling back to the environment override.
+    """Worker count: ``workers``, ``REPRO_EXECUTION_WORKERS`` or 1.
 
-    An explicit non-None ``workers`` always wins; ``None`` consults
-    ``REPRO_EXECUTION_WORKERS`` and finally defaults to 1 (sequential).
     ``1`` runs the in-process matcher, more run that many shard worker
-    processes; non-positive or malformed values raise at construction,
-    never deep inside a pool.
+    processes; non-positive counts raise at construction, never deep
+    inside a pool.
     """
-    if workers is None:
-        env = os.environ.get(EXECUTION_WORKERS_ENV, "").strip()
-        if not env:
-            return 1
-        try:
-            workers = int(env)
-        except ValueError as error:
-            raise EngineError(f"invalid {EXECUTION_WORKERS_ENV}={env!r}") from error
-        if workers < 1:
-            raise EngineError(
-                f"invalid {EXECUTION_WORKERS_ENV}={env!r}: worker count must be positive"
-            )
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise EngineError(
-            f"workers must be a positive integer, got {workers!r}"
-        )
-    return workers
+    return resolve_int_setting(workers, EXECUTION_WORKERS_ENV, 1, 1, "workers")
 
 
 class BGPSolver(abc.ABC):

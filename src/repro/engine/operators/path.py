@@ -4,9 +4,10 @@
 optionally inverse) join the group's solution stream like an extra pattern:
 each input row constrains the path's endpoints, and the operator emits one
 output row per endpoint pair the path relates.  Closure probes go through
-the engine's :class:`~repro.graph.reachability.PathIndexManager` — an O(1)
-interval check / range probe per pair instead of a BFS — while single-hop
-steps (``p?``) read the CSR adjacency windows directly.
+the engine's :class:`~repro.graph.reachability.PathIndexManager` — a
+closure-posting bisect (or a walk of the condensation DAG) per pair
+instead of a BFS — while single-hop steps (``p?``) read the CSR adjacency
+windows directly.
 
 :func:`batch_path_apply` is the one kernel.  Endpoint columns stay raw
 vertex ids end-to-end (appended through a
@@ -14,8 +15,8 @@ vertex ids end-to-end (appended through a
 endpoints live in the term domain (a constant absent from the graph, an
 upstream term-kind column) demote the output columns to terms.  Its
 reference is independent of the engine: the tests compare against a
-brute-force closure over the store's triples, and running with
-``REPRO_PATH_INDEX_BYTES=0`` swaps every closure probe for the BFS kernels.
+brute-force closure over the store's triples, with and without closure
+postings.
 
 Zero-length semantics follow SPARQL 1.1: ``p*``/``p?`` relate every term
 to itself, *including* terms that do not occur in the graph (a bound
@@ -52,7 +53,7 @@ class PathResolver:
 
     Bundles the CSR graph (one-hop adjacency), the graph mapping
     (term → vertex), the engine's :class:`PathIndexManager` (closure
-    probes, BFS fallback, counters) and its vertex → term decoder.
+    probes, counters) and its vertex → term decoder.
     Handed out by ``BGPSolver.path_resolver()``; solvers without one cannot
     evaluate :class:`~repro.sparql.ast.PathPattern` leaves.
     """
@@ -110,7 +111,7 @@ class PathResolver:
 
     # ---------------------------------------------------------------- closure
     def reaches(self, edge_label: int, source: int, target: int) -> bool:
-        """1+-hop reachability probe (index / BFS via the manager)."""
+        """1+-hop reachability probe (through the manager's index)."""
         return self.manager.reaches(edge_label, source, target)
 
     def closure_from(self, edge_label: int, source: int) -> List[int]:

@@ -54,7 +54,6 @@ from repro.engine.base import (
     Restriction,
     resolve_join_memory_bytes,
     resolve_join_partitions,
-    resolve_path_index_bytes,
     resolve_region_cache_bytes,
     resolve_worker_count,
 )
@@ -69,7 +68,11 @@ from repro.engine.region_cache import (
 )
 from repro.engine.shard_executor import ShardExecutor
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.reachability import PathIndexCounters, PathIndexManager
+from repro.graph.reachability import (
+    DEFAULT_PATH_INDEX_BYTES,
+    PathIndexCounters,
+    PathIndexManager,
+)
 from repro.graph.transform import (
     GraphMapping,
     direct_transform,
@@ -704,7 +707,6 @@ class TurboEngine(Engine):
         region_cache_bytes: Optional[int] = None,
         join_memory_bytes: Optional[int] = None,
         join_partitions: Optional[int] = None,
-        path_index_bytes: Optional[int] = None,
     ):
         super().__init__()
         self.type_aware = type_aware
@@ -752,11 +754,6 @@ class TurboEngine(Engine):
         #: the fixed default fan-out.  Validated here, at construction.
         self.join_memory_bytes = resolve_join_memory_bytes(join_memory_bytes)
         self.join_partitions = resolve_join_partitions(join_partitions)
-        #: Byte budget of the per-predicate reachability-index LRU backing
-        #: transitive property paths (``0`` = no indexes, BFS fallback on
-        #: every probe).  ``None`` defers to ``REPRO_PATH_INDEX_BYTES`` and
-        #: then the default.  Validated here, at construction.
-        self.path_index_bytes = resolve_path_index_bytes(path_index_bytes)
         #: Engine-held operator context: join budgets, the spill-file
         #: lifecycle (temp files removed by :meth:`close`, plus a finalizer
         #: safety net for crashed workers) and the operator counters behind
@@ -814,12 +811,9 @@ class TurboEngine(Engine):
                 )
             if self._path_manager is None:
                 # Reachability indexes build lazily per predicate inside the
-                # manager; with shard workers every index is additionally
-                # exported as a shared-memory manifest workers can attach.
+                # manager; path steps always run in this process.
                 self._path_manager = PathIndexManager(
-                    self.graph,
-                    self.path_index_bytes,
-                    shared=self.workers > 1,
+                    self.graph, DEFAULT_PATH_INDEX_BYTES
                 )
             self._solver = TurboBGPSolver(
                 self.graph,
@@ -901,11 +895,9 @@ class TurboEngine(Engine):
           property-path rows emitted, bound joins and the ids they
           restricted) plus the configured join budget and fan-out,
         * ``path_index`` — the per-predicate reachability-index LRU behind
-          transitive property paths: the configured byte budget, resident
-          entries/bytes, build / hit / miss / eviction counts, oversized
-          predicates pinned to BFS, BFS fallback probes, and the probe-level
-          split between closure postings, O(1) interval rejects and pruned
-          DFS walks.
+          transitive property paths: the byte budget, resident
+          entries/bytes, build / hit / miss / eviction counts and the probes
+          answered from closure postings.
         """
         plan_cache: Optional[Dict[str, int]] = None
         if self.plan_cache is not None:
@@ -928,10 +920,9 @@ class TurboEngine(Engine):
             path_index = self._path_manager.stats()
         else:
             path_index = {
-                "budget_bytes": self.path_index_bytes,
+                "budget_bytes": DEFAULT_PATH_INDEX_BYTES,
                 "entries": 0,
                 "bytes": 0,
-                "shared": self.workers > 1,
                 **PathIndexCounters().snapshot(),
             }
         return {
@@ -974,8 +965,8 @@ class TurboEngine(Engine):
         if self._executor is not None:
             self._executor.close()
             self._executor = None
-        # Reachability indexes are graph-scoped: drop them (unlinking any
-        # shared-memory exports) so a reload never serves stale closures.
+        # Reachability indexes are graph-scoped: drop them so a reload
+        # never serves stale closures.
         if self._path_manager is not None:
             self._path_manager.close()
             self._path_manager = None
@@ -998,7 +989,6 @@ class TurboHomEngine(TurboEngine):
         region_cache_bytes: Optional[int] = None,
         join_memory_bytes: Optional[int] = None,
         join_partitions: Optional[int] = None,
-        path_index_bytes: Optional[int] = None,
     ):
         super().__init__(
             type_aware=False,
@@ -1009,7 +999,6 @@ class TurboHomEngine(TurboEngine):
             region_cache_bytes=region_cache_bytes,
             join_memory_bytes=join_memory_bytes,
             join_partitions=join_partitions,
-            path_index_bytes=path_index_bytes,
         )
 
 
@@ -1027,7 +1016,6 @@ class TurboHomPPEngine(TurboEngine):
         region_cache_bytes: Optional[int] = None,
         join_memory_bytes: Optional[int] = None,
         join_partitions: Optional[int] = None,
-        path_index_bytes: Optional[int] = None,
     ):
         super().__init__(
             type_aware=True,
@@ -1038,5 +1026,4 @@ class TurboHomPPEngine(TurboEngine):
             region_cache_bytes=region_cache_bytes,
             join_memory_bytes=join_memory_bytes,
             join_partitions=join_partitions,
-            path_index_bytes=path_index_bytes,
         )

@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.exceptions import EngineError
+from repro.engine.base import resolve_int_setting
 from repro.utils.stats import CounterBundle
 
 #: Environment override for the server's concurrent-query ceiling
@@ -66,53 +65,23 @@ _STALL_POLL_S = 0.05
 
 def resolve_serve_max_inflight(value: Optional[int] = None) -> int:
     """Validate the concurrent-query ceiling (>= 1), env fallback."""
-    if value is None:
-        env = os.environ.get(SERVE_MAX_INFLIGHT_ENV, "").strip()
-        if not env:
-            return DEFAULT_MAX_INFLIGHT
-        try:
-            value = int(env)
-        except ValueError as error:
-            raise EngineError(f"invalid {SERVE_MAX_INFLIGHT_ENV}={env!r}") from error
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise EngineError(
-            f"serve max_inflight must be a positive integer, got {value!r}"
-        )
-    return value
+    return resolve_int_setting(
+        value, SERVE_MAX_INFLIGHT_ENV, DEFAULT_MAX_INFLIGHT, 1, "serve max_inflight"
+    )
 
 
 def resolve_serve_timeout_ms(value: Optional[int] = None) -> int:
     """Validate the per-query deadline (ms, 0 = none), env fallback."""
-    if value is None:
-        env = os.environ.get(SERVE_TIMEOUT_MS_ENV, "").strip()
-        if not env:
-            return DEFAULT_TIMEOUT_MS
-        try:
-            value = int(env)
-        except ValueError as error:
-            raise EngineError(f"invalid {SERVE_TIMEOUT_MS_ENV}={env!r}") from error
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise EngineError(
-            f"serve timeout_ms must be a non-negative integer, got {value!r}"
-        )
-    return value
+    return resolve_int_setting(
+        value, SERVE_TIMEOUT_MS_ENV, DEFAULT_TIMEOUT_MS, 0, "serve timeout_ms"
+    )
 
 
 def resolve_serve_queue_depth(value: Optional[int] = None) -> int:
     """Validate the admission queue depth (>= 0), env fallback."""
-    if value is None:
-        env = os.environ.get(SERVE_QUEUE_DEPTH_ENV, "").strip()
-        if not env:
-            return DEFAULT_QUEUE_DEPTH
-        try:
-            value = int(env)
-        except ValueError as error:
-            raise EngineError(f"invalid {SERVE_QUEUE_DEPTH_ENV}={env!r}") from error
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise EngineError(
-            f"serve queue_depth must be a non-negative integer, got {value!r}"
-        )
-    return value
+    return resolve_int_setting(
+        value, SERVE_QUEUE_DEPTH_ENV, DEFAULT_QUEUE_DEPTH, 0, "serve queue_depth"
+    )
 
 
 class ServerOverloaded(RuntimeError):

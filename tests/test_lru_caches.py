@@ -10,7 +10,6 @@ plan caches are also checked step by step against a reference
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 
@@ -334,49 +333,40 @@ class TestPathIndexLru:
         finally:
             manager.close()
 
-    def test_zero_budget_answers_every_probe_by_bfs(self):
-        graph = _chains(labels=1, length=10)
-        manager = PathIndexManager(graph, 0)
-        assert manager.index_for(0) is None
-        assert manager.reachable_from(0, 0) == bfs_reachable(graph, 0, 0)
-        assert manager.reaches(0, 0, 10) and not manager.reaches(0, 10, 0)
-        stats = manager.stats()
-        assert stats["builds"] == 0 and stats["entries"] == 0
-        assert stats["bfs_fallbacks"] == 4
-
-    def test_clear_forgets_pinned_oversized_labels(self):
-        graph = _chains(labels=1)
-        manager = PathIndexManager(graph, budget_bytes=8)  # everything is oversized
-        assert manager.index_for(0) is None
-        assert manager.index_for(0) is None  # pinned: no rebuild attempt
-        assert manager.stats()["builds"] == 1
-        manager.clear()
-        assert manager.index_for(0) is None  # measured again after clear()
-        assert manager.stats()["builds"] == 2
-
-    def test_shared_eviction_unlinks_the_segment(self):
-        graph = _chains(labels=2)
-        size = ReachabilityIndex.build(graph, 0).nbytes
-        manager = PathIndexManager(graph, size + size // 2, shared=True)
+    def test_zero_budget_keeps_only_the_newest_index(self):
+        graph = _chains(labels=2, length=10)
+        manager = PathIndexManager(graph, 0)  # no closure: every probe walks
         try:
-            manager.index_for(0)
-            first = manager.manifests()[0].segment
-            assert os.path.exists(f"/dev/shm/{first}")
-            manager.index_for(1)  # one fits: label 0 is evicted
-            assert set(manager.manifests()) == {1}
-            assert not os.path.exists(f"/dev/shm/{first}")
-            second = manager.manifests()[1].segment
+            assert manager.reachable_from(0, 0) == bfs_reachable(graph, 0, 0)
+            assert manager.reaches(0, 0, 10) and not manager.reaches(0, 10, 0)
+            stats = manager.stats()
+            assert (stats["builds"], stats["entries"], stats["closure_hits"]) == (1, 1, 0)
+            assert manager.reaching(1, 10) == bfs_reachable(graph, 1, 10, reverse=True)
+            stats = manager.stats()
+            assert (stats["builds"], stats["entries"], stats["evictions"]) == (2, 1, 1)
         finally:
             manager.close()
-        assert not os.path.exists(f"/dev/shm/{second}")
-        assert manager.manifests() == {}
+
+    def test_clear_drops_an_oversized_index(self):
+        graph = _chains(labels=1)
+        manager = PathIndexManager(graph, budget_bytes=8)  # everything is oversized
+        try:
+            first = manager.index_for(0)
+            assert manager.index_for(0) is first  # resident: no rebuild
+            assert manager.stats()["builds"] == 1
+            manager.clear()
+            assert manager.stats()["entries"] == 0 and manager.bytes_held == 0
+            assert manager.index_for(0) is not first  # rebuilt after clear()
+            assert manager.stats()["builds"] == 2
+        finally:
+            manager.close()
 
 
 # ------------------------------------------------------- engine lifecycle
 def _warm_engine(store, **kwargs) -> TurboHomPPEngine:
-    # Pinned sequential with an explicit path budget: the assertions read
-    # the engine-held caches, whatever the environment overrides.
-    engine = TurboHomPPEngine(workers=1, path_index_bytes=1 << 20, **kwargs)
+    # Pinned sequential: the assertions read the engine-held caches,
+    # whatever the environment overrides.
+    engine = TurboHomPPEngine(workers=1, **kwargs)
     engine.load(store)
     engine.query(KNOWS)
     engine.query(KNOWS_PLUS)

@@ -1,34 +1,41 @@
 """Property-path parity sweeps and reachability-index unit tests.
 
-The tentpole invariant: both evaluation strategies — interval-labelled
-reachability indexes (the default) and the BFS kernel fallback
-(``path_index_bytes=0``) — return the same solutions **as unordered
-multisets** as a brute-force transitive-closure oracle computed straight
-from the triple list (it shares no code with the engine), on random multigraphs with
-cycles, under both homomorphism and isomorphism match configs and under
-thread- and process-sharded execution.
+The invariant: reachability indexes return the same solutions **as
+unordered multisets** as a brute-force transitive-closure oracle computed
+straight from the triple list (it shares no code with the engine), on
+random multigraphs with cycles, under both homomorphism and isomorphism
+match configs and under sequential and process-sharded execution — both
+when probes read closure postings and when they walk the condensation DAG
+(``PathIndexManager.CLOSURE_SHARE = 0``).
 
-On top of the sweep: parse-error cases, ``REPRO_PATH_INDEX_BYTES``
-validation and eviction behaviour, the shared-memory manifest attach from a
-genuinely spawned process, the baseline-engine capability gate, and the
-``stats()`` counter surface documented in ``docs/result_pipeline.md``.
+On top of the sweep: parse-error cases, eviction, oversized indexes and
+concurrent first probes in the manager, the baseline-engine capability
+gate, and the ``stats()`` counter surface documented in
+``docs/result_pipeline.md``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.base import EngineError, resolve_path_index_bytes
+from repro.engine.base import EngineError
 from repro.engine.turbo_engine import TurboEngine, TurboHomEngine, TurboHomPPEngine
 from repro.exceptions import SPARQLSyntaxError
 from repro.graph.labeled_graph import GraphBuilder
-from repro.graph.reachability import PathIndexManager, ReachabilityIndex, bfs_reachable
+from repro.graph.reachability import (
+    DEFAULT_PATH_INDEX_BYTES,
+    PathIndexManager,
+    ReachabilityIndex,
+    bfs_reachable,
+)
 from repro.matching.config import MatchConfig
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import IRI, Triple
@@ -168,18 +175,25 @@ def join_form(triples):
 
 # ------------------------------------------------------------- parity sweeps
 def engine_matrix():
-    """One engine per evaluation strategy; hom and iso match configs."""
+    """Type-aware and direct engines; hom and iso match configs."""
     return [
-        # The indexed engine pins an explicit budget so it keeps exercising
-        # the index strategy even under the CI REPRO_PATH_INDEX_BYTES=0 pass.
-        ("indexed", TurboHomPPEngine(path_index_bytes=64 << 20)),
-        ("bfs-fallback", TurboHomPPEngine(path_index_bytes=0)),
+        ("type-aware", TurboHomPPEngine()),
         ("direct-hom", TurboHomEngine()),
         ("isomorphism", TurboEngine(config=MatchConfig.isomorphism())),
     ]
 
 
 def run_parity(seed: int) -> None:
+    """Parity with closure postings, then with every probe walking the DAG."""
+    run_parity_once(seed)
+    # A monkeypatch context, not the fixture: Hypothesis rejects
+    # function-scoped fixtures.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PathIndexManager, "CLOSURE_SHARE", 0)
+        run_parity_once(seed)
+
+
+def run_parity_once(seed: int) -> None:
     rng = random.Random(seed)
     store, triples = random_store(rng)
     constant = node(rng.randrange(10))  # may be absent from the graph
@@ -232,9 +246,6 @@ def test_path_parity_processes():
             assert rows_multiset(sequential.query(sparql)) == rows_multiset(
                 processes.query(sparql)
             )
-        # Shard workers get the indexes exported into shared memory.
-        assert processes.stats()["path_index"]["shared"] is True
-        assert sequential.stats()["path_index"]["shared"] is False
     finally:
         sequential.close()
         processes.close()
@@ -293,37 +304,7 @@ def test_plan_shape_distinguishes_path_modifiers():
     )
 
 
-# ------------------------------------------------- knob validation & eviction
-@pytest.mark.parametrize("bad", [-1, True, "many"])
-def test_path_index_bytes_ctor_validation(bad):
-    with pytest.raises(EngineError):
-        TurboHomPPEngine(path_index_bytes=bad)
-
-
-@pytest.mark.parametrize("bad", ["-1", "nope", "1.5"])
-def test_path_index_bytes_env_validation(monkeypatch, bad):
-    monkeypatch.setenv("REPRO_PATH_INDEX_BYTES", bad)
-    with pytest.raises(EngineError):
-        resolve_path_index_bytes(None)
-
-
-def test_path_index_bytes_env_applies(monkeypatch):
-    monkeypatch.setenv("REPRO_PATH_INDEX_BYTES", "0")
-    store = TripleStore()
-    store.add(Triple(node(0), IRI(P), node(1)))
-    engine = TurboHomPPEngine()
-    try:
-        engine.load(store)
-        rows = rows_multiset(engine.query(f"SELECT ?x WHERE {{ <{node(0)}> <{P}>+ ?x }}"))
-        assert rows == Counter([(str(node(1)),)])
-        stats = engine.stats()["path_index"]
-        assert stats["budget_bytes"] == 0
-        assert stats["entries"] == 0
-        assert stats["bfs_fallbacks"] > 0
-    finally:
-        engine.close()
-
-
+# ------------------------------------------------------------ index manager
 def chain_graph(labels: int, length: int):
     """One chain of ``length`` edges per label, over shared vertices."""
     builder = GraphBuilder()
@@ -357,10 +338,10 @@ def test_manager_lru_eviction_under_tiny_budget():
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_interval_only_index_matches_bfs_kernel(seed):
-    """With the closure aborted, the GRAIL interval labels alone must agree
+def test_walk_index_matches_bfs_kernel(seed):
+    """With the closure aborted, walks of the condensation DAG must agree
     with the BFS kernel on every (source, target) pair of a random cyclic
-    multigraph — both the O(1) rejects and the pruned positive walks."""
+    multigraph — bound-bound probes, enumeration in both directions."""
     rng = random.Random(seed)
     vertices = rng.randint(4, 12)
     builder = GraphBuilder()
@@ -381,48 +362,55 @@ def test_interval_only_index_matches_bfs_kernel(seed):
         )
 
 
-def test_manager_oversized_index_pins_bfs_fallback():
-    graph = chain_graph(labels=1, length=40)
+def test_manager_oversized_index_answers_and_stays_the_only_entry():
+    graph = chain_graph(labels=2, length=40)
     manager = PathIndexManager(graph, budget_bytes=8)  # everything is oversized
-    assert manager.index_for(0) is None
-    assert manager.index_for(0) is None  # pinned: no rebuild attempt
-    stats = manager.stats()
-    assert stats["oversized"] == 1
-    assert stats["bfs_fallbacks"] >= 1
-    assert manager.reaches(0, 0, 40)  # falls back to the BFS kernel
-    assert manager.reachable_from(0, 0) == bfs_reachable(graph, 0, 0)
-
-
-# ------------------------------------------------------- shared-memory attach
-def _probe_shared_index(manifest, source, queue):
-    index, shm = ReachabilityIndex.attach_shared(manifest)
     try:
-        queue.put(
-            (sorted(index.reachable_from(source)), index.reaches(source, source))
-        )
+        index = manager.index_for(0)
+        assert index.nbytes > manager.budget_bytes
+        assert manager.index_for(0) is index  # kept: a hit, no rebuild
+        assert manager.reaches(0, 0, 40) and not manager.reaches(0, 40, 0)
+        assert manager.reachable_from(0, 0) == bfs_reachable(graph, 0, 0)
+        stats = manager.stats()
+        assert (stats["builds"], stats["entries"]) == (1, 1)
+        assert stats["bytes"] == index.nbytes
+        # The next build evicts it: the newest index is the only entry.
+        assert manager.reaching(1, 40) == bfs_reachable(graph, 1, 40, reverse=True)
+        stats = manager.stats()
+        assert (stats["builds"], stats["entries"], stats["evictions"]) == (2, 1, 1)
+        assert stats["bytes"] == manager.index_for(1).nbytes
     finally:
-        del index
-        shm.close()
+        manager.close()
 
 
-def test_shared_index_attach_from_spawned_process():
-    graph = chain_graph(labels=1, length=12)
-    index = ReachabilityIndex.build(graph, 0)
-    handle = index.export_shared()
-    ctx = multiprocessing.get_context("spawn")
-    queue = ctx.Queue()
+def test_concurrent_first_probes_build_once():
+    """Threads racing the first probe of a predicate share one build and
+    count its bytes once (the chain is long enough for its closure build
+    to outlast a thread switch)."""
+    graph = chain_graph(labels=1, length=2000)
+    manager = PathIndexManager(graph, DEFAULT_PATH_INDEX_BYTES)
+    workers = max(4, (os.cpu_count() or 1) + 1)
+    barrier = threading.Barrier(workers, timeout=60)
+    results = []
+
+    def first_probe():
+        barrier.wait()
+        results.append(manager.reachable_from(0, 0))
+
+    threads = [threading.Thread(target=first_probe) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
     try:
-        worker = ctx.Process(
-            target=_probe_shared_index, args=(handle.manifest, 0, queue)
-        )
-        worker.start()
-        reachable, cyclic = queue.get(timeout=60)
-        worker.join(timeout=60)
-        assert worker.exitcode == 0
-        assert reachable == index.reachable_from(0) == list(range(1, 13))
-        assert cyclic is False
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
     finally:
-        handle.unlink()
+        sys.setswitchinterval(interval)
+    assert results == [list(range(1, 2001))] * workers
+    assert manager.stats()["builds"] == 1
+    assert manager.bytes_held == manager.index_for(0).nbytes
 
 
 # ---------------------------------------------------------- gates & counters
@@ -440,7 +428,7 @@ def test_baseline_engine_rejects_paths():
 def test_stats_counters_meter_path_evaluation():
     rng = random.Random(3)
     store, _ = random_store(rng)
-    engine = TurboHomPPEngine(path_index_bytes=64 << 20)
+    engine = TurboHomPPEngine()
     try:
         engine.load(store)
         engine.query(f"SELECT ?x ?y WHERE {{ ?x <{P}>+ ?y }}")

@@ -199,9 +199,8 @@ class TestProtocol:
                 "evictions",
             }
             assert set(engine_stats["path_index"]) == {
-                "budget_bytes", "entries", "bytes", "shared", "builds", "hits",
-                "misses", "evictions", "oversized", "bfs_fallbacks",
-                "pruned_walks", "interval_rejects", "closure_hits",
+                "budget_bytes", "entries", "bytes", "builds", "hits", "misses",
+                "evictions", "closure_hits",
             }
 
 
@@ -372,8 +371,9 @@ class TestConcurrentClients:
 
 
 class TestRetiredCacheKnobs:
-    """Every cache is a plain LRU: the admission, per-plan-share and
-    warming knobs are gone from the constructors and the environment."""
+    """Every cache is a plain LRU: the admission, per-plan-share, warming
+    and path-index budget knobs are gone from the constructors and the
+    environment."""
 
     @pytest.mark.parametrize(
         "factory, keyword",
@@ -382,6 +382,7 @@ class TestRetiredCacheKnobs:
             for cls in (TurboEngine, TurboHomEngine, TurboHomPPEngine)
             for keyword in (
                 "cache_admission", "cache_sketch_bytes", "region_cache_plan_share",
+                "path_index_bytes",
             )
         ]
         + [
@@ -402,6 +403,7 @@ class TestRetiredCacheKnobs:
         for name in (
             "REPRO_CACHE_ADMISSION", "REPRO_CACHE_SKETCH_BYTES",
             "REPRO_REGION_CACHE_PLAN_SHARE", "REPRO_SERVE_WARM_PLANS",
+            "REPRO_PATH_INDEX_BYTES",
         ):
             monkeypatch.setenv(name, value)
         engine = TurboEngine()
