@@ -80,8 +80,8 @@ class ShardExecutor:
     ) -> Iterator[SolutionBatch]:
         """Stream one component's columnar batches from the shard workers.
 
-        Batches arrive through the per-worker shared-memory rings exactly as
-        the workers packed them, so the solver adopts whole columns without
+        Batches arrive through the pool's result queue exactly as the
+        workers packed them, so the solver adopts whole columns without
         re-batching.  ``deep_limit`` is the solver's pushed-down result
         limit; reaching it fans a cancel out to every shard.
         """

@@ -104,8 +104,8 @@ class PipelineCounters:
     """Cumulative result-pipeline counters, surfaced by :meth:`TurboEngine.stats`.
 
     ``batches``/``solutions`` count what the solver pulled out of the
-    matcher layer; the shared-memory transport counters live on the process
-    pool and are merged in by the engine.
+    matcher layer; the shard transport counters live on the process pool
+    and are merged in by the engine.
     """
 
     batches: int = 0
@@ -885,10 +885,9 @@ class TurboEngine(Engine):
           disabled).  With shard workers these are the *summed* per-worker
           caches, refreshed by each worker's job-completion report,
         * ``pipeline`` — batches/solutions pulled out of the matcher layer,
-        * ``transport`` — with shard workers, how results crossed the worker
-          boundary: ring batches vs pickled queue fallbacks and the bytes
-          moved through shared memory (None for a sequential engine, where
-          results never leave the address space),
+        * ``transport`` — with shard workers, the batches and solutions that
+          crossed the worker boundary through the result queue (None for a
+          sequential engine, where results never leave the address space),
         * ``operators`` — batch operator-kernel counters (hybrid-join
           spill volume, repartition passes, budget fallbacks, groups
           emitted by aggregation, rows decoded at the ResultSet boundary,
@@ -906,9 +905,7 @@ class TurboEngine(Engine):
         if self._executor is not None:
             shard = self._executor.pool.transport
             transport = {
-                "ring_batches": shard.ring_batches,
                 "queue_batches": shard.queue_batches,
-                "shm_bytes": shard.shm_bytes,
                 "solutions": shard.solutions,
             }
         region_cache: Optional[Dict[str, int]] = None

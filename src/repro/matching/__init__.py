@@ -16,9 +16,8 @@ The package implements the paper's algorithm family:
   the per-chunk matching core, the consumer-side merge loop and the
   :class:`ParallelStats` a match reports.
 * :mod:`~repro.matching.solution_batch` — the columnar batch the whole
-  result pipeline moves, and :mod:`~repro.matching.result_ring` — the
-  shared-memory ring transporting it across process shards without
-  pickling.
+  result pipeline moves, across process shards too (one buffer per
+  column, never one object per solution).
 * :mod:`~repro.matching.region_arena` — the flat, pooled candidate-region
   storage the exploration pass writes and the explicit-stack
   :class:`~repro.matching.subgraph_search.SubgraphSearcher` enumerates

@@ -27,13 +27,12 @@ expensive state crosses the process boundary exactly once:
   the job's limit) or when the worker leaves the job: what bounds this
   path is the number of messages, not the bytes, so a query crosses the
   boundary in about as many batches as the sequential matcher yields.
-  Each worker owns a :class:`~repro.matching.result_ring.ResultRing`: the
-  batch's columns are written straight into the worker's shared-memory
-  ring and only a constant-size control tuple crosses the result queue, so
-  id solutions are **never pickled per solution** (or per batch).  A batch
-  too large for the ring falls back to the old pickled-batch queue path;
-  :attr:`ProcessShardPool.transport` counts both paths and the bytes moved
-  through shared memory.
+  Every batch travels as one ``("batch", job, worker, batch)`` message
+  through the bounded result queue that also carries the control
+  messages; a :class:`~repro.matching.solution_batch.SolutionBatch`
+  pickles as one buffer per column, never per solution.  The queue's
+  bound is the only backpressure, and :attr:`ProcessShardPool.transport`
+  counts the batches and solutions that crossed it.
 
 The matching semantics per chunk and the consumer-side merge loop live in
 :mod:`repro.matching.shard_protocol`, apart from the transport.
@@ -48,12 +47,13 @@ from __future__ import annotations
 import itertools
 import pickle
 import queue
+import threading
 import time
 import traceback
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 import multiprocessing
 
@@ -61,7 +61,6 @@ from repro.graph.labeled_graph import LabeledGraph, SharedGraphHandle
 from repro.graph.query_graph import QueryGraph
 from repro.matching.candidate_region import VertexPredicate
 from repro.matching.config import MatchConfig
-from repro.matching.result_ring import DEFAULT_RING_SLOTS, ResultRing, RingWriter
 from repro.matching.shard_protocol import (
     ParallelStats,
     ShardCollector,
@@ -72,7 +71,7 @@ from repro.matching.shard_protocol import (
     run_chunk,
     run_sequential_batches,
 )
-from repro.matching.solution_batch import SLOT_BYTES, SolutionBatch
+from repro.matching.solution_batch import SolutionBatch
 from repro.matching.turbo import PreparedQuery, Solution, prepare_query
 
 #: How many rehydrated payloads each worker keeps, mirrored by the pool's
@@ -95,17 +94,14 @@ class ShardWorkerError(RuntimeError):
 
 @dataclass
 class ShardTransportStats:
-    """Cumulative counters of how shard results crossed the process boundary.
+    """Cumulative counters of the shard results that crossed the process boundary.
 
-    ``ring_batches`` moved through the shared-memory ring (no solution
-    pickling at all, ``shm_bytes`` of column data), ``queue_batches`` fell
-    back to the pickled-batch queue path (ring overflow / ring disabled).
-    The engine surfaces these through :meth:`TurboEngine.stats`.
+    ``queue_batches`` counts the batches delivered through the result
+    queue (the only transport), ``solutions`` the rows they carried.  The
+    engine surfaces these through :meth:`TurboEngine.stats`.
     """
 
-    ring_batches: int = 0
     queue_batches: int = 0
-    shm_bytes: int = 0
     solutions: int = 0
 
 
@@ -188,8 +184,6 @@ def _shard_worker_main(
     chunks,
     results,
     cancel,
-    ring_manifest: Optional[Tuple[str, int]],
-    ring_free,
     region_cache_bytes: int = 0,
 ) -> None:
     """Long-lived worker process: attach the graph once, then serve jobs.
@@ -198,18 +192,15 @@ def _shard_worker_main(
     the shutdown sentinel); the chunk queue is shared for dynamic load
     balancing.  A job header carries the stream's result limit, which sizes
     the worker's :class:`ShardCollector` so ``LIMIT k`` ships after ``k``
-    rows instead of a full batch.  ``ring_manifest``/``ring_free`` describe
-    this worker's result ring (``None`` disables it and forces the queue
-    fallback).
+    rows instead of a full batch.
     ``region_cache_bytes`` sizes this worker's private cross-query region
     cache (0 disables it), an LRU exactly like the engine-held cache; the
     cache counters travel back as a cumulative :class:`~repro.engine.region_cache.
     RegionCacheStats` snapshot on every ``done`` message.  The worker
-    intentionally never unlinks the shared segments — the exporting
-    process owns them.
+    intentionally never unlinks the shared graph segment — the exporting
+    process owns it.
     """
     graph, shm = LabeledGraph.attach_shared(manifest)
-    ring = RingWriter(ring_manifest, ring_free) if ring_manifest is not None else None
     context = pickle.loads(context_bytes) if context_bytes is not None else None
     cache: "OrderedDict[Any, ShardPayload]" = OrderedDict()
     region_cache = None
@@ -243,8 +234,10 @@ def _shard_worker_main(
             def stopped(job_id=job_id) -> bool:
                 return cancel.value >= job_id
 
-            def put_bounded(message, stopped=stopped) -> bool:
-                """Cancel-aware bounded put; False once the consumer stopped."""
+            def emit(batch: SolutionBatch, job_id=job_id, stopped=stopped) -> bool:
+                """Ship one batch through the result queue: a cancel-aware
+                bounded put, False once the consumer stopped."""
+                message = ("batch", job_id, worker_index, batch)
                 while not stopped():
                     try:
                         results.put(message, timeout=0.05)
@@ -252,25 +245,6 @@ def _shard_worker_main(
                     except queue.Full:
                         continue
                 return False
-
-            def emit(batch: SolutionBatch, job_id=job_id, stopped=stopped) -> bool:
-                """Ship one batch: ring span + control tuple, or — only when
-                the batch cannot ever fit the ring — the pickled fallback."""
-                if ring is not None and ring.fits(batch):
-                    written = ring.write(batch, stopped)
-                    if written is None:
-                        return False
-                    start, reserved = written
-                    if put_bounded(
-                        ("shm", job_id, worker_index, start, batch.rows,
-                         batch.width, reserved)
-                    ):
-                        return True
-                    # The consumer stopped before the control tuple got
-                    # through: nobody will ever release this span.
-                    ring.abandon(reserved)
-                    return False
-                return put_bounded(("batch", job_id, worker_index, batch))
 
             work = 0
             chunk_works: List[int] = []
@@ -323,15 +297,13 @@ def _shard_worker_main(
                 cancel,
             )
     finally:
-        # Release every memoryview into the segments before closing them:
+        # Release every memoryview into the segment before closing it:
         # the graph's CSR views (and any frames still holding them) must be
         # gone or mmap refuses to close with "exported pointers exist".
         import gc
 
         del graph
         gc.collect()
-        if ring is not None:
-            ring.close()
         try:
             shm.close()
         except BufferError:  # pragma: no cover - lingering views at teardown
@@ -339,16 +311,12 @@ def _shard_worker_main(
 
 
 # --------------------------------------------------------------- parent side
-def _teardown_pool(
-    processes, controls, handle: Optional[SharedGraphHandle], cancel,
-    rings: Sequence[ResultRing] = (),
-) -> None:
-    """Stop workers and retire the shared segments (close() and GC path)."""
+def _teardown_pool(processes, controls, handle: Optional[SharedGraphHandle], cancel) -> None:
+    """Stop workers and unlink the graph segment (close() and GC path)."""
     if cancel is not None:
-        # Unpark any worker sitting in a cancel-aware bounded put (or a ring
-        # free-space wait) before asking it to exit.
-        with cancel.get_lock():
-            cancel.value = _CANCEL_ALL
+        # Unpark any worker sitting in a cancel-aware bounded put before
+        # asking it to exit.
+        _raise_cancel(cancel, _CANCEL_ALL)
     for control in controls:
         try:
             control.put_nowait(None)
@@ -361,8 +329,6 @@ def _teardown_pool(
         if process.is_alive():
             process.terminate()
             process.join(timeout=_SHUTDOWN_GRACE)
-    for ring in rings:
-        ring.unlink()
     if handle is not None:
         handle.unlink()
 
@@ -371,6 +337,23 @@ def _teardown_pool(
 #: generation (used while tearing the pool down so no worker can stay
 #: parked in a bounded put).
 _CANCEL_ALL = 1 << 62
+
+#: Orders the parent's own threads when they raise a pool's cancel counter.
+#: Reentrant: a GC finalizer tearing down another pool can run inside it.
+_CANCEL_WRITE = threading.RLock()
+
+
+def _raise_cancel(cancel, floor: int) -> None:
+    """Raise the shared cancel counter to at least ``floor``.
+
+    The counter is a lock-free shared int64: the parent is its only writer
+    and workers only read it.  A lock shared with the workers could be held
+    by one when it is killed, and the parent's next cancel would then wait
+    on it forever.
+    """
+    with _CANCEL_WRITE:
+        if cancel.value < floor:
+            cancel.value = floor
 
 
 class _JobState:
@@ -400,13 +383,11 @@ class ProcessShardPool:
     :class:`~repro.matching.turbo.TurboMatcher`'s and ``match`` also returns
     the :class:`ParallelStats`, but workers are OS processes
     attached to the shared-memory CSR export of the graph, and result
-    batches return through per-worker shared-memory rings.  The pool is
+    batches return through one bounded result queue.  The pool is
     lazy and persistent: processes start on the first parallel match and
     are reused by every later query.  ``worker_context`` (e.g. the engine's
     :class:`~repro.graph.transform.GraphMapping`) is pickled to each worker
     once at startup and used to re-bind push-down predicates.
-    ``ring_slots`` sizes each worker's result ring (0 disables the rings
-    and forces every batch through the pickled queue fallback).
     """
 
     def __init__(
@@ -417,7 +398,6 @@ class ProcessShardPool:
         chunk_size: int = 8,
         start_method: Optional[str] = None,
         worker_context: Any = None,
-        ring_slots: int = DEFAULT_RING_SLOTS,
         region_cache_bytes: int = 0,
     ):
         self.graph = graph
@@ -426,7 +406,6 @@ class ProcessShardPool:
         self.chunk_size = max(1, chunk_size)
         self.start_method = start_method
         self.worker_context = worker_context
-        self.ring_slots = max(0, ring_slots)
         self.region_cache_bytes = max(0, region_cache_bytes)
         self.last_stats: Optional[ParallelStats] = None
         self.transport = ShardTransportStats()
@@ -444,7 +423,6 @@ class ProcessShardPool:
         self._results: Any = None
         self._cancel: Any = None
         self._handle: Optional[SharedGraphHandle] = None
-        self._rings: List[ResultRing] = []
         self._shipped: "OrderedDict[Any, None]" = OrderedDict()
         self._finalizer: Optional[weakref.finalize] = None
         self._broken = False
@@ -464,7 +442,7 @@ class ProcessShardPool:
         return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
     def _ensure_pool(self) -> None:
-        """Export the graph, create the rings and start the workers if needed."""
+        """Export the graph and start the workers if needed."""
         if self._broken:
             self.close()
         if self._processes and all(process.is_alive() for process in self._processes):
@@ -479,13 +457,8 @@ class ProcessShardPool:
         )
         self._chunks = ctx.Queue()
         self._results = ctx.Queue(maxsize=max(2 * self.workers, 8))
-        self._cancel = ctx.Value("q", 0)
+        self._cancel = ctx.RawValue("q", 0)
         self._controls = [ctx.Queue() for _ in range(self.workers)]
-        self._rings = (
-            [ResultRing(ctx, self.ring_slots) for _ in range(self.workers)]
-            if self.ring_slots
-            else []
-        )
         self._shipped = OrderedDict()
         self._processes = [
             ctx.Process(
@@ -493,8 +466,6 @@ class ProcessShardPool:
                 args=(
                     index, self._handle.manifest, self.config, context_bytes,
                     self._controls[index], self._chunks, self._results, self._cancel,
-                    self._rings[index].manifest if self._rings else None,
-                    self._rings[index].free if self._rings else None,
                     self.region_cache_bytes,
                 ),
                 name=f"turbohom-shard-{index}",
@@ -508,12 +479,11 @@ class ProcessShardPool:
         self._finalizer = weakref.finalize(
             self, _teardown_pool,
             self._processes, self._controls, self._handle, self._cancel,
-            list(self._rings),
         )
         self._broken = False
 
     def close(self) -> None:
-        """Shut the workers down and unlink the shared segments.
+        """Shut the workers down and unlink the shared graph segment.
 
         Safe to call multiple times; a later match transparently restarts
         the pool (with a fresh export of the graph).  A stream still open on
@@ -536,7 +506,6 @@ class ProcessShardPool:
         self._results = None
         self._cancel = None
         self._handle = None
-        self._rings = []
         self._shipped = OrderedDict()
         self._broken = False
         # The workers (and their private region caches) are gone; stale
@@ -732,21 +701,6 @@ class ProcessShardPool:
                 if timeout:
                     self._check_alive(job)
                 return None
-            if message[0] == "shm":
-                # Ring spans must be consumed (or at least released) even
-                # when they belong to an older, abandoned job — an unread
-                # reservation would wedge that worker's ring forever.
-                _, msg_job, worker_index, start, rows, width, reserved = message
-                ring = self._rings[worker_index]
-                if msg_job != job.job_id:
-                    ring.release(reserved)
-                    return SolutionBatch.empty()
-                batch = ring.read(start, rows, width)
-                ring.release(reserved)
-                self.transport.ring_batches += 1
-                self.transport.shm_bytes += rows * width * SLOT_BYTES
-                self.transport.solutions += rows
-                return batch
             if message[1] != job.job_id:
                 return SolutionBatch.empty()  # stale leftovers of an older job
             if message[0] == "batch":
@@ -797,8 +751,7 @@ class ProcessShardPool:
         if previous is None or previous.retired:
             return
         if len(previous.done_workers) < self.workers:
-            with self._cancel.get_lock():
-                self._cancel.value = max(self._cancel.value, previous.job_id)
+            _raise_cancel(self._cancel, previous.job_id)
             self._await_job_end(previous)
         previous.retired = True
 
@@ -811,8 +764,7 @@ class ProcessShardPool:
             # The pool was closed while this stream was suspended.
             job.retired = True
             return
-        with cancel.get_lock():
-            cancel.value = max(cancel.value, job.job_id)
+        _raise_cancel(cancel, job.job_id)
         self._await_job_end(job)
         job.retired = True
         if self._active_job is job:
@@ -823,8 +775,6 @@ class ProcessShardPool:
 
         Runs inside a ``finally`` block, so a dead worker retires the pool
         instead of raising (the consumer path already raised if it could).
-        Discarded ring spans are still released — the batches are dropped,
-        but the reservations must flow back to their writers.
         """
         while len(job.done_workers) < self.workers:
             try:
@@ -833,9 +783,6 @@ class ProcessShardPool:
                 if any(not process.is_alive() for process in self._processes):
                     self._mark_broken()
                     return
-                continue
-            if message[0] == "shm":
-                self._rings[message[2]].release(message[6])
                 continue
             if message[1] != job.job_id or message[0] == "batch":
                 continue

@@ -26,8 +26,8 @@ Results move as columnar :class:`~repro.matching.solution_batch.
 SolutionBatch` objects end-to-end: workers pack solutions into flat
 per-vertex arrays as the search produces them, the merge loop slices whole
 batches against the result limit, and the pool's ``iter_match`` surface
-is a thin row-iterating adapter.  The transport (a shared-memory ring +
-``multiprocessing`` queues + a shared cancel counter) is supplied by the
+is a thin row-iterating adapter.  The transport (``multiprocessing``
+queues + a shared cancel counter) is supplied by the
 pool through the collector's ``emit`` / ``stopped`` and the merge loop's
 ``poll`` / ``finished`` callables.
 """

@@ -9,9 +9,9 @@ per query vertex, so
 
 * appending a solution is ``width`` integer appends into flat arrays (no
   per-solution object allocation besides the arrays themselves),
-* a batch crosses a thread queue as one object and a process boundary as one
-  contiguous buffer copy per column (see
-  :mod:`repro.matching.result_ring`), never as pickled per-solution lists,
+* a batch crosses a process boundary as one pickled message whose payload
+  is one contiguous buffer per column (see
+  :mod:`repro.matching.process_shard`), never as per-solution lists,
 * the engine layer can adopt the columns directly as the id columns of a
   :class:`~repro.sparql.binding_batch.BindingBatch` without copying.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from array import array
 from typing import Iterator, List, Sequence
 
-#: Solutions per batch: large enough to amortize queue/ring traffic, small
+#: Solutions per batch: large enough to amortize queue traffic, small
 #: enough to bound worker memory and cancellation latency inside one
 #: combinatorial candidate region.  Every producer — the sequential matcher
 #: and each shard worker's :class:`~repro.matching.shard_protocol.
@@ -32,9 +32,6 @@ from typing import Iterator, List, Sequence
 #: across candidate regions before shipping it, so thread and process
 #: transports see identical batch shapes: full batches plus one tail.
 SOLUTION_BATCH_SIZE = 256
-
-#: Bytes per column slot (``array('q')`` / int64).
-SLOT_BYTES = 8
 
 
 class SolutionBatch:
@@ -64,11 +61,6 @@ class SolutionBatch:
     @property
     def width(self) -> int:
         return len(self.columns)
-
-    @property
-    def slots(self) -> int:
-        """Total int64 slots the batch occupies (``rows * width``)."""
-        return self.rows * len(self.columns)
 
     def __len__(self) -> int:
         return self.rows

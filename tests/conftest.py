@@ -1,7 +1,13 @@
-"""Shared fixtures: the paper's running examples and small benchmark datasets."""
+"""Shared fixtures: the paper's running examples and small benchmark datasets,
+plus the leak check every test module runs under."""
 
 from __future__ import annotations
 
+import gc
+import glob
+import multiprocessing
+import os
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -16,6 +22,45 @@ from repro.rdf.terms import IRI, Literal, Triple
 from repro.sparql.parser import parse_sparql
 
 EX = Namespace("http://example.org/")
+
+
+def _leak_snapshot():
+    """What no test may leave behind: ``/dev/shm`` entries, live child
+    processes and ``repro-spill-*`` directories."""
+    return {
+        "/dev/shm entries": set(os.listdir("/dev/shm")),
+        "child processes": set(multiprocessing.active_children()),
+        "spill directories": set(
+            glob.glob(os.path.join(tempfile.gettempdir(), "repro-spill-*"))
+        ),
+    }
+
+
+def _leaks_since(before):
+    """Each kind of leftover that appeared after the ``before`` snapshot."""
+    now = _leak_snapshot()
+    return {kind: now[kind] - before[kind] for kind in now if now[kind] - before[kind]}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_leak_per_module():
+    """After a whole test module and a ``gc.collect()``, nothing it started
+    may remain: pools dropped without ``close()`` are reaped by their
+    finalizers, so what is left here was leaked for good."""
+    before = _leak_snapshot()
+    yield
+    gc.collect()
+    leaked = _leaks_since(before)
+    assert not leaked, f"the test module left behind {leaked}"
+
+
+@pytest.fixture
+def new_leaks():
+    """A callable returning the leftovers that appeared since the test began
+    (no ``gc.collect()``: an explicit close is what such a test checks)."""
+    before = _leak_snapshot()
+    return lambda: _leaks_since(before)
+
 
 # Vertex labels used by the hand-built labeled graphs (Figure 1 of the paper).
 LABEL_A, LABEL_B, LABEL_C, LABEL_D, LABEL_E = 0, 1, 2, 3, 4

@@ -24,10 +24,8 @@
 
 from __future__ import annotations
 
-import glob
 import os
 import random
-import tempfile
 from collections import Counter
 
 import pytest
@@ -395,10 +393,6 @@ class TestHybridJoinSpill:
 
 
 # --------------------------------------------------- engine-level lifecycle
-def spill_dirs():
-    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-spill-*")))
-
-
 class TestEngineSpillLifecycle:
     @pytest.fixture
     def fanout_store(self):
@@ -413,8 +407,7 @@ class TestEngineSpillLifecycle:
         store.freeze()
         return store
 
-    def test_spilling_query_equals_unbounded_and_cleans_up(self, fanout_store):
-        before = spill_dirs()
+    def test_spilling_query_equals_unbounded_and_cleans_up(self, fanout_store, new_leaks):
         sparql = (
             PREFIX + "SELECT ?a ?b ?v WHERE { ?a ex:link ?b . "
             "OPTIONAL { ?b ex:val ?v } }"
@@ -437,7 +430,7 @@ class TestEngineSpillLifecycle:
         assert result.same_solutions(oracle)
         engine.close()
         # close() swept the spill directory; nothing leaked.
-        assert spill_dirs() <= before
+        assert not new_leaks()
 
     def test_engine_survives_close_and_requery(self, fanout_store):
         engine = TurboHomPPEngine(

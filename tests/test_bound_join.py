@@ -16,7 +16,7 @@
 * **Counts** — never timings: one BSBM Q7 instance is one bound join whose
   matcher solutions are the rows of its BGPs restricted to the product;
   ``query_batches`` pulls nothing before the first ``next()``; a bound
-  OPTIONAL on process shards adds no ring batch; closing such a stream
+  OPTIONAL on process shards ships no shard batch; closing such a stream
   mid-way leaks no ``/dev/shm`` segment or spill directory.
 * **Spill** — a bound right side larger than a 4 kB join budget still
   spills, with the same answers.
@@ -24,10 +24,7 @@
 
 from __future__ import annotations
 
-import glob
-import os
 import random
-import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -130,10 +127,6 @@ def layered_store(seed: int, left_rows: int) -> TripleStore:
 
 def bound_joins(engine) -> int:
     return engine.stats()["operators"]["bound_joins"]
-
-
-def spill_dirs():
-    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-spill-*")))
 
 
 # ----------------------------------------------------------------- differential
@@ -302,34 +295,33 @@ class TestBoundJoinCounts:
         finally:
             engine.close()
 
-    def test_bound_optional_adds_no_ring_batch(self):
+    def test_bound_optional_ships_no_shard_batch(self):
         store = layered_store(seed=7, left_rows=0)
         engine = TurboHomPPEngine(workers=2)
         engine.load(store)
         engine.bgp_solver()  # builds the executor whose transport counts
         try:
-            def ring_batches(sparql: str) -> int:
-                before = engine.stats()["transport"]["ring_batches"]
+            def queue_batches(sparql: str) -> int:
+                before = engine.stats()["transport"]["queue_batches"]
                 engine.query(PREFIX + sparql)
-                return engine.stats()["transport"]["ring_batches"] - before
+                return engine.stats()["transport"]["queue_batches"] - before
 
             left = "?b rdf:type ex:Special . "
-            assert ring_batches(
+            assert queue_batches(
                 "SELECT * WHERE { " + left + "OPTIONAL { ?b ex:q ?c } }"
             ) == 0
             assert bound_joins(engine) == 1
             # The same right side without a shared variable runs on shards.
-            assert ring_batches(
+            assert queue_batches(
                 "SELECT * WHERE { " + left + "OPTIONAL { ?x ex:q ?c } }"
             ) > 0
         finally:
             engine.close()
 
     @pytest.mark.parametrize("left_rows", [40, 700])
-    def test_closing_mid_stream_leaks_nothing(self, left_rows):
+    def test_closing_mid_stream_leaks_nothing(self, left_rows, new_leaks):
         """Bound (small left side) and unbound (left side held open on the
         shard pool) alike: no shm segment, no spill directory."""
-        segments, spills = set(os.listdir("/dev/shm")), spill_dirs()
         engine = TurboHomPPEngine(workers=2, join_memory_bytes=4096)
         engine.load(layered_store(seed=9, left_rows=left_rows))
         stream = engine.query_batches(
@@ -339,8 +331,7 @@ class TestBoundJoinCounts:
         next(stream)
         stream.close()
         engine.close()
-        assert set(os.listdir("/dev/shm")) <= segments
-        assert spill_dirs() <= spills
+        assert not new_leaks()
 
 
 # ------------------------------------------------------------------------ spill

@@ -6,8 +6,6 @@ Nothing else imports ``examples/``, so a public name removed from
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import runpy
 import sys
 from pathlib import Path
@@ -20,7 +18,7 @@ EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.stem)
-def test_example_runs_and_leaves_nothing_behind(script, monkeypatch, capsys):
+def test_example_runs_and_leaves_nothing_behind(script, monkeypatch, capsys, new_leaks):
     # As a reader runs it: no arguments.  Environment overrides stay, so
     # under REPRO_EXECUTION_WORKERS=2 every engine runs on shard processes.
     monkeypatch.setattr(sys, "argv", [str(script)])
@@ -40,10 +38,7 @@ def test_example_runs_and_leaves_nothing_behind(script, monkeypatch, capsys):
 
     monkeypatch.setattr(ProcessShardPool, "__init__", tracking_init)
     monkeypatch.setattr(ProcessShardPool, "close", tracking_close)
-    children_before = set(multiprocessing.active_children())
-    segments_before = set(os.listdir("/dev/shm"))
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out.strip(), "the example printed nothing"
     assert set(opened) <= closed, "a shard pool was left to the garbage collector"
-    assert set(multiprocessing.active_children()) <= children_before
-    assert set(os.listdir("/dev/shm")) <= segments_before
+    assert not new_leaks()

@@ -1,4 +1,4 @@
-"""The columnar batch result pipeline: parity, ring transport, validation.
+"""The columnar batch result pipeline: parity, queue transport, validation.
 
 * **Parity** — the batch pipeline must be indistinguishable (as solution
   multisets) from oracles that share no ``TurboEngine`` code:
@@ -7,11 +7,10 @@
   the scalar reference algebra — at the engine level, across the DISTINCT /
   ORDER BY / LIMIT / OFFSET / OPTIONAL / UNION feature surface,
   sequential and on process shards.
-* **Ring transport** — on process shards, id-only solutions must cross the
-  worker boundary through the per-worker shared-memory rings with zero
-  per-solution pickling (pinned by poisoning ``SolutionBatch`` pickling and
-  by counting queue payloads), and a ring too small for a batch must fall
-  back to the queue path without losing solutions.
+* **Queue transport** — on process shards, every batch crosses the worker
+  boundary through the result queue (counted by ``queue_batches``), and a
+  batch pickles one buffer per column, never one object per solution
+  (pinned by the pickle's opcode count, which must not grow with rows).
 * **Batch shape** — a shard worker owns one batch per job and ships it
   full: an unlimited job delivers ⌈solutions / 256⌉ batches plus at most
   one tail per worker, never one batch per candidate region; and the merge
@@ -29,10 +28,11 @@
 from __future__ import annotations
 
 import math
-import multiprocessing
+import pickletools
 import random
 from array import array
 from collections import Counter, deque
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 from hypothesis import given, settings
@@ -269,95 +269,34 @@ class TestEnginePipelineParity:
             assert_same_answers(engine, baseline, PREFIX + sparql)
 
 
-# ------------------------------------------------------------- ring transport
-class TestRingTransport:
-    def test_id_batches_move_through_the_ring(self):
+# ------------------------------------------------------------ queue transport
+class TestQueueTransport:
+    def test_id_batches_move_through_the_queue(self):
         graph = star_graph(spokes=500, hubs=4)
         pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1)
         try:
             solutions, _ = pool.match(star_query())
             assert len(solutions) == 4 * 500
-            assert pool.transport.ring_batches > 0
-            # Zero queue payloads: no batch was ever pickled.
-            assert pool.transport.queue_batches == 0
-            assert pool.transport.shm_bytes >= pool.transport.solutions * 2 * 8
-        finally:
-            pool.close()
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="pickle-poisoning requires fork inheritance",
-    )
-    def test_zero_per_solution_pickling(self, monkeypatch):
-        """Poison SolutionBatch pickling: the query must still succeed.
-
-        Forked workers inherit the poisoned class, so *any* attempt to move
-        a batch through a queue (parent or worker side) raises — passing
-        proves every solution crossed via the shared-memory ring.
-        """
-
-        def poisoned(self):  # pragma: no cover - raising is the assertion
-            raise AssertionError("solution batch crossed the boundary via pickle")
-
-        monkeypatch.setattr(SolutionBatch, "__reduce__", poisoned)
-        graph = star_graph(spokes=400, hubs=3)
-        pool = ProcessShardPool(
-            graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1,
-            start_method="fork",
-        )
-        try:
-            solutions, _ = pool.match(star_query())
-            assert len(solutions) == 3 * 400
-            assert pool.transport.ring_batches > 0
-            assert pool.transport.queue_batches == 0
-        finally:
-            pool.close()
-
-    def test_ring_overflow_falls_back_to_queue(self):
-        """Batches larger than the whole ring must take the queue path."""
-        graph = star_graph(spokes=600, hubs=2)
-        config = MatchConfig.turbo_hom_pp()
-        oracle = solution_multiset(GenericMatcher(graph, config).match(star_query()))
-        # Width-2 query, 256-row batches = 512 slots; an 8-slot ring only
-        # fits sub-4-row remainders, so full batches must overflow.
-        pool = ProcessShardPool(
-            graph, config, workers=2, chunk_size=1, ring_slots=8
-        )
-        try:
-            solutions, _ = pool.match(star_query())
-            assert solution_multiset(solutions) == oracle
             assert pool.transport.queue_batches > 0
+            assert pool.transport.solutions == len(solutions)
         finally:
             pool.close()
 
-    def test_disabled_ring_still_answers(self):
-        graph = star_graph(spokes=40, hubs=2)
-        pool = ProcessShardPool(
-            graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1, ring_slots=0
-        )
-        try:
-            solutions, _ = pool.match(star_query())
-            assert len(solutions) == 80
-            assert pool.transport.ring_batches == 0
-            assert pool.transport.queue_batches > 0
-        finally:
-            pool.close()
+    @pytest.mark.parametrize("width", [1, 2, 6])
+    def test_batch_pickle_does_not_grow_with_rows(self, width):
+        """The queue pickles a batch as one buffer per column: a full batch
+        takes no more pickle opcodes than a two-row one, so no row is ever
+        pickled as an object of its own."""
 
-    def test_ring_segments_unlinked_on_close(self):
-        graph = star_graph(spokes=30)
-        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=2)
-        try:
-            pool.match(star_query())
-            names = [ring.segment.name for ring in pool._rings]
-            assert names
-            import os
+        def opcodes(rows: int) -> int:
+            batch = SolutionBatch([array("q", range(rows)) for _ in range(width)], rows)
+            return sum(1 for _ in pickletools.genops(bytes(ForkingPickler.dumps(batch))))
 
-            assert all(os.path.exists(f"/dev/shm/{name}") for name in names)
-        finally:
-            pool.close()
-        import os
+        assert opcodes(SOLUTION_BATCH_SIZE) <= opcodes(2)
 
-        assert not any(os.path.exists(f"/dev/shm/{name}") for name in names)
+    def test_retired_ring_slots_is_a_type_error(self):
+        with pytest.raises(TypeError, match="ring_slots"):
+            ProcessShardPool(star_graph(spokes=2), workers=2, ring_slots=0)
 
 
 # ---------------------------------------------------------------- batch shape
@@ -387,8 +326,7 @@ class TestBatchShape:
             assert all(batch.rows <= SOLUTION_BATCH_SIZE for batch in batches)
             assert len(batches) <= math.ceil(solutions / SOLUTION_BATCH_SIZE) + workers
             if workers > 1:
-                assert pool.transport.ring_batches == len(batches)
-                assert pool.transport.queue_batches == 0
+                assert pool.transport.queue_batches == len(batches)
                 assert pool.transport.solutions == solutions
         finally:
             pool.close()
@@ -513,10 +451,9 @@ class TestEngineStats:
         try:
             engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
             transport = engine.stats()["transport"]
-            assert transport is not None
-            assert transport["ring_batches"] + transport["queue_batches"] > 0
-            assert transport["queue_batches"] == 0  # id batches never pickle
-            assert transport["shm_bytes"] > 0
+            assert set(transport) == {"queue_batches", "solutions"}
+            assert transport["queue_batches"] > 0
+            assert transport["solutions"] == 3
         finally:
             engine.close()
 

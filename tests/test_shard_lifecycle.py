@@ -7,7 +7,7 @@ segments being unlinked on engine close *and* on interpreter exit, and the
 regression where closing the engine mid-iteration deadlocked on the
 bounded result queue.  Workers hold rows back until a batch is full, so the
 last class checks that holding them cost neither ``LIMIT`` its early stop
-nor a cancelled job its ring space.
+nor the next job its complete answer when a job is cancelled around them.
 """
 
 from __future__ import annotations
@@ -106,6 +106,18 @@ class TestProcessPoolLifecycle:
         finally:
             pool.close()
 
+    def test_cancel_counter_shares_no_lock_with_workers(self):
+        """Every worker reads the cancel counter between regions and while
+        its bounded put waits.  A lock on it would be held by a worker
+        killed mid-read, and the parent's next cancel would wait on it
+        forever, so the counter must be a lock-free shared word."""
+        pool = ProcessShardPool(star_graph(spokes=20), MatchConfig.turbo_hom_pp(), workers=2)
+        try:
+            pool.match(star_query())
+            assert not hasattr(pool._cancel, "get_lock")
+        finally:
+            pool.close()
+
     def test_limit_cancels_all_shards_promptly(self):
         graph = star_graph(spokes=400, hubs=30)
         pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=1)
@@ -184,7 +196,7 @@ class TestProcessPoolLifecycle:
 # ------------------------------------------------- worker-owned batch, limits
 class TestHeldRowsUnderLimitsAndCancellation:
     """Rows a worker holds back for a full batch must not delay ``LIMIT k``
-    nor leak ring space when the job is cancelled around them."""
+    nor wedge the pool when the job is cancelled around them."""
 
     #: 6000 hubs of 3 spokes: many small regions, 18000 solutions.
     HUBS, SPOKES = 6000, 3
@@ -258,32 +270,31 @@ class TestHeldRowsUnderLimitsAndCancellation:
         finally:
             pool.close()
 
-    def test_no_ring_reservation_leaks_for_dropped_rows(self, graph):
+    def test_dropped_rows_leave_the_pool_answering(self, graph):
         pool = make_pool(graph)
         query = star_query()
 
-        def rings_are_free():
-            return [ring.free.value for ring in pool._rings] == [
-                ring.slots for ring in pool._rings
-            ]
+        def drained():
+            """The stopped job is retired and left nothing on the queue."""
+            return pool._active_job is None and pool._results.empty()
 
         try:
             solutions, _ = pool.match(query, max_results=300)  # limit stop
-            assert len(solutions) == 300 and rings_are_free()
+            assert len(solutions) == 300 and drained()
 
             stream = pool.iter_match_batches(query)  # explicit close mid-stream
             assert next(stream).rows == SOLUTION_BATCH_SIZE
             stream.close()
-            assert rings_are_free()
+            assert drained()
 
             stream = pool.iter_match_batches(query)  # abandoned to the GC
             assert next(stream).rows == SOLUTION_BATCH_SIZE
             del stream
             gc.collect()
-            assert rings_are_free()
+            assert drained()
 
             solutions, _ = pool.match(query)
-            assert len(solutions) == self.HUBS * self.SPOKES and rings_are_free()
+            assert len(solutions) == self.HUBS * self.SPOKES and drained()
         finally:
             pool.close()
 
@@ -341,7 +352,7 @@ class TestSharedSegmentCleanup:
             assert sharded.query(lubm1.queries["Q9"]).same_solutions(expected)
             assert len(sharded._executor.pool._processes) == 2
             assert sharded.stats()["workers"] == 2
-            assert sharded.stats()["transport"]["ring_batches"] > 0
+            assert sharded.stats()["transport"]["queue_batches"] > 0
         finally:
             sharded.close()
 
