@@ -13,8 +13,10 @@ The package implements the paper's algorithm family:
   vertices over persistent worker processes attached to a shared-memory CSR
   export (multi-core matching).
 * :mod:`~repro.matching.shard_protocol` — that pool's job/merge protocol:
-  the per-chunk matching core, the consumer-side merge loop and the
-  :class:`ParallelStats` a match reports.
+  the chunk partition, the consumer-side merge loop and the
+  :class:`ParallelStats` a match reports.  Shard workers run the same
+  start-vertex loop as the sequential matcher
+  (:func:`~repro.matching.turbo.iter_region_batches`).
 * :mod:`~repro.matching.solution_batch` — the columnar batch the whole
   result pipeline moves, across process shards too (one buffer per
   column, never one object per solution).

@@ -21,20 +21,21 @@ expensive state crosses the process boundary exactly once:
   ``limit_hint`` / abandoned-generator stops out to every shard, and a
   worker crash or exception is propagated to the consumer instead of
   hanging it;
-* **results** — each worker fills one :class:`~repro.matching.
-  shard_protocol.ShardCollector` per job, across all the candidate regions
-  and chunks it claims, and ships it only when it is full (256 rows, or
-  the job's limit) or when the worker leaves the job: what bounds this
-  path is the number of messages, not the bytes, so a query crosses the
-  boundary in about as many batches as the sequential matcher yields.
-  Every batch travels as one ``("batch", job, worker, batch)`` message
-  through the bounded result queue that also carries the control
-  messages; a :class:`~repro.matching.solution_batch.SolutionBatch`
-  pickles as one buffer per column, never per solution.  The queue's
-  bound is the only backpressure, and :attr:`ProcessShardPool.transport`
-  counts the batches and solutions that crossed it.
+* **results** — each worker runs the sequential matcher's start-vertex
+  loop (:func:`~repro.matching.turbo.iter_region_batches`) once per job,
+  over the start vertices of every chunk it claims, so rows gather across
+  candidate regions and chunks and a batch ships only when it is full
+  (256 rows, or the job's limit) or when the worker runs out of chunks:
+  what bounds this path is the number of messages, not the bytes, so a
+  query crosses the boundary in about as many batches as the sequential
+  matcher yields.  Every batch travels as one ``("batch", job, worker,
+  batch)`` message through the bounded result queue that also carries the
+  control messages; a :class:`~repro.matching.solution_batch.SolutionBatch`
+  pickles as one buffer per column, never per solution.  The queue's bound
+  is the only backpressure, and :attr:`ProcessShardPool.transport` counts
+  the batches and solutions that crossed it.
 
-The matching semantics per chunk and the consumer-side merge loop live in
+The consumer-side merge loop and the chunk partition live in
 :mod:`repro.matching.shard_protocol`, apart from the transport.
 
 Wall-clock speedup additionally requires multiple cores; the
@@ -63,16 +64,20 @@ from repro.matching.candidate_region import VertexPredicate
 from repro.matching.config import MatchConfig
 from repro.matching.shard_protocol import (
     ParallelStats,
-    ShardCollector,
     StreamGate,
     StreamOutcome,
     chunk_ranges,
     merge_solution_batches,
-    run_chunk,
-    run_sequential_batches,
 )
 from repro.matching.solution_batch import SolutionBatch
-from repro.matching.turbo import PreparedQuery, Solution, prepare_query
+from repro.matching.turbo import (
+    MatchStatistics,
+    PreparedQuery,
+    Solution,
+    TurboMatcher,
+    iter_region_batches,
+    prepare_query,
+)
 
 #: How many rehydrated payloads each worker keeps, mirrored by the pool's
 #: shipped-key LRU so parent and workers always agree on what is cached.
@@ -126,10 +131,6 @@ class ShardPayload:
             if bind is not None:
                 bind(context)
 
-    @property
-    def root_predicate(self) -> Optional[VertexPredicate]:
-        return self.predicates.get(self.prepared.start_vertex)
-
 
 # --------------------------------------------------------------- worker side
 def _put_error(results, job_id: int, worker_index: int, exc: BaseException, cancel) -> None:
@@ -175,6 +176,57 @@ def _put_message(results, message, cancel) -> None:
                 return
 
 
+def _job_ranges(chunks, job_id: int) -> Iterator[Tuple[int, int]]:
+    """The ``(lo, hi)`` chunks of job ``job_id`` up to its ``"end"`` marker.
+
+    Every worker reads the one shared chunk queue until it takes an
+    ``"end"`` marker of its job (one is queued per worker).  Entries of
+    older, cancelled jobs are discarded; an entry of a future job (only
+    possible after a consumer gave this job up) is handed back.
+    """
+    while True:
+        message = chunks.get()
+        if message[1] < job_id:
+            continue
+        if message[1] > job_id:
+            chunks.put(message)
+            time.sleep(0.01)
+            continue
+        if message[0] == "end":
+            return
+        yield message[2], message[3]
+
+
+def _claim_starts(
+    ranges: Iterator[Tuple[int, int]],
+    candidates: List[int],
+    stats: MatchStatistics,
+    chunk_works: List[int],
+    stopped,
+) -> Iterator[int]:
+    """The start vertices of every chunk this worker claims.
+
+    Feeds :func:`~repro.matching.turbo.iter_region_batches` (the dynamic
+    chunking of Section 5.2): a chunk is claimed only when the previous one
+    is used up, the cancel counter is read before each start vertex, and
+    each claimed chunk's work (candidate-region vertices plus search
+    recursions, the Figure 16 load-balance unit) is appended to
+    ``chunk_works`` when the chunk ends — also when the worker stops in the
+    middle of it and closes this generator.
+    """
+    for lo, hi in ranges:
+        if stopped():
+            continue
+        before = stats.region_vertices + stats.search.recursions
+        try:
+            for index in range(lo, hi):
+                if stopped():
+                    break
+                yield candidates[index]
+        finally:
+            chunk_works.append(stats.region_vertices + stats.search.recursions - before)
+
+
 def _shard_worker_main(
     worker_index: int,
     manifest,
@@ -190,9 +242,13 @@ def _shard_worker_main(
 
     The control queue is per worker (job headers are broadcast, ``None`` is
     the shutdown sentinel); the chunk queue is shared for dynamic load
-    balancing.  A job header carries the stream's result limit, which sizes
-    the worker's :class:`ShardCollector` so ``LIMIT k`` ships after ``k``
-    rows instead of a full batch.
+    balancing.  Each job runs :func:`~repro.matching.turbo.
+    iter_region_batches` once, over the start vertices of the chunks the
+    worker claims (:func:`_claim_starts`), so rows gather across regions and
+    chunks and ship as full batches plus one tail.  A job header carries the
+    stream's result limit: like the sequential matcher, a worker stops after
+    ``limit`` rows of its own.  Once the consumer stopped, batches are
+    dropped instead of shipped and the worker drains the job's chunks.
     ``region_cache_bytes`` sizes this worker's private cross-query region
     cache (0 disables it), an LRU exactly like the engine-held cache; the
     cache counters travel back as a cumulative :class:`~repro.engine.region_cache.
@@ -236,7 +292,8 @@ def _shard_worker_main(
 
             def emit(batch: SolutionBatch, job_id=job_id, stopped=stopped) -> bool:
                 """Ship one batch through the result queue: a cancel-aware
-                bounded put, False once the consumer stopped."""
+                bounded put, False once the consumer stopped (the batch is
+                then dropped: the consumer has every row it asked for)."""
                 message = ("batch", job_id, worker_index, batch)
                 while not stopped():
                     try:
@@ -246,48 +303,31 @@ def _shard_worker_main(
                         continue
                 return False
 
-            work = 0
+            stats = MatchStatistics()
             chunk_works: List[int] = []
-            failed = payload is None
-            # One collector for the whole job: rows gather across regions
-            # and chunks and ship full, the tail on the "end" marker.
-            collector = None if failed else ShardCollector(
-                payload.query.vertex_count(), limit, emit, stopped
-            )
-            while True:
-                chunk_message = chunks.get()
-                kind, chunk_job = chunk_message[0], chunk_message[1]
-                if chunk_job < job_id:
-                    # Stale entry from an older, cancelled job: discard.
-                    continue
-                if chunk_job > job_id:
-                    # A future job's entry (only possible after a consumer
-                    # gave this job up): hand it back and keep draining.
-                    chunks.put(chunk_message)
-                    time.sleep(0.01)
-                    continue
-                leaving = kind == "end"
-                if not leaving and (failed or stopped()):
-                    continue
+            ranges = _job_ranges(chunks, job_id)
+            if payload is not None:
+                starts = _claim_starts(
+                    ranges, payload.prepared.start_candidates, stats, chunk_works,
+                    stopped,
+                )
+                batches = iter_region_batches(
+                    graph, config, payload.query, payload.prepared,
+                    payload.predicates, starts, limit, stats,
+                    region_cache=region_cache, region_key=plan_key,
+                )
                 try:
-                    if leaving:
-                        if not failed:
-                            collector.flush()
-                    else:
-                        lo, hi = chunk_message[2], chunk_message[3]
-                        chunk_work = run_chunk(
-                            graph, config, payload.query, payload.prepared,
-                            payload.predicates, payload.root_predicate,
-                            payload.prepared.start_candidates[lo:hi], collector,
-                            region_cache=region_cache, region_key=plan_key,
-                        )
-                        work += chunk_work
-                        chunk_works.append(chunk_work)
+                    for batch in batches:
+                        if not emit(batch):
+                            break
                 except BaseException as exc:  # noqa: BLE001 - reported to the consumer
                     _put_error(results, job_id, worker_index, exc, cancel)
-                    failed = True
-                if leaving:
-                    break
+                finally:
+                    batches.close()
+                    starts.close()  # counts a chunk left mid-way
+            for _ in ranges:
+                pass  # drain this job's chunks up to its "end" marker
+            work = stats.region_vertices + stats.search.recursions
             cache_counters = (
                 region_cache.stats_snapshot() if region_cache is not None else None
             )
@@ -618,18 +658,19 @@ class ProcessShardPool:
             return
 
         if query.vertex_count() <= 1 or self.workers == 1:
-            def publish(solutions_count: int, work: int, elapsed: float) -> None:
-                self.last_stats = ParallelStats(
-                    workers=1,
-                    chunk_size=self.chunk_size,
-                    elapsed_ms=elapsed,
-                    solutions=solutions_count,
-                    per_worker_work=[work],
-                    per_chunk_work=[work],
-                )
-
-            yield from run_sequential_batches(
-                self.graph, self.config, query, predicates, limit, prepared, publish
+            # One worker or one query vertex: the in-process matcher, with
+            # the whole match as one chunk of work.
+            matcher = TurboMatcher(self.graph, self.config)
+            yield from matcher.iter_match_batches(query, predicates, limit, prepared)
+            matched = matcher.last_statistics
+            work = matched.region_vertices + matched.search.recursions
+            self.last_stats = ParallelStats(
+                workers=1,
+                chunk_size=self.chunk_size,
+                elapsed_ms=(time.perf_counter() - start_time) * 1000.0,
+                solutions=matched.solutions,
+                per_worker_work=[work],
+                per_chunk_work=[work],
             )
             return
 

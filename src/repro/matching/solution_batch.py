@@ -26,11 +26,11 @@ from typing import Iterator, List, Sequence
 
 #: Solutions per batch: large enough to amortize queue traffic, small
 #: enough to bound worker memory and cancellation latency inside one
-#: combinatorial candidate region.  Every producer — the sequential matcher
-#: and each shard worker's :class:`~repro.matching.shard_protocol.
-#: ShardCollector` — fills a batch to this size (or to the result limit)
-#: across candidate regions before shipping it, so thread and process
-#: transports see identical batch shapes: full batches plus one tail.
+#: combinatorial candidate region.  The one start-vertex loop,
+#: :func:`~repro.matching.turbo.iter_region_batches`, which the sequential
+#: matcher and every shard worker run, fills a batch to this size (or to
+#: the result limit) across candidate regions before shipping it, so every
+#: producer yields the same shape: full batches plus one tail.
 SOLUTION_BATCH_SIZE = 256
 
 
@@ -43,7 +43,7 @@ class SolutionBatch:
         #: One ``array('q')`` of length ``rows`` per query vertex.
         self.columns: List[array] = list(columns)
         #: Row count, held explicitly so zero-width batches (vertex-less
-        #: queries) and wake tokens (``rows == 0``) stay representable.
+        #: queries) and empty batches (``rows == 0``) stay representable.
         self.rows = rows
 
     # ------------------------------------------------------------ construction
@@ -54,7 +54,8 @@ class SolutionBatch:
 
     @classmethod
     def empty(cls) -> "SolutionBatch":
-        """A zero-row batch (used as a wake/control token by merge loops)."""
+        """A zero-row batch: what the shard merge loop's ``poll`` returns for
+        a consumed control message or a stale job's leftover."""
         return cls((), 0)
 
     # ---------------------------------------------------------------- geometry

@@ -26,9 +26,8 @@ per thread via :func:`acquire_searcher`): the non-tree-edge grouping and
 split are cached as long as the query, tree, matching order and config are
 unchanged, which under ``+REUSE`` means once per query.
 
-:func:`subgraph_search_iter` (one ``List[int]`` per solution) and
-:func:`subgraph_search` (early-stop callback) are thin row adapters kept
-for oracle tests and callers outside the batch pipeline.
+:func:`subgraph_search_iter` (one ``List[int]`` per solution) is the thin
+row adapter kept for oracle tests and callers outside the batch pipeline.
 
 ``SearchStatistics.recursions`` deliberately keeps its historical meaning —
 one count per *expansion step* (region entry plus every accepted candidate),
@@ -41,7 +40,7 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryEdge, QueryGraph
@@ -50,11 +49,6 @@ from repro.matching.query_tree import QueryTree
 from repro.matching.region_arena import RegionArena
 from repro.matching.solution_batch import SolutionBatch
 from repro.utils.intersect import Window, _intersect_two_into, intersect_windows_into
-
-#: Called with the complete mapping (query vertex index -> data vertex id);
-#: returns False to stop the search early (e.g. when max_results is reached).
-SolutionCallback = Callable[[List[int]], bool]
-
 
 class SearchStatistics:
     """Counters exposed for profiling and the ablation benchmarks.
@@ -156,6 +150,7 @@ class SubgraphSearcher:
         "_pedges",
         "_wbuf",
         "_depth",
+        "_entering",
     )
 
     def __init__(self) -> None:
@@ -191,6 +186,9 @@ class SubgraphSearcher:
         self._pedges: List[List[QueryEdge]] = []
         self._wbuf: List[Window] = []
         self._depth = 0
+        #: True when ``_depth``'s candidate cursor is still to be computed
+        #: (its parent was just matched).
+        self._entering = False
 
     # ------------------------------------------------------------ preparation
     def _prepare_static(
@@ -292,95 +290,9 @@ class SubgraphSearcher:
                 return
         stats.recursions += 1  # the region-entry expansion step
         self.exhausted = False
-        if self._total == 1:
-            self._depth = 0
-            return
-        self._depth = 1
-        self._enter(1)
-
-    # -------------------------------------------------------------- stepping
-    def _enter(self, depth: int) -> None:
-        """Compute the candidate cursor for ``depth`` (parent just matched)."""
-        current = self._currents[depth]
-        mapping = self._mapping
-        slot = self._slices.get(current * self._stride + mapping[self._parents[depth]], -1)
-        if slot < 0:
-            lo = hi = 0
-        else:
-            index = 2 * slot
-            spans = self._spans
-            lo = spans[index]
-            hi = spans[index + 1]
-        cross_edges = self._cross[depth]
-        if cross_edges:
-            if self._use_intersection:
-                # +INT: one bulk intersection of the candidate span with all
-                # cross-edge windows (Section 4.3), into a reusable buffer.
-                self._stats.intersection_calls += 1
-                graph = self._graph
-                buffer = self._ibufs[depth]
-                if len(cross_edges) == 1:
-                    # The dominant shape (one non-tree edge): intersect the
-                    # span with the single adjacency window directly, no
-                    # window-list round trip (mirrored by fill()'s inlined
-                    # descend — keep the two in sync).
-                    edge = cross_edges[0]
-                    if edge.source == current:
-                        wbase, wlo, whi = graph.in_window(mapping[edge.target], edge.label)
-                    else:
-                        wbase, wlo, whi = graph.out_window(mapping[edge.source], edge.label)
-                    if whi - wlo == 1 and lo < hi:
-                        # Degree-1 adjacency: the whole intersection is one
-                        # bounded bisect into the span.
-                        value = wbase[wlo]
-                        pool = self._pool
-                        index = bisect_left(pool, value, lo, hi)
-                        if index < hi and pool[index] == value:
-                            if len(buffer):
-                                buffer[0] = value
-                            else:
-                                buffer.append(value)
-                            count = 1
-                        else:
-                            count = 0
-                    else:
-                        count = _intersect_two_into(
-                            (self._pool, lo, hi), (wbase, wlo, whi), buffer
-                        )
-                else:
-                    wbuf = self._wbuf
-                    wbuf.clear()
-                    wbuf.append((self._pool, lo, hi))
-                    for edge in cross_edges:
-                        wbuf.append(
-                            _adjacency_window_for_edge(graph, edge, current, mapping)
-                        )
-                    count = intersect_windows_into(wbuf, buffer)
-                self._seq_base[depth] = buffer
-                self._seq_pos[depth] = 0
-                self._seq_hi[depth] = count
-                return
-            # Original IsJoinable: one binary-search membership probe per
-            # candidate inside each fixed window.  Blank-label edges stay on
-            # per-candidate has_edge probes — their "window" would be a fresh
-            # union of every per-label posting list of the matched endpoint,
-            # an O(degree) copy per step.
-            windows = self._pwindows[depth]
-            probes = self._pedges[depth]
-            windows.clear()
-            probes.clear()
-            graph = self._graph
-            mapping = self._mapping
-            for edge in cross_edges:
-                if edge.label is None:
-                    probes.append(edge)
-                else:
-                    windows.append(
-                        _adjacency_window_for_edge(graph, edge, current, mapping)
-                    )
-        self._seq_base[depth] = self._pool
-        self._seq_pos[depth] = lo
-        self._seq_hi[depth] = hi
+        # fill() computes depth 1's candidate cursor when it first runs.
+        self._depth = 0 if self._total == 1 else 1
+        self._entering = True
 
     def detach(self) -> None:
         """Drop every external reference held by this searcher.
@@ -474,11 +386,87 @@ class SubgraphSearcher:
         probe_count = 0
         intersection_count = 0
 
+        entering = self._entering
+        self._entering = False
         while True:
-            base = seq_base[depth]
-            pos = seq_pos[depth]
-            hi = seq_hi[depth]
             current = currents[depth]
+            if entering:
+                # Enter ``depth`` (its parent was just matched): the
+                # candidates are the region's span keyed by the parent's data
+                # vertex, narrowed by the non-tree edges to matched vertices.
+                entering = False
+                slot = slices_get(current * stride + mapping[parents[depth]], -1)
+                if slot < 0:
+                    pos = hi = 0
+                else:
+                    pos = spans[2 * slot]
+                    hi = spans[2 * slot + 1]
+                base = pool
+                cross_edges = cross_by[depth]
+                if cross_edges and use_intersection:
+                    # +INT: one bulk intersection of the span with every
+                    # cross-edge window (Section 4.3), into a reusable buffer.
+                    intersection_count += 1
+                    base = ibufs[depth]
+                    if len(cross_edges) == 1:
+                        # The dominant shape: one non-tree edge, intersected
+                        # directly with its adjacency window.
+                        edge = cross_edges[0]
+                        if edge.source == current:
+                            wbase, wlo, whi = in_window(mapping[edge.target], edge.label)
+                        else:
+                            wbase, wlo, whi = out_window(mapping[edge.source], edge.label)
+                        if whi - wlo == 1 and pos < hi:
+                            # Degree-1 adjacency (the star-closure / chain
+                            # shape): one bounded bisect into the span.
+                            value = wbase[wlo]
+                            index = bisect_left(pool, value, pos, hi)
+                            if index < hi and pool[index] == value:
+                                if len(base):
+                                    base[0] = value
+                                else:
+                                    base.append(value)
+                                hi = 1
+                            else:
+                                hi = 0
+                        else:
+                            hi = _intersect_two_into(
+                                (pool, pos, hi), (wbase, wlo, whi), base
+                            )
+                    else:
+                        wbuf = self._wbuf
+                        wbuf.clear()
+                        wbuf.append((pool, pos, hi))
+                        for edge in cross_edges:
+                            wbuf.append(
+                                _adjacency_window_for_edge(graph, edge, current, mapping)
+                            )
+                        hi = intersect_windows_into(wbuf, base)
+                    pos = 0
+                elif cross_edges:
+                    # Original IsJoinable: one binary-search membership probe
+                    # per candidate inside each fixed window.  Blank-label
+                    # edges stay on per-candidate has_edge probes — their
+                    # "window" would be a fresh union of every per-label
+                    # posting list of the matched endpoint, an O(degree)
+                    # copy per step.
+                    probe_windows = pwindows[depth]
+                    probe_edges = pedges[depth]
+                    probe_windows.clear()
+                    probe_edges.clear()
+                    for edge in cross_edges:
+                        if edge.label is None:
+                            probe_edges.append(edge)
+                        else:
+                            probe_windows.append(
+                                _adjacency_window_for_edge(graph, edge, current, mapping)
+                            )
+                seq_base[depth] = base
+                seq_hi[depth] = hi
+            else:
+                base = seq_base[depth]
+                pos = seq_pos[depth]
+                hi = seq_hi[depth]
             loop_edges = loops_by[depth]
             if probing and cross_by[depth]:
                 windows = pwindows[depth]
@@ -486,7 +474,6 @@ class SubgraphSearcher:
             else:
                 windows = ()
                 probes = ()
-            descended = False
             while pos < hi:
                 candidate = base[pos]
                 pos += 1
@@ -541,86 +528,14 @@ class SubgraphSearcher:
                 chosen[depth] = candidate
                 seq_pos[depth] = pos
                 depth += 1
-                # Descend: the inlined mirror of _enter() — keep the two in
-                # sync (reset() goes through the method, this loop pays no
-                # call per accepted candidate).
-                current = currents[depth]
-                slot = slices_get(current * stride + mapping[parents[depth]], -1)
-                if slot < 0:
-                    span_lo = span_hi = 0
-                else:
-                    sindex = 2 * slot
-                    span_lo = spans[sindex]
-                    span_hi = spans[sindex + 1]
-                cross_edges = cross_by[depth]
-                if cross_edges:
-                    if use_intersection:
-                        intersection_count += 1
-                        buffer = ibufs[depth]
-                        if len(cross_edges) == 1:
-                            edge = cross_edges[0]
-                            if edge.source == current:
-                                wbase, wlo, whi = in_window(mapping[edge.target], edge.label)
-                            else:
-                                wbase, wlo, whi = out_window(mapping[edge.source], edge.label)
-                            if whi - wlo == 1 and span_lo < span_hi:
-                                # Degree-1 adjacency (the star-closure /
-                                # chain shape): the whole intersection is
-                                # one bounded bisect into the span.
-                                value = wbase[wlo]
-                                index = bisect_left(pool, value, span_lo, span_hi)
-                                if index < span_hi and pool[index] == value:
-                                    if len(buffer):
-                                        buffer[0] = value
-                                    else:
-                                        buffer.append(value)
-                                    count = 1
-                                else:
-                                    count = 0
-                            else:
-                                count = _intersect_two_into(
-                                    (pool, span_lo, span_hi), (wbase, wlo, whi), buffer
-                                )
-                        else:
-                            wbuf = self._wbuf
-                            wbuf.clear()
-                            wbuf.append((pool, span_lo, span_hi))
-                            for edge in cross_edges:
-                                wbuf.append(
-                                    _adjacency_window_for_edge(graph, edge, current, mapping)
-                                )
-                            count = intersect_windows_into(wbuf, buffer)
-                        seq_base[depth] = buffer
-                        seq_pos[depth] = 0
-                        seq_hi[depth] = count
-                    else:
-                        probe_windows = pwindows[depth]
-                        probe_edges = pedges[depth]
-                        probe_windows.clear()
-                        probe_edges.clear()
-                        for edge in cross_edges:
-                            if edge.label is None:
-                                probe_edges.append(edge)
-                            else:
-                                probe_windows.append(
-                                    _adjacency_window_for_edge(graph, edge, current, mapping)
-                                )
-                        seq_base[depth] = pool
-                        seq_pos[depth] = span_lo
-                        seq_hi[depth] = span_hi
-                else:
-                    seq_base[depth] = pool
-                    seq_pos[depth] = span_lo
-                    seq_hi[depth] = span_hi
-                descended = True
+                entering = True
                 break
-            if descended:
+            if entering:
                 continue
             # This depth is exhausted: backtrack.
             depth -= 1
             if depth == 0:
                 self.exhausted = True
-                self._depth = 1
                 stats.recursions += recursions
                 stats.solutions += solutions
                 stats.joinable_probes += probe_count
@@ -668,9 +583,9 @@ def subgraph_search_iter(
 ) -> Iterator[List[int]]:
     """Yield every mapping of one candidate region, one solution at a time.
 
-    Row adapter over :class:`SubgraphSearcher` kept for the oracle tests and
-    callback-style callers; each yielded list is a fresh copy, safe for the
-    consumer to keep.  Solutions are produced one ``fill`` step at a time,
+    Row adapter over :class:`SubgraphSearcher` kept for the oracle tests;
+    each yielded list is a fresh copy, safe for the consumer to keep.
+    Solutions are produced one ``fill`` step at a time,
     so abandoning the generator stops the search exactly where the old
     recursive core would have (no read-ahead).  The batch pipeline never
     goes through here (pinned by the zero-per-solution-allocation test).
@@ -689,22 +604,3 @@ def subgraph_search_iter(
     finally:
         release_searcher(searcher)
 
-
-def subgraph_search(
-    graph: LabeledGraph,
-    query: QueryGraph,
-    tree: QueryTree,
-    region: RegionArena,
-    order: Sequence[int],
-    config: MatchConfig,
-    on_solution: SolutionCallback,
-    stats: Optional[SearchStatistics] = None,
-) -> bool:
-    """Enumerate all mappings for one candidate region through a callback.
-
-    Returns False when the callback requested an early stop.
-    """
-    for mapping in subgraph_search_iter(graph, query, tree, region, order, config, stats):
-        if not on_solution(mapping):
-            return False
-    return True

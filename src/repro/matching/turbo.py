@@ -19,8 +19,9 @@ explicit-stack :class:`~repro.matching.subgraph_search.SubgraphSearcher`,
 which writes matched vertices **directly into the columnar batch being
 built** — no per-solution list, no generator frame per depth.
 :meth:`iter_match` is the row-iterating adapter over that stream, and
-:meth:`match`, :meth:`count`, :meth:`match_with_callback` are thin
-conveniences on top.
+:meth:`match` and :meth:`count` are thin conveniences on top.  The
+start-vertex loop itself is the module-level :func:`iter_region_batches`,
+which the process shard workers run too.
 
 Per-query preparation (start-vertex selection, query-tree construction,
 filter-requirement derivation, the shared ``+REUSE`` matching-order slot) is
@@ -42,7 +43,7 @@ search loop free of per-edge bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
@@ -192,77 +193,12 @@ class TurboMatcher:
             )
             return
 
-        tree = prepared.tree
-        requirements = prepared.requirements
-        root_predicate = predicates.get(prepared.start_vertex)
         stats.start_vertices = len(prepared.start_candidates)
-        assert tree is not None
-
-        order_cache = prepared.order_cache if self.config.reuse_matching_order else None
-        caching = region_cache is not None and region_key is not None
-        width = query.vertex_count()
-        graph = self.graph
-        config = self.config
-
-        arena = acquire_arena()
-        searcher = acquire_searcher()
-        try:
-            columns = SolutionBatch.collector(width)
-            rows = 0
-            produced = 0
-            for start_data_vertex in prepared.start_candidates:
-                if root_predicate is not None and not root_predicate(start_data_vertex):
-                    continue
-                region = None
-                if caching:
-                    cached = region_cache.lookup((region_key, start_data_vertex))
-                    if cached is not None:
-                        stats.regions_reused += 1
-                        region = None if cached is EMPTY_REGION else cached
-                    else:
-                        region = explore_candidate_region(
-                            graph, query, tree, config, start_data_vertex,
-                            predicates, requirements, arena,
-                        )
-                        region_cache.store(
-                            (region_key, start_data_vertex),
-                            EMPTY_REGION if region is None else region.snapshot(),
-                        )
-                    if region is None:
-                        continue
-                else:
-                    region = explore_candidate_region(
-                        graph, query, tree, config, start_data_vertex,
-                        predicates, requirements, arena,
-                    )
-                    if region is None:
-                        continue
-                stats.candidate_regions += 1
-                stats.region_vertices += region.size()
-                order = determine_matching_order(tree, region, order_cache)
-                searcher.reset(graph, query, tree, region, order, config, stats.search)
-                while not searcher.exhausted:
-                    budget = batch_size - rows
-                    if limit is not None:
-                        remaining = limit - produced
-                        if remaining < budget:
-                            budget = remaining
-                    appended = searcher.fill(columns, budget)
-                    rows += appended
-                    produced += appended
-                    stats.solutions += appended
-                    if rows >= batch_size or (limit is not None and produced >= limit):
-                        if rows:
-                            yield SolutionBatch(columns, rows)
-                            columns = SolutionBatch.collector(width)
-                            rows = 0
-                        if limit is not None and produced >= limit:
-                            return
-            if rows:
-                yield SolutionBatch(columns, rows)
-        finally:
-            release_arena(arena)
-            release_searcher(searcher)
+        yield from iter_region_batches(
+            self.graph, self.config, query, prepared, predicates,
+            prepared.start_candidates, limit, stats, batch_size,
+            region_cache, region_key,
+        )
 
     def iter_match(
         self,
@@ -303,23 +239,6 @@ class TurboMatcher:
             counter += batch.rows
         return counter
 
-    def match_with_callback(
-        self,
-        query: QueryGraph,
-        on_solution: Callable[[Solution], bool],
-        vertex_predicates: Optional[Dict[int, VertexPredicate]] = None,
-    ) -> MatchStatistics:
-        """Enumerate solutions through a callback (return False to stop).
-
-        Solutions surface one at a time (``batch_size=1``), so a False
-        return stops the search exactly there — no batch of read-ahead
-        enumeration behind the caller's back.
-        """
-        for mapping in self.iter_match(query, vertex_predicates, batch_size=1):
-            if not on_solution(mapping):
-                break
-        return self.last_statistics
-
     # ---------------------------------------------------------- special case
     def _iter_single_vertex_batches(
         self,
@@ -353,6 +272,96 @@ class TurboMatcher:
                 break
         if rows:
             yield SolutionBatch(columns, rows)
+
+
+def iter_region_batches(
+    graph: LabeledGraph,
+    config: MatchConfig,
+    query: QueryGraph,
+    prepared: PreparedQuery,
+    predicates: Dict[int, VertexPredicate],
+    starts: Iterable[int],
+    limit: Optional[int],
+    stats: MatchStatistics,
+    batch_size: int = SOLUTION_BATCH_SIZE,
+    region_cache=None,
+    region_key=None,
+) -> Iterator[SolutionBatch]:
+    """Algorithm 1, lines 9–15: one candidate region per start data vertex.
+
+    The one start-vertex loop of the repo: the sequential matcher runs it
+    over ``prepared.start_candidates``, and every shard worker runs it over
+    the start vertices of the chunks it claims.  Each region is explored
+    into one pooled arena and enumerated by one pooled searcher, which packs
+    solutions straight into the batch being built; a batch ships when it
+    holds ``batch_size`` rows, at ``limit`` rows in total (then the loop
+    ends), and once more, partly filled, when ``starts`` runs out.  Rows
+    therefore gather across regions, so a stream is full batches plus one
+    tail.  ``region_cache``/``region_key`` snapshot explored regions under
+    ``(region_key, start_data_vertex)`` and skip exploration on a hit.
+    ``stats`` is current at every yield.
+    """
+    tree = prepared.tree
+    assert tree is not None
+    requirements = prepared.requirements
+    root_predicate = predicates.get(prepared.start_vertex)
+    order_cache = prepared.order_cache if config.reuse_matching_order else None
+    caching = region_cache is not None and region_key is not None
+    width = query.vertex_count()
+    arena = acquire_arena()
+    searcher = acquire_searcher()
+    try:
+        columns = SolutionBatch.collector(width)
+        rows = 0
+        produced = 0
+        for start_data_vertex in starts:
+            if root_predicate is not None and not root_predicate(start_data_vertex):
+                continue
+            if caching:
+                region = region_cache.lookup((region_key, start_data_vertex))
+                if region is None:
+                    region = explore_candidate_region(
+                        graph, query, tree, config, start_data_vertex,
+                        predicates, requirements, arena,
+                    )
+                    region_cache.store(
+                        (region_key, start_data_vertex),
+                        EMPTY_REGION if region is None else region.snapshot(),
+                    )
+                else:
+                    stats.regions_reused += 1
+                    if region is EMPTY_REGION:
+                        region = None
+            else:
+                region = explore_candidate_region(
+                    graph, query, tree, config, start_data_vertex,
+                    predicates, requirements, arena,
+                )
+            if region is None:
+                continue
+            stats.candidate_regions += 1
+            stats.region_vertices += region.size()
+            order = determine_matching_order(tree, region, order_cache)
+            searcher.reset(graph, query, tree, region, order, config, stats.search)
+            while not searcher.exhausted:
+                budget = batch_size - rows
+                if limit is not None and limit - produced < budget:
+                    budget = limit - produced
+                appended = searcher.fill(columns, budget)
+                rows += appended
+                produced += appended
+                stats.solutions += appended
+                if rows >= batch_size or (limit is not None and produced >= limit):
+                    yield SolutionBatch(columns, rows)
+                    if limit is not None and produced >= limit:
+                        return
+                    columns = SolutionBatch.collector(width)
+                    rows = 0
+        if rows:
+            yield SolutionBatch(columns, rows)
+    finally:
+        release_arena(arena)
+        release_searcher(searcher)
 
 
 # ---------------------------------------------------------------- factories

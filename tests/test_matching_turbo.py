@@ -280,16 +280,26 @@ class TestIterMatch:
 
 
 class TestProcessShardPool:
-    def test_parallel_on_larger_random_graph(self):
-        rng = random.Random(5)
-        graph = random_labeled_graph(rng, vertices=60, edges=240)
+    @pytest.mark.parametrize("max_results", [None, 1, 300])
+    def test_parallel_on_larger_random_graph(self, max_results):
+        """Answers match, and every chunk a worker claimed is counted, also
+        one it left mid-way because its own limit or the consumer's stop
+        ended the job."""
+        rng = random.Random(3)
+        graph = random_labeled_graph(rng, vertices=80, edges=800)
         query = random_query(rng, size=3)
         sequential = TurboMatcher(graph, MatchConfig.turbo_hom_pp()).match(query)
-        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=4, chunk_size=2)
+        assert len(sequential) > 300  # ~28 rows per region, 30 regions
+        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=2, chunk_size=2)
         with closing(pool) as parallel:
-            solutions, stats = parallel.match(query)
-        assert as_sets(solutions) == as_sets(sequential)
-        assert stats.workers == 4
+            solutions, stats = parallel.match(query, max_results=max_results)
+        if max_results is None:
+            assert as_sets(solutions) == as_sets(sequential)
+        else:
+            assert len(solutions) == max_results
+            assert as_sets(solutions) <= as_sets(sequential)
+        assert stats.workers == 2
+        assert stats.total_work > 0
         assert sum(stats.per_chunk_work) == stats.total_work
 
     def test_simulated_speedup_bounds(self):

@@ -363,9 +363,8 @@ class TestMergeLoop:
 
     @pytest.mark.parametrize("finished_after", [0, 2])
     def test_finished_job_is_never_polled_with_a_timeout(self, finished_after):
-        """A wake token can be dropped on a full queue, so the loop must not
-        rely on one: once ``finished()`` is true only the non-blocking drain
-        runs — no poll may sleep out a POLL_INTERVAL."""
+        """Once ``finished()`` is true only the non-blocking drain runs —
+        no poll may sleep out a POLL_INTERVAL waiting for one more message."""
         script = [self.batch(4), self.batch(5), SolutionBatch.empty(), self.batch(6)]
         delivered, polls = self.run(script, finished_after)
         assert [batch.rows for batch in delivered] == [4, 5, 6]

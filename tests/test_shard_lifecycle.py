@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import gc
 import os
+import pickle
+import queue
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,10 +27,15 @@ from repro.engine.turbo_engine import TurboHomPPEngine
 from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
 from repro.matching.config import MatchConfig
-from repro.matching.process_shard import ProcessShardPool, ShardWorkerError
-from repro.matching.shard_protocol import ShardCollector, run_chunk
+from repro.matching.process_shard import (
+    ProcessShardPool,
+    ShardPayload,
+    ShardWorkerError,
+    _shard_worker_main,
+)
+from repro.matching.shard_protocol import chunk_ranges
 from repro.matching.solution_batch import SOLUTION_BATCH_SIZE
-from repro.matching.turbo import prepare_query
+from repro.matching.turbo import MatchStatistics, iter_region_batches, prepare_query
 
 HUB, SPOKE = 0, 1
 LINK = 0
@@ -206,44 +214,63 @@ class TestHeldRowsUnderLimitsAndCancellation:
         return star_graph(spokes=self.SPOKES, hubs=self.HUBS)
 
     @staticmethod
-    def collect(graph, limit, stop_after=None):
-        """Run every start vertex through one collector, then flush its tail.
-
-        Returns the row counts of the emitted batches; the job counts as
-        stopped once ``stop_after`` batches were emitted.
-        """
+    def batch_rows(graph, limit):
+        """Row counts of the batches one start-vertex loop yields over every
+        start vertex, fed as a plain iterator (as a shard worker feeds it)."""
         query = star_query()
-        prepared = prepare_query(graph, query, MatchConfig.turbo_hom_pp())
-        emitted = []
+        config = MatchConfig.turbo_hom_pp()
+        prepared = prepare_query(graph, query, config)
+        return [
+            batch.rows
+            for batch in iter_region_batches(
+                graph, config, query, prepared, {},
+                iter(prepared.start_candidates), limit, MatchStatistics(),
+            )
+        ]
 
-        def emit(batch):
-            emitted.append(batch.rows)
-            return True
-
-        collector = ShardCollector(
-            query.vertex_count(), limit, emit,
-            lambda: stop_after is not None and len(emitted) >= stop_after,
-        )
-        run_chunk(
-            graph, MatchConfig.turbo_hom_pp(), query, prepared, {}, None,
-            prepared.start_candidates, collector,
-        )
-        collector.flush()
-        return emitted
-
-    def test_collector_ships_at_the_limit_not_at_the_batch_size(self):
+    def test_loop_ships_at_the_limit_not_at_the_batch_size(self):
         graph = star_graph(spokes=3, hubs=100)  # 100 regions, 300 rows
         tail = 300 - SOLUTION_BATCH_SIZE
-        assert self.collect(graph, limit=None) == [SOLUTION_BATCH_SIZE, tail]
-        assert self.collect(graph, limit=1000) == [SOLUTION_BATCH_SIZE, tail]
-        # A worker holding k rows ships them without waiting for 256.
-        assert self.collect(graph, limit=4) == [4] * 75
+        assert self.batch_rows(graph, limit=None) == [SOLUTION_BATCH_SIZE, tail]
+        assert self.batch_rows(graph, limit=1000) == [SOLUTION_BATCH_SIZE, tail]
+        # k rows ship without waiting for 256, and the loop ends there.
+        assert self.batch_rows(graph, limit=4) == [4]
 
-    def test_collector_drops_held_rows_after_a_stop(self):
-        graph = star_graph(spokes=3, hubs=100)
-        # Stopped once the full batch went out: the rest of the region in
-        # progress is still searched and held, but never emitted.
-        assert self.collect(graph, limit=None, stop_after=1) == [SOLUTION_BATCH_SIZE]
+    def test_worker_drops_held_rows_after_a_stop(self):
+        """The worker, run in-process on plain queues, with a consumer that
+        stops once the first full batch went out: the rest of the region in
+        progress is still searched and held, but never shipped, and the
+        worker drains the job's chunks and reports ``done``."""
+        graph = star_graph(spokes=3, hubs=100)  # 300 rows: 256 + a 44-row tail
+        query = star_query()
+        config = MatchConfig.turbo_hom_pp()
+        prepared = prepare_query(graph, query, config)
+        cancel = SimpleNamespace(value=0)
+
+        class StoppingConsumer(queue.Queue):
+            def put(self, message, block=True, timeout=None):
+                super().put(message, block, timeout)
+                if message[0] == "batch":
+                    cancel.value = 1
+
+        control, chunks, results = queue.Queue(), queue.Queue(), StoppingConsumer()
+        control.put(("job", 1, None, pickle.dumps(ShardPayload(query, prepared)), None))
+        control.put(None)  # shut down after the job
+        for lo, hi in chunk_ranges(len(prepared.start_candidates), 10):
+            chunks.put(("range", 1, lo, hi))
+        chunks.put(("end", 1))
+        handle = graph.export_shared()
+        try:
+            _shard_worker_main(0, handle.manifest, config, None, control, chunks, results, cancel)
+        finally:
+            handle.unlink()
+        shipped = [results.get_nowait() for _ in range(results.qsize())]
+        assert [message[0] for message in shipped] == ["batch", "done"]
+        assert shipped[0][3].rows == SOLUTION_BATCH_SIZE
+        _, _, _, work, chunk_works, _ = shipped[1]
+        # The chunk the stop interrupted is counted too.
+        assert sum(chunk_works) == work > 0
+        assert chunks.empty()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_limits_stop_early_sequential_and_sharded(self, workers, graph):
