@@ -44,7 +44,6 @@ class ShardExecutor:
         config: MatchConfig,
         workers: int,
         chunk_size: int = 8,
-        start_method: Optional[str] = None,
         region_cache_bytes: int = 0,
     ):
         self.pool = ProcessShardPool(
@@ -52,7 +51,6 @@ class ShardExecutor:
             config,
             workers=workers,
             chunk_size=chunk_size,
-            start_method=start_method,
             worker_context=mapping,
             # Each worker holds its own region cache of this budget, keyed
             # by the same (fingerprint, alternative, component) plan keys

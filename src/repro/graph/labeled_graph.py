@@ -21,9 +21,10 @@ Every posting group is a sorted, duplicate-free integer run inside one flat
 array, so the ``+INT`` bulk-intersection optimization operates on zero-copy
 ``(array, lo, hi)`` windows (see :mod:`repro.utils.intersect`) instead of
 materialized list slices.  The flat arrays are plain Python lists — in
-CPython a list *is* a contiguous pointer array, indexes faster than
-``array('q')`` (which re-boxes every element on access), and list slices
-keep the public accessors list-typed.
+CPython a list *is* a contiguous pointer array and indexes faster than
+``array('q')`` (which re-boxes every element on access).  The adjacency
+accessors return windows; the few accessors that return a ``List[int]``
+(the label and predicate look-ups) copy their run once.
 
 Graphs are built through :class:`GraphBuilder` (mutable accumulation) and
 then frozen into the read-only :class:`LabeledGraph`.
@@ -343,10 +344,6 @@ class LabeledGraph:
         """All edge labels present in the graph."""
         return set(self._pred_subjects.keys)
 
-    def all_labels(self) -> Set[int]:
-        """All vertex labels present in the graph."""
-        return set(self._inverse_label.keys)
-
     def iter_edges(self) -> Iterator[Tuple[int, int, int]]:
         """Iterate over ``(source, edge label, target)`` edges."""
         csr = self._out
@@ -357,16 +354,6 @@ class LabeledGraph:
                     yield (v, edge_label, csr.nbr[i])
 
     # -------------------------------------------------------------- adjacency
-    def out_neighbors(self, vertex: int, edge_label: Optional[int] = None) -> List[int]:
-        """Outgoing neighbours, optionally restricted to one edge label."""
-        base, lo, hi = self.out_window(vertex, edge_label)
-        return _window_slice(base, lo, hi)
-
-    def in_neighbors(self, vertex: int, edge_label: Optional[int] = None) -> List[int]:
-        """Incoming neighbours, optionally restricted to one edge label."""
-        base, lo, hi = self.in_window(vertex, edge_label)
-        return _window_slice(base, lo, hi)
-
     def out_window(self, vertex: int, edge_label: Optional[int] = None) -> Window:
         """Outgoing neighbours as a zero-copy ``(base, lo, hi)`` window.
 
@@ -382,19 +369,6 @@ class LabeledGraph:
         if edge_label is not None:
             return self._in.window(vertex, edge_label)
         return as_window(union_windows(self._in.any_label_windows(vertex)))
-
-    def neighbors_by_type(
-        self,
-        vertex: int,
-        edge_label: Optional[int],
-        vertex_labels: FrozenSet[int],
-        outgoing: bool = True,
-    ) -> List[int]:
-        """Adjacent vertices matching a neighbour type (as a list)."""
-        base, lo, hi = self.neighbors_by_type_window(
-            vertex, edge_label, vertex_labels, outgoing
-        )
-        return _window_slice(base, lo, hi)
 
     def neighbors_by_type_window(
         self,
@@ -490,23 +464,7 @@ class LabeledGraph:
                 result.append(csr.label_keys[g])
         return result
 
-    def neighbor_type_counts(self, vertex: int, outgoing: bool = True) -> Dict[Tuple[int, int], int]:
-        """Number of neighbours per (edge label, vertex label) group (NLF filter input)."""
-        csr = self._out if outgoing else self._in
-        counts: Dict[Tuple[int, int], int] = {}
-        for g in range(csr.type_off[vertex], csr.type_off[vertex + 1]):
-            counts[csr.type_keys[g]] = csr.type_nbr_off[g + 1] - csr.type_nbr_off[g]
-        return counts
-
     # ----------------------------------------------------------------- labels
-    def vertices_with_label(self, label: int) -> List[int]:
-        """Sorted vertices carrying a label (inverse vertex label list)."""
-        return self._inverse_label.get(label)
-
-    def vertices_with_label_window(self, label: int) -> Window:
-        """Zero-copy window into the inverse vertex label list."""
-        return self._inverse_label.window(label)
-
     def vertices_with_labels(self, labels: FrozenSet[int]) -> List[int]:
         """Sorted vertices carrying *all* the given labels."""
         if not labels:
@@ -541,14 +499,6 @@ class LabeledGraph:
     def predicate_object_count(self, edge_label: int) -> int:
         """Number of objects of a predicate, from the offsets alone."""
         return self._pred_objects.count(edge_label)
-
-    def predicate_subjects_window(self, edge_label: int) -> Window:
-        """Zero-copy window over the subjects of a predicate."""
-        return self._pred_subjects.window(edge_label)
-
-    def predicate_objects_window(self, edge_label: int) -> Window:
-        """Zero-copy window over the objects of a predicate."""
-        return self._pred_objects.window(edge_label)
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, int]:

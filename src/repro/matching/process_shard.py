@@ -436,7 +436,6 @@ class ProcessShardPool:
         config: Optional[MatchConfig] = None,
         workers: int = 4,
         chunk_size: int = 8,
-        start_method: Optional[str] = None,
         worker_context: Any = None,
         region_cache_bytes: int = 0,
     ):
@@ -444,7 +443,6 @@ class ProcessShardPool:
         self.config = config if config is not None else MatchConfig.turbo_hom_pp()
         self.workers = max(1, workers)
         self.chunk_size = max(1, chunk_size)
-        self.start_method = start_method
         self.worker_context = worker_context
         self.region_cache_bytes = max(0, region_cache_bytes)
         self.last_stats: Optional[ParallelStats] = None
@@ -476,8 +474,7 @@ class ProcessShardPool:
 
     # ------------------------------------------------------------------- pool
     def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
+        """Fork where the platform has it, else spawn."""
         methods = multiprocessing.get_all_start_methods()
         return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 

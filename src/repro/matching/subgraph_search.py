@@ -8,9 +8,9 @@ non-tree edges to already-matched query vertices are verified:
   with a binary-search membership probe (``use_intersection=False``),
 * **+INT** — the candidate span is intersected in bulk with the CSR
   adjacency *windows* of the already-matched endpoints, one k-way sorted
-  intersection per step instead of per-candidate probes (Section 4.3), with
-  no posting-list copies and the result written into a reusable per-depth
-  buffer.
+  intersection per step instead of per-candidate probes (Section 4.3), read
+  straight from the posting arrays; the surviving candidates are the one
+  list the step builds.
 
 The injectivity test (line 4–6 of Algorithm 2) is applied only under
 isomorphism semantics; removing it is exactly the modification that turns
@@ -48,7 +48,11 @@ from repro.matching.config import MatchConfig
 from repro.matching.query_tree import QueryTree
 from repro.matching.region_arena import RegionArena
 from repro.matching.solution_batch import SolutionBatch
-from repro.utils.intersect import Window, _intersect_two_into, intersect_windows_into
+from repro.utils.intersect import Window, _intersect_two, intersect_windows
+
+#: The shared candidate list of a ``+INT`` step that nothing survives.
+_NO_CANDIDATES: List[int] = []
+
 
 class SearchStatistics:
     """Counters exposed for profiling and the ablation benchmarks.
@@ -113,8 +117,9 @@ class SubgraphSearcher:
     per-(query, tree, order, config) static structures are cached across
     resets), then :meth:`fill` is called repeatedly to append complete
     solutions into columnar batch collectors until :attr:`exhausted`.
-    All per-depth state lives in reusable grow-only arrays, so a pooled
-    searcher enumerates region after region without allocating.
+    The per-depth cursors live in reusable grow-only arrays, so a pooled
+    searcher enumerates region after region; the only list a step builds
+    is the candidate list of a ``+INT`` intersection.
     """
 
     __slots__ = (
@@ -145,7 +150,6 @@ class SubgraphSearcher:
         "_seq_base",
         "_seq_pos",
         "_seq_hi",
-        "_ibufs",
         "_pwindows",
         "_pedges",
         "_wbuf",
@@ -181,7 +185,6 @@ class SubgraphSearcher:
         self._seq_base: List[object] = []
         self._seq_pos: List[int] = []
         self._seq_hi: List[int] = []
-        self._ibufs: List[array] = []
         self._pwindows: List[List[Window]] = []
         self._pedges: List[List[QueryEdge]] = []
         self._wbuf: List[Window] = []
@@ -227,7 +230,6 @@ class SubgraphSearcher:
             self._seq_pos.append(0)
             self._seq_hi.append(0)
             self._chosen.append(-1)
-            self._ibufs.append(array("q"))
             self._pwindows.append([])
             self._pedges.append([])
         self._query = query
@@ -367,7 +369,6 @@ class SubgraphSearcher:
         seq_base = self._seq_base
         seq_pos = self._seq_pos
         seq_hi = self._seq_hi
-        ibufs = self._ibufs
         pool = self._pool
         spans = self._spans
         slices_get = self._slices.get
@@ -405,9 +406,9 @@ class SubgraphSearcher:
                 cross_edges = cross_by[depth]
                 if cross_edges and use_intersection:
                     # +INT: one bulk intersection of the span with every
-                    # cross-edge window (Section 4.3), into a reusable buffer.
+                    # cross-edge window (Section 4.3); the survivors become
+                    # this depth's candidate list.
                     intersection_count += 1
-                    base = ibufs[depth]
                     if len(cross_edges) == 1:
                         # The dominant shape: one non-tree edge, intersected
                         # directly with its adjacency window.
@@ -422,17 +423,11 @@ class SubgraphSearcher:
                             value = wbase[wlo]
                             index = bisect_left(pool, value, pos, hi)
                             if index < hi and pool[index] == value:
-                                if len(base):
-                                    base[0] = value
-                                else:
-                                    base.append(value)
-                                hi = 1
+                                base = [value]
                             else:
-                                hi = 0
+                                base = _NO_CANDIDATES
                         else:
-                            hi = _intersect_two_into(
-                                (pool, pos, hi), (wbase, wlo, whi), base
-                            )
+                            base = _intersect_two((pool, pos, hi), (wbase, wlo, whi))
                     else:
                         wbuf = self._wbuf
                         wbuf.clear()
@@ -441,8 +436,9 @@ class SubgraphSearcher:
                             wbuf.append(
                                 _adjacency_window_for_edge(graph, edge, current, mapping)
                             )
-                        hi = intersect_windows_into(wbuf, base)
+                        base = intersect_windows(wbuf)
                     pos = 0
+                    hi = len(base)
                 elif cross_edges:
                     # Original IsJoinable: one binary-search membership probe
                     # per candidate inside each fixed window.  Blank-label

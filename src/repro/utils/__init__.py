@@ -1,17 +1,10 @@
-"""Small shared utilities: timers, sorted-list algorithms, statistics."""
+"""Small shared utilities: timers, the sorted-window kernel, statistics."""
 
 from repro.utils.intersect import (
     Window,
     as_window,
-    intersect_sorted,
-    intersect_many,
     intersect_windows,
-    union_sorted,
-    union_many,
     union_windows,
-    contains_sorted,
-    window_contains,
-    galloping_intersect,
 )
 from repro.utils.timer import Timer, timed
 from repro.utils.stats import geometric_mean, summarize
@@ -19,15 +12,8 @@ from repro.utils.stats import geometric_mean, summarize
 __all__ = [
     "Window",
     "as_window",
-    "intersect_sorted",
-    "intersect_many",
     "intersect_windows",
-    "union_sorted",
-    "union_many",
     "union_windows",
-    "contains_sorted",
-    "window_contains",
-    "galloping_intersect",
     "Timer",
     "timed",
     "geometric_mean",

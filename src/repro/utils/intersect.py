@@ -1,4 +1,4 @@
-"""Sorted integer set algebra over posting lists and zero-copy windows.
+"""Sorted integer set algebra over zero-copy posting windows.
 
 These helpers are the pure-Python analogue of the sorted offset arrays the
 paper's C++ implementation iterates over (Figure 9).  Posting data lives in
@@ -9,15 +9,14 @@ intersection — the core of the ``+INT`` optimization (Section 4.3), one bulk
 IsJoinable test replacing per-candidate binary searches — merges or gallops
 directly inside the underlying arrays.
 
-The list-based functions (:func:`intersect_many`, :func:`union_many`, …) are
-retained for callers that own plain lists; they delegate to the window
-implementations.
+Every function returns a fresh ``list``; it is the one kernel both the
+graph's neighbour-type look-ups and the enumerator's ``+INT`` step call.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 #: A zero-copy view of the sorted run ``base[lo:hi]``.
 Window = Tuple[Sequence[int], int, int]
@@ -26,25 +25,6 @@ Window = Tuple[Sequence[int], int, int]
 def as_window(values: Sequence[int]) -> Window:
     """Wrap a whole sorted sequence as a window."""
     return (values, 0, len(values))
-
-
-def window_list(window: Window) -> List[int]:
-    """Materialize a window as a plain list."""
-    base, lo, hi = window
-    return list(base[lo:hi])
-
-
-def contains_sorted(sorted_list: Sequence[int], value: int) -> bool:
-    """Binary-search membership test on a sorted list."""
-    i = bisect_left(sorted_list, value)
-    return i < len(sorted_list) and sorted_list[i] == value
-
-
-def window_contains(window: Window, value: int) -> bool:
-    """Binary-search membership test inside a window."""
-    base, lo, hi = window
-    i = bisect_left(base, value, lo, hi)
-    return i < hi and base[i] == value
 
 
 # ------------------------------------------------------------- intersection
@@ -117,7 +97,8 @@ def intersect_windows(windows: Sequence[Window]) -> List[int]:
     if count == 0:
         return []
     if count == 1:
-        return window_list(windows[0])
+        base, lo, hi = windows[0]
+        return list(base[lo:hi])
     if count == 2:
         # The dominant +INT case (one non-tree edge): skip the sort,
         # _intersect_two orders the pair itself.
@@ -129,108 +110,6 @@ def intersect_windows(windows: Sequence[Window]) -> List[int]:
             return []
         result = _intersect_two(as_window(result), other)
     return result
-
-
-def _out_push(out, length: int, value: int) -> int:
-    """Grow-only append into a reusable output buffer; returns the new length."""
-    if length < len(out):
-        out[length] = value
-    else:
-        out.append(value)
-    return length + 1
-
-
-def _merge_windows_into(a: Window, b: Window, out) -> int:
-    """Linear merge intersection written into a reusable buffer."""
-    base_a, i, len_a = a
-    base_b, j, len_b = b
-    n = 0
-    while i < len_a and j < len_b:
-        x = base_a[i]
-        y = base_b[j]
-        if x == y:
-            n = _out_push(out, n, x)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return n
-
-
-def _gallop_windows_into(small: Window, large: Window, out) -> int:
-    """Galloping intersection written into a reusable buffer."""
-    base_s, lo_s, hi_s = small
-    base_l, lo, hi = large
-    n = 0
-    for i in range(lo_s, hi_s):
-        value = base_s[i]
-        j = bisect_left(base_l, value, lo, hi)
-        if j < hi and base_l[j] == value:
-            n = _out_push(out, n, value)
-        lo = j
-    return n
-
-
-def _intersect_two_into(a: Window, b: Window, out) -> int:
-    """Two-window intersection into a reusable buffer (merge vs gallop)."""
-    size_a = a[2] - a[1]
-    size_b = b[2] - b[1]
-    if size_a == 0 or size_b == 0:
-        return 0
-    small, large = (a, b) if size_a <= size_b else (b, a)
-    if (large[2] - large[1]) > 32 * (small[2] - small[1]):
-        return _gallop_windows_into(small, large, out)
-    return _merge_windows_into(small, large, out)
-
-
-def intersect_windows_into(windows: Sequence[Window], out) -> int:
-    """k-way window intersection into a reusable grow-only buffer.
-
-    ``out`` is any mutable integer sequence supporting index assignment and
-    ``append`` (in practice a per-depth ``array('q')`` the enumeration core
-    reuses); only ``out[:returned]`` is meaningful afterwards.  The dominant
-    ``+INT`` shape — one candidate span against one adjacency window — runs
-    allocation-free; three or more windows fall back to the list-building
-    :func:`intersect_windows` and copy once.
-    """
-    count = len(windows)
-    if count == 0:
-        return 0
-    if count == 1:
-        base, lo, hi = windows[0]
-        n = 0
-        for i in range(lo, hi):
-            n = _out_push(out, n, base[i])
-        return n
-    if count == 2:
-        return _intersect_two_into(windows[0], windows[1], out)
-    result = intersect_windows(windows)
-    n = 0
-    for value in result:
-        n = _out_push(out, n, value)
-    return n
-
-
-def intersect_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Intersect two sorted lists with a linear merge."""
-    return _merge_windows(as_window(a), as_window(b))
-
-
-def galloping_intersect(small: Sequence[int], large: Sequence[int]) -> List[int]:
-    """Intersect a small sorted list against a much larger one."""
-    return _gallop_windows(as_window(small), as_window(large))
-
-
-def intersect_adaptive(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Intersect two sorted lists choosing merge vs galloping by size ratio."""
-    return _intersect_two(as_window(a), as_window(b))
-
-
-def intersect_many(lists: Iterable[Sequence[int]]) -> List[int]:
-    """k-way intersection of sorted lists."""
-    return intersect_windows([as_window(lst) for lst in lists])
 
 
 # -------------------------------------------------------------------- union
@@ -260,11 +139,6 @@ def _merge_union(a: Window, b: Window) -> List[int]:
     return result
 
 
-def union_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Union of two sorted lists with duplicates removed."""
-    return _merge_union(as_window(a), as_window(b))
-
-
 def union_windows(windows: Sequence[Window]) -> List[int]:
     """Union of many sorted windows."""
     result: List[int] = []
@@ -277,34 +151,3 @@ def union_windows(windows: Sequence[Window]) -> List[int]:
         else:
             result = _merge_union(as_window(result), window)
     return result
-
-
-def union_many(lists: Iterable[Sequence[int]]) -> List[int]:
-    """Union of many sorted lists."""
-    return union_windows([as_window(lst) for lst in lists])
-
-
-# --------------------------------------------------------------- difference
-def difference_sorted(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Elements of sorted list ``a`` not present in sorted list ``b``."""
-    result: List[int] = []
-    i = j = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        x, y = a[i], b[j]
-        if x == y:
-            i += 1
-            j += 1
-        elif x < y:
-            result.append(x)
-            i += 1
-        else:
-            j += 1
-    if i < len_a:
-        result.extend(a[i:])
-    return result
-
-
-def is_sorted_unique(values: Sequence[int]) -> bool:
-    """True if ``values`` is strictly increasing (sorted, no duplicates)."""
-    return all(values[i] < values[i + 1] for i in range(len(values) - 1))

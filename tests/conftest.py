@@ -8,6 +8,7 @@ import glob
 import multiprocessing
 import os
 import tempfile
+import threading
 from dataclasses import replace
 
 import pytest
@@ -26,13 +27,19 @@ EX = Namespace("http://example.org/")
 
 def _leak_snapshot():
     """What no test may leave behind: ``/dev/shm`` entries, live child
-    processes and ``repro-spill-*`` directories."""
+    processes, ``repro-spill-*`` directories and non-daemon threads (each
+    one would keep the interpreter from exiting)."""
     return {
         "/dev/shm entries": set(os.listdir("/dev/shm")),
         "child processes": set(multiprocessing.active_children()),
         "spill directories": set(
             glob.glob(os.path.join(tempfile.gettempdir(), "repro-spill-*"))
         ),
+        "non-daemon threads": {
+            thread
+            for thread in threading.enumerate()
+            if not thread.daemon and thread is not threading.main_thread()
+        },
     }
 
 

@@ -10,6 +10,12 @@ A, B, C = 0, 1, 2
 E1, E2 = 0, 1
 
 
+def run(window):
+    """The sorted vertices a ``(base, lo, hi)`` posting window views."""
+    base, lo, hi = window
+    return list(base[lo:hi])
+
+
 @pytest.fixture
 def graph():
     builder = GraphBuilder()
@@ -40,7 +46,7 @@ class TestBuilder:
         builder.add_edge(0, E1, 1)
         graph = builder.build()
         assert graph.edge_count == 1
-        assert graph.out_neighbors(0, E1) == [1]
+        assert run(graph.out_window(0, E1)) == [1]
 
     def test_isolated_vertices_allowed(self):
         builder = GraphBuilder()
@@ -52,33 +58,35 @@ class TestBuilder:
 
 
 class TestAdjacency:
-    def test_out_neighbors_by_edge_label(self, graph):
-        assert graph.out_neighbors(0, E1) == [1, 2]
-        assert graph.out_neighbors(0, E2) == [3]
+    def test_out_window_by_edge_label(self, graph):
+        assert run(graph.out_window(0, E1)) == [1, 2]
+        assert run(graph.out_window(0, E2)) == [3]
+        assert run(graph.out_window(3, E1)) == []
 
-    def test_out_neighbors_any_label(self, graph):
-        assert graph.out_neighbors(0) == [1, 2, 3]
+    def test_out_window_any_label(self, graph):
+        assert run(graph.out_window(0)) == [1, 2, 3]
 
-    def test_in_neighbors(self, graph):
-        assert graph.in_neighbors(2, E1) == [0, 1]
-        assert graph.in_neighbors(3) == [0, 2]
+    def test_in_window(self, graph):
+        assert run(graph.in_window(2, E1)) == [0, 1]
+        assert run(graph.in_window(3)) == [0, 2]
 
     def test_neighbors_by_type_single_label(self, graph):
-        assert graph.neighbors_by_type(0, E1, frozenset((B,))) == [1, 2]
-        assert graph.neighbors_by_type(0, E1, frozenset((C,))) == [2]
+        assert run(graph.neighbors_by_type_window(0, E1, frozenset((B,)))) == [1, 2]
+        assert run(graph.neighbors_by_type_window(0, E1, frozenset((C,)))) == [2]
 
     def test_neighbors_by_type_multiple_labels_intersect(self, graph):
-        assert graph.neighbors_by_type(0, E1, frozenset((B, C))) == [2]
+        assert run(graph.neighbors_by_type_window(0, E1, frozenset((B, C)))) == [2]
 
     def test_neighbors_by_type_blank_vertex_label(self, graph):
-        assert graph.neighbors_by_type(0, E1, frozenset()) == [1, 2]
+        assert run(graph.neighbors_by_type_window(0, E1, frozenset())) == [1, 2]
 
     def test_neighbors_by_type_blank_edge_label(self, graph):
-        assert graph.neighbors_by_type(0, None, frozenset((C,))) == [2, 3]
-        assert graph.neighbors_by_type(0, None, frozenset()) == [1, 2, 3]
+        assert run(graph.neighbors_by_type_window(0, None, frozenset((C,)))) == [2, 3]
+        assert run(graph.neighbors_by_type_window(0, None, frozenset())) == [1, 2, 3]
 
     def test_neighbors_by_type_incoming(self, graph):
-        assert graph.neighbors_by_type(3, E2, frozenset((A,)), outgoing=False) == [0]
+        window = graph.neighbors_by_type_window(3, E2, frozenset((A,)), outgoing=False)
+        assert run(window) == [0]
 
     def test_has_edge(self, graph):
         assert graph.has_edge(0, 1, E1)
@@ -94,10 +102,13 @@ class TestAdjacency:
         assert graph.degree(0) == 3
         assert graph.degree(2) == 3  # two in, one out
 
-    def test_neighbor_type_counts(self, graph):
-        counts = graph.neighbor_type_counts(0)
-        assert counts[(E1, B)] == 2
-        assert counts[(E1, C)] == 1
+    def test_count_neighbors_by_type(self, graph):
+        assert graph.count_neighbors_by_type(0, E1, frozenset((B,))) == 2
+        assert graph.count_neighbors_by_type(0, E1, frozenset((C,))) == 1
+        assert graph.count_neighbors_by_type(0, E2, frozenset((C,))) == 1
+        assert graph.count_neighbors_by_type(0, E2, frozenset((B,))) == 0
+        assert graph.count_neighbors_by_type(0, None, frozenset((C,))) == 2
+        assert graph.count_neighbors_by_type(2, E1, frozenset((A,)), outgoing=False) == 1
 
     def test_iter_edges(self, graph):
         assert sorted(graph.iter_edges()) == sorted(
@@ -107,9 +118,9 @@ class TestAdjacency:
 
 class TestLabelAndPredicateIndexes:
     def test_inverse_vertex_label_list(self, graph):
-        assert graph.vertices_with_label(B) == [1, 2]
-        assert graph.vertices_with_label(C) == [2, 3]
-        assert graph.vertices_with_label(99) == []
+        assert graph.vertices_with_labels(frozenset((B,))) == [1, 2]
+        assert graph.vertices_with_labels(frozenset((C,))) == [2, 3]
+        assert graph.vertices_with_labels(frozenset((99,))) == []
 
     def test_vertices_with_multiple_labels(self, graph):
         assert graph.vertices_with_labels(frozenset((B, C))) == [2]
@@ -155,10 +166,10 @@ class TestAdjacencyProperties:
             (source, label, target)
             for target in graph.vertices()
             for label in graph.edge_labels()
-            for source in graph.in_neighbors(target, label)
+            for source in run(graph.in_window(target, label))
         }
         assert rebuilt_from_out == set(edges) == rebuilt_from_in
         # Every adjacency list is sorted and duplicate free.
         for vertex in graph.vertices():
-            neighbours = graph.out_neighbors(vertex)
+            neighbours = run(graph.out_window(vertex))
             assert neighbours == sorted(set(neighbours))

@@ -23,6 +23,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.engine.shard_executor import ShardExecutor
 from repro.engine.turbo_engine import TurboHomPPEngine
 from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
@@ -97,6 +98,12 @@ class TestProcessPoolLifecycle:
                 pool.match(star_query(), vertex_predicates={1: exploding_predicate})
         finally:
             pool.close()
+
+    @pytest.mark.parametrize("factory", [ProcessShardPool, ShardExecutor])
+    def test_start_method_is_not_an_argument(self, factory):
+        # Workers fork where the platform can and spawn otherwise.
+        with pytest.raises(TypeError, match="start_method"):
+            factory(star_graph(spokes=1), start_method="spawn")
 
     def test_worker_crash_raises_instead_of_hanging(self):
         graph = star_graph(spokes=200, hubs=40)
