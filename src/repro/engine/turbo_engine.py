@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -730,6 +731,9 @@ class TurboEngine(Engine):
         self.graph: Optional[LabeledGraph] = None
         self.mapping: Optional[GraphMapping] = None
         self._decode: Optional[Decoder] = None
+        #: What the last :meth:`load` built and how long its transform took
+        #: (``stats()["load"]``); None before the first load.
+        self._load_stats: Optional[Dict[str, float]] = None
         #: Compiled-plan cache shared by every query of this engine
         #: (``plan_cache_size=0`` disables caching).
         self.plan_cache: Optional[PlanCache] = (
@@ -781,10 +785,16 @@ class TurboEngine(Engine):
     def load(self, store: TripleStore) -> None:
         """Transform the store into the engine's labeled graph."""
         self._store = store
+        started = time.perf_counter()
         if self.type_aware:
             self.graph, self.mapping = type_aware_transform(store)
         else:
             self.graph, self.mapping = direct_transform(store)
+        self._load_stats = {
+            "transform_ms": (time.perf_counter() - started) * 1e3,
+            "vertices": self.graph.vertex_count,
+            "edges": self.graph.edge_count,
+        }
         self._decode = self.mapping.vertex_terms().__getitem__
         # New graph: compiled plans, cached regions and the worker pool are
         # stale (shard workers restart with empty caches when the pool is
@@ -896,7 +906,10 @@ class TurboEngine(Engine):
         * ``path_index`` — the per-predicate reachability-index LRU behind
           transitive property paths: the byte budget, resident
           entries/bytes, build / hit / miss / eviction counts and the probes
-          answered from closure postings.
+          answered from closure postings,
+        * ``load`` — the last :meth:`load`: wall time of the RDF → graph
+          transform in ms and the vertex / edge counts of the graph it built
+          (None before the first load).
         """
         plan_cache: Optional[Dict[str, int]] = None
         if self.plan_cache is not None:
@@ -937,6 +950,7 @@ class TurboEngine(Engine):
                 **self.operator_context.counters.snapshot(),
             },
             "path_index": path_index,
+            "load": dict(self._load_stats) if self._load_stats is not None else None,
         }
 
     def close(self) -> None:

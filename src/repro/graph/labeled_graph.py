@@ -26,8 +26,15 @@ CPython a list *is* a contiguous pointer array and indexes faster than
 accessors return windows; the few accessors that return a ``List[int]``
 (the label and predicate look-ups) copy their run once.
 
-Graphs are built through :class:`GraphBuilder` (mutable accumulation) and
-then frozen into the read-only :class:`LabeledGraph`.
+A :class:`LabeledGraph` is built in one step from a vertex count, one label
+set per vertex and an edge list: the RDF transformations call the
+constructor directly, and :class:`GraphBuilder` accumulates vertices and
+edges one at a time (tests, examples) before delegating to it.  The build
+sorts the edges once per direction; a single pass over those rows writes the
+per-label level and, as each ``(vertex, edge label)`` group closes, spreads
+the group's already sorted neighbours into one bucket per vertex label,
+which yields the neighbour-type level without a second sort.  The predicate
+index is read off the finished per-label groups.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -60,6 +69,8 @@ EMPTY_LABELS: FrozenSet[int] = frozenset()
 _EMPTY_LIST: List[int] = []
 #: The canonical empty posting window.
 _EMPTY_WINDOW: Window = (_EMPTY_LIST, 0, 0)
+#: Group key of a sorted ``(vertex, edge label, neighbour)`` row.
+_VERTEX_AND_LABEL = itemgetter(0, 1)
 
 
 def _window_slice(base: Sequence[int], lo: int, hi: int) -> List[int]:
@@ -74,7 +85,12 @@ def _window_slice(base: Sequence[int], lo: int, hi: int) -> List[int]:
 
 
 class GraphBuilder:
-    """Mutable accumulator used to construct a :class:`LabeledGraph`."""
+    """Mutable accumulator for building a :class:`LabeledGraph` piecewise.
+
+    Vertex ids may arrive in any order; :meth:`build` sizes the graph to the
+    largest id seen.  Bulk loaders that already hold the vertex count, the
+    label sets and the edge list call :class:`LabeledGraph` directly.
+    """
 
     def __init__(self) -> None:
         self._labels: Dict[int, Set[int]] = defaultdict(set)
@@ -124,23 +140,58 @@ class _DirectionCSR:
     def __init__(
         self,
         vertex_count: int,
-        triples: List[Tuple[int, int, int]],
-        vertex_labels: Sequence[FrozenSet[int]],
+        rows: List[Tuple[int, int, int]],
+        sorted_labels: Sequence[Tuple[int, ...]],
     ) -> None:
-        # ``triples`` are (vertex, edge label, neighbour), sorted and unique.
-        self.label_off, self.label_keys, self.nbr_off, self.nbr = _build_csr_levels(
-            vertex_count, triples
-        )
-
-        # Neighbour-type CSR: expand each neighbour into one entry per label.
-        typed: List[Tuple[int, Tuple[int, int], int]] = []
-        for vertex, edge_label, neighbor in triples:
-            for vertex_label in vertex_labels[neighbor]:
-                typed.append((vertex, (edge_label, vertex_label), neighbor))
-        typed.sort()
-        self.type_off, self.type_keys, self.type_nbr_off, self.type_nbr = _build_csr_levels(
-            vertex_count, typed
-        )
+        # ``rows`` are (vertex, edge label, neighbour), sorted and unique;
+        # ``sorted_labels[n]`` is neighbour ``n``'s label set as an ascending
+        # tuple, one shared tuple object per distinct label set.
+        label_off = [0] * (vertex_count + 1)
+        label_keys: List[int] = []
+        nbr_off: List[int] = []
+        nbr: List[int] = []
+        type_off = [0] * (vertex_count + 1)
+        type_keys: List[Tuple[int, int]] = []
+        type_nbr_off: List[int] = []
+        type_nbr: List[int] = []
+        for (vertex, edge_label), group in groupby(rows, _VERTEX_AND_LABEL):
+            neighbors = [row[2] for row in group]
+            label_off[vertex + 1] += 1
+            label_keys.append(edge_label)
+            nbr_off.append(len(nbr))
+            nbr += neighbors
+            # The group's neighbour-type groups: its sorted neighbours spread
+            # into one bucket per vertex label, emitted in label order.
+            first = sorted_labels[neighbors[0]]
+            if len(neighbors) == 1 or all(sorted_labels[n] is first for n in neighbors):
+                for vertex_label in first:
+                    type_keys.append((edge_label, vertex_label))
+                    type_nbr_off.append(len(type_nbr))
+                    type_nbr += neighbors
+                type_off[vertex + 1] += len(first)
+                continue
+            buckets: Dict[int, List[int]] = defaultdict(list)
+            for neighbor in neighbors:
+                for vertex_label in sorted_labels[neighbor]:
+                    buckets[vertex_label].append(neighbor)
+            for vertex_label in sorted(buckets):
+                type_keys.append((edge_label, vertex_label))
+                type_nbr_off.append(len(type_nbr))
+                type_nbr += buckets[vertex_label]
+            type_off[vertex + 1] += len(buckets)
+        nbr_off.append(len(nbr))
+        type_nbr_off.append(len(type_nbr))
+        for vertex in range(vertex_count):
+            label_off[vertex + 1] += label_off[vertex]
+            type_off[vertex + 1] += type_off[vertex]
+        self.label_off = label_off
+        self.label_keys = label_keys
+        self.nbr_off = nbr_off
+        self.nbr = nbr
+        self.type_off = type_off
+        self.type_keys = type_keys
+        self.type_nbr_off = type_nbr_off
+        self.type_nbr = type_nbr
 
     @classmethod
     def _attach(
@@ -214,30 +265,15 @@ class _DirectionCSR:
         return self.nbr_off[hi] - self.nbr_off[lo]
 
 
-def _build_csr_levels(vertex_count, rows):
-    """Build one three-level CSR from sorted ``(vertex, key, neighbour)`` rows.
-
-    Returns ``(off, keys, nbr_off, nbr)`` in a single pass: ``off`` windows
-    each vertex's run of ``keys``, ``nbr_off`` windows each key group's run
-    of ``nbr`` (with the end sentinel at ``nbr_off[len(keys)]``).
-    """
-    off = [0] * (vertex_count + 1)
-    keys: List = []
-    nbr_off: List[int] = []
-    nbr: List[int] = []
-    previous = None
-    for vertex, key, neighbor in rows:
-        group = (vertex, key)
-        if group != previous:
-            keys.append(key)
-            nbr_off.append(len(nbr))
-            off[vertex + 1] += 1
-            previous = group
-        nbr.append(neighbor)
-    nbr_off.append(len(nbr))
-    for vertex in range(vertex_count):
-        off[vertex + 1] += off[vertex]
-    return off, keys, nbr_off, nbr
+def _group_owners(csr: _DirectionCSR) -> Dict[int, List[int]]:
+    """Edge label -> ascending vertices that own a group of that label."""
+    owners: Dict[int, List[int]] = defaultdict(list)
+    label_off = csr.label_off
+    label_keys = csr.label_keys
+    for vertex in range(len(label_off) - 1):
+        for g in range(label_off[vertex], label_off[vertex + 1]):
+            owners[label_keys[g]].append(vertex)
+    return owners
 
 
 class _PostingIndex:
@@ -246,11 +282,12 @@ class _PostingIndex:
     __slots__ = ("keys", "off", "postings")
 
     def __init__(self, groups: Dict[int, List[int]]) -> None:
+        # ``groups`` maps each key to its ascending, duplicate-free postings.
         self.keys: List[int] = sorted(groups)
         self.off: List[int] = [0]
         self.postings: List[int] = []
         for key in self.keys:
-            self.postings.extend(sorted(groups[key]))
+            self.postings += groups[key]
             self.off.append(len(self.postings))
 
     @classmethod
@@ -293,33 +330,39 @@ class LabeledGraph:
         self.vertex_count = vertex_count
         self.labels: List[FrozenSet[int]] = list(labels)
 
-        unique_edges = sorted(set(edges))
-        self.edge_count = len(unique_edges)
+        out_rows = sorted(set(edges))
+        in_rows = sorted([(t, l, s) for (s, l, t) in out_rows])
+        # Rows are sorted by their first element, so the ends bound every
+        # source (out rows) and every target (in rows).
+        if out_rows and not (
+            0 <= out_rows[0][0] and out_rows[-1][0] < vertex_count
+            and 0 <= in_rows[0][0] and in_rows[-1][0] < vertex_count
+        ):
+            raise GraphError(
+                f"edge endpoints must lie in [0, {vertex_count}), got "
+                f"sources {out_rows[0][0]}..{out_rows[-1][0]} and "
+                f"targets {in_rows[0][0]}..{in_rows[-1][0]}"
+            )
+        self.edge_count = len(out_rows)
 
-        # Outgoing CSR: (source, label, target); incoming CSR: (target, label, source).
-        self._out = _DirectionCSR(vertex_count, unique_edges, self.labels)
-        incoming = sorted((t, l, s) for (s, l, t) in unique_edges)
-        self._in = _DirectionCSR(vertex_count, incoming, self.labels)
+        # One ascending label tuple per distinct label set, shared by every
+        # vertex carrying that set.
+        distinct = {label_set: tuple(sorted(label_set)) for label_set in set(self.labels)}
+        sorted_labels = [distinct[label_set] for label_set in self.labels]
+        self._out = _DirectionCSR(vertex_count, out_rows, sorted_labels)
+        self._in = _DirectionCSR(vertex_count, in_rows, sorted_labels)
 
-        # Inverse vertex label list: label -> sorted vertices carrying it.
+        # Inverse vertex label list: label -> ascending vertices carrying it.
         inverse: Dict[int, List[int]] = defaultdict(list)
-        for v in range(vertex_count):
-            for label in self.labels[v]:
-                inverse[label].append(v)
+        for vertex, vertex_labels in enumerate(sorted_labels):
+            for label in vertex_labels:
+                inverse[label].append(vertex)
         self._inverse_label = _PostingIndex(inverse)
 
-        # Predicate index: edge label -> (sorted subjects, sorted objects).
-        pred_subjects: Dict[int, Set[int]] = defaultdict(set)
-        pred_objects: Dict[int, Set[int]] = defaultdict(set)
-        for source, edge_label, target in unique_edges:
-            pred_subjects[edge_label].add(source)
-            pred_objects[edge_label].add(target)
-        self._pred_subjects = _PostingIndex(
-            {k: list(vs) for k, vs in pred_subjects.items()}
-        )
-        self._pred_objects = _PostingIndex(
-            {k: list(vs) for k, vs in pred_objects.items()}
-        )
+        # Predicate index: edge label -> ascending subjects / objects, read
+        # off the per-label groups of each direction.
+        self._pred_subjects = _PostingIndex(_group_owners(self._out))
+        self._pred_objects = _PostingIndex(_group_owners(self._in))
 
         # Total degree per vertex: distinct (label, neighbour) entries, both
         # directions (a self-loop counts once per direction).

@@ -11,6 +11,11 @@ provided:
   vertex label sets (type ids), the class vertices disappear, and the
   remaining triples become edges.
 
+Both hand the vertex count, the label sets and the edge list to
+:class:`LabeledGraph` in one call.  The type-aware transformation computes
+the superclass closure once per distinct set of direct types and shares the
+resulting frozenset among every vertex with that set.
+
 The corresponding query transformations convert a SPARQL basic graph pattern
 into a :class:`QueryGraph` against the matching data graph.
 """
@@ -21,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
+from repro.graph.labeled_graph import EMPTY_LABELS, LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.rdf.dictionary import Dictionary
 from repro.rdf.namespaces import RDF, RDFS
@@ -117,12 +122,9 @@ def direct_transform(store: TripleStore) -> Tuple[LabeledGraph, GraphMapping]:
     becomes an edge labeled by its predicate id.
     """
     dictionary = store.dictionary
-    builder = GraphBuilder()
-    for node_id in range(dictionary.node_count):
-        builder.add_vertex(node_id, (node_id,))
-    for s, p, o in store.iter_triples():
-        builder.add_edge(s, p, o)
-    graph = builder.build()
+    vertex_count = dictionary.node_count
+    labels = [frozenset((node_id,)) for node_id in range(vertex_count)]
+    graph = LabeledGraph(vertex_count, labels, store.iter_triples())
     mapping = GraphMapping(kind="direct", dictionary=dictionary)
     return graph, mapping
 
@@ -143,53 +145,48 @@ def type_aware_transform(store: TripleStore) -> Tuple[LabeledGraph, GraphMapping
     superclass_edges: Dict[int, Set[int]] = defaultdict(set)
     data_triples: List[Tuple[int, int, int]] = []
     for s, p, o in store.iter_triples():
-        if type_pred is not None and p == type_pred:
+        if p == type_pred:
             direct_types[s].add(o)
-        elif subclass_pred is not None and p == subclass_pred:
+        elif p == subclass_pred:
             superclass_edges[s].add(o)
         else:
             data_triples.append((s, p, o))
 
-    # 2. Transitive closure over the subclass hierarchy (Definition 3, rule 7:
-    #    "there is a path ... using triples in T't ∪ T'sc").
-    closure_cache: Dict[int, Set[int]] = {}
+    # 2. Label sets: the direct types plus everything reachable from them
+    #    over the subclass hierarchy (Definition 3, rule 7: "there is a path
+    #    ... using triples in T't ∪ T'sc").  The closure runs once per
+    #    distinct direct-type set, and every vertex with that set shares the
+    #    one resulting frozenset.
+    closed: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
-    def superclasses(cls: int) -> Set[int]:
-        cached = closure_cache.get(cls)
-        if cached is not None:
-            return cached
-        seen: Set[int] = set()
-        stack = list(superclass_edges.get(cls, ()))
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(superclass_edges.get(node, ()))
-        closure_cache[cls] = seen
-        return seen
+    def label_set(types: Set[int]) -> FrozenSet[int]:
+        key = frozenset(types)
+        labels = closed.get(key)
+        if labels is None:
+            seen = set(key)
+            stack = list(key)
+            while stack:
+                for parent in superclass_edges.get(stack.pop(), ()):
+                    if parent not in seen:
+                        seen.add(parent)
+                        stack.append(parent)
+            labels = closed[key] = frozenset(seen)
+        return labels
 
-    # 3. Decide which nodes become vertices: subjects/objects of data triples
-    #    plus subjects of rdf:type triples.
-    vertex_nodes: Set[int] = set()
+    # 3. Vertices: subjects/objects of data triples plus subjects of rdf:type
+    #    triples, numbered densely in node-id order.
+    vertex_nodes: Set[int] = set(direct_types)
     for s, _, o in data_triples:
         vertex_nodes.add(s)
         vertex_nodes.add(o)
-    vertex_nodes.update(direct_types)
-
     vertex_to_node = sorted(vertex_nodes)
     node_to_vertex = {node: index for index, node in enumerate(vertex_to_node)}
-
-    builder = GraphBuilder()
-    for node in vertex_to_node:
-        labels: Set[int] = set()
-        for cls in direct_types.get(node, ()):
-            labels.add(cls)
-            labels.update(superclasses(cls))
-        builder.add_vertex(node_to_vertex[node], labels)
-    for s, p, o in data_triples:
-        builder.add_edge(node_to_vertex[s], p, node_to_vertex[o])
-    graph = builder.build()
+    labels = [
+        label_set(direct_types[node]) if node in direct_types else EMPTY_LABELS
+        for node in vertex_to_node
+    ]
+    edges = [(node_to_vertex[s], p, node_to_vertex[o]) for s, p, o in data_triples]
+    graph = LabeledGraph(len(vertex_to_node), labels, edges)
 
     type_predicates = frozenset(
         pid for pid in (type_pred, subclass_pred) if pid is not None

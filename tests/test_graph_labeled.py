@@ -1,7 +1,7 @@
 """Labeled graph storage: adjacency grouping, label index, predicate index."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import GraphError
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
@@ -144,6 +144,16 @@ class TestLabelAndPredicateIndexes:
         with pytest.raises(GraphError):
             LabeledGraph(2, [frozenset()], [])
 
+    @pytest.mark.parametrize("edge", [(0, E1, -1), (-1, E1, 0)])
+    def test_negative_edge_endpoint_rejected(self, edge):
+        with pytest.raises(GraphError):
+            LabeledGraph(3, [frozenset()] * 3, [edge])
+
+    @pytest.mark.parametrize("edge", [(0, E1, 3), (3, E1, 0), (1, E1, 7)])
+    def test_edge_endpoint_past_vertex_count_rejected(self, edge):
+        with pytest.raises(GraphError):
+            LabeledGraph(3, [frozenset()] * 3, [edge])
+
 
 class TestAdjacencyProperties:
     @given(
@@ -173,3 +183,79 @@ class TestAdjacencyProperties:
         for vertex in graph.vertices():
             neighbours = run(graph.out_window(vertex))
             assert neighbours == sorted(set(neighbours))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_csr_matches_brute_force(self, data):
+        """Every CSR look-up equals the answer computed from the edge set.
+
+        Vertices carry 0-3 labels from a small pool (equal sets built as
+        separate objects), and the edge list has self-loops, duplicates and
+        labelled isolated vertices.  An ``export_shared`` / ``attach_shared``
+        round trip must answer the same.
+        """
+        pool = (10, 11, 12, 13)
+        vertex_count = data.draw(st.integers(min_value=1, max_value=12))
+        labels = [
+            frozenset(data.draw(st.lists(st.sampled_from(pool), max_size=3)))
+            for _ in range(vertex_count)
+        ]
+        vertex = st.integers(min_value=0, max_value=vertex_count - 1)
+        drawn = data.draw(
+            st.lists(st.tuples(vertex, st.integers(0, 2), vertex), max_size=40)
+        )
+        loops = [(v, 2, v) for v in data.draw(st.lists(vertex, max_size=3))]
+        edges = drawn + loops + drawn[: len(drawn) // 2]
+        graph = LabeledGraph(vertex_count, labels, edges)
+        self._assert_brute_force(graph, vertex_count, labels, set(edges))
+        handle = graph.export_shared()
+        try:
+            attached, shm = LabeledGraph.attach_shared(handle.manifest)
+            try:
+                self._assert_brute_force(attached, vertex_count, labels, set(edges))
+            finally:
+                del attached
+                shm.close()
+        finally:
+            handle.unlink()
+
+    @staticmethod
+    def _assert_brute_force(graph, vertex_count, labels, edges):
+        pool = (10, 11, 12, 13, 99)
+        label_queries = [frozenset()] + [frozenset((a,)) for a in pool]
+        label_queries += [frozenset((a, b)) for a in pool for b in pool if a < b]
+        arcs = {True: edges, False: {(t, l, s) for s, l, t in edges}}
+        for v in range(vertex_count):
+            degree = len({(l, n) for s, l, n in arcs[True] if s == v})
+            degree += len({(l, n) for s, l, n in arcs[False] if s == v})
+            assert graph.degree(v) == degree
+            for outgoing, rows in arcs.items():
+                for edge_label in (None, 0, 1, 2, 3):
+                    for wanted in label_queries:
+                        expected = sorted(
+                            {
+                                n
+                                for s, l, n in rows
+                                if s == v
+                                and edge_label in (None, l)
+                                and wanted <= labels[n]
+                            }
+                        )
+                        window = graph.neighbors_by_type_window(
+                            v, edge_label, wanted, outgoing
+                        )
+                        assert run(window) == expected
+                        assert graph.count_neighbors_by_type(
+                            v, edge_label, wanted, outgoing
+                        ) == len(expected)
+        for edge_label in (0, 1, 2, 3):
+            assert graph.predicate_subjects(edge_label) == sorted(
+                {s for s, l, _ in edges if l == edge_label}
+            )
+            assert graph.predicate_objects(edge_label) == sorted(
+                {t for _, l, t in edges if l == edge_label}
+            )
+        for wanted in label_queries:
+            assert graph.vertices_with_labels(wanted) == [
+                v for v in range(vertex_count) if wanted <= labels[v]
+            ]

@@ -1,7 +1,12 @@
 """Query graph model and the direct / type-aware transformations."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
+from repro.engine.turbo_engine import TurboEngine
 from repro.exceptions import GraphError
 from repro.graph.query_graph import QueryGraph
 from repro.graph.transform import (
@@ -191,3 +196,152 @@ class TestTransformOnLUBM:
             1 for _, p, _ in lubm1.store.iter_triples() if p in (type_pred, subclass_pred)
         )
         assert typed_graph.edge_count == direct_graph.edge_count - schema_edges
+
+
+def _canonical(store):
+    """A copy of ``store`` whose dictionary ids do not depend on the hash seed.
+
+    Dataset generators encode terms in set-iteration order, so their node ids
+    move with ``PYTHONHASHSEED``; loading the decoded triples in a fixed
+    order pins them.
+    """
+    copy = TripleStore()
+    copy.load(sorted(store.decode_all(), key=repr))
+    return copy
+
+
+def _layout_digest(graph, mapping):
+    """SHA-256 over every flat array the query path reads.
+
+    Label sets, both directions' eight CSR slots (``type_keys`` as pairs),
+    the inverse-label and predicate posting indexes, the degrees and the
+    vertex → node table.
+    """
+    parts = [graph.vertex_count, graph.edge_count, [sorted(s) for s in graph.labels]]
+    for csr in (graph._out, graph._in):
+        parts.append(
+            [
+                list(csr.label_off), list(csr.label_keys),
+                list(csr.nbr_off), list(csr.nbr),
+                list(csr.type_off), [list(key) for key in csr.type_keys],
+                list(csr.type_nbr_off), list(csr.type_nbr),
+            ]
+        )
+    for index in (graph._inverse_label, graph._pred_subjects, graph._pred_objects):
+        parts.append([list(index.keys), list(index.off), list(index.postings)])
+    parts.append(list(graph._degree))
+    parts.append(mapping.vertex_to_node)
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+class TestLayoutDigest:
+    """The CSR build writes the arrays the query path has always read.
+
+    The digests were taken from the build this one replaced (a global sort
+    of one ``(vertex, (edge label, vertex label), neighbour)`` row per
+    neighbour label).  A change to the layout must update them on purpose.
+    """
+
+    def test_type_aware_lubm1(self, lubm1):
+        graph, mapping = type_aware_transform(_canonical(lubm1.store))
+        assert _layout_digest(graph, mapping) == (
+            "462bd6fe48401e1b32670dd2aa49bc68b2faf729ca0349f9e8481a4aad113a3d"
+        )
+
+    def test_direct_bsbm(self, bsbm_small):
+        graph, mapping = direct_transform(_canonical(bsbm_small.store))
+        assert _layout_digest(graph, mapping) == (
+            "5a06f6719836d054e6e9a8cf319c1c9e2a7f95c78dc316d86eac239c8f7576b4"
+        )
+
+
+def _random_typed_triples(rng):
+    """Entities, literals and classes with every shape the transform folds.
+
+    ``rdfs:subClassOf`` chains plus a cycle (C3 ⊑ C4 ⊑ C3), a class that is
+    the subject of a data triple, and a node with nothing but type triples.
+    """
+    classes = [EX[f"C{i}"] for i in range(6)]
+    entities = [EX[f"e{i}"] for i in range(10)]
+    predicates = [EX[f"p{i}"] for i in range(3)]
+    triples = [
+        Triple(classes[3], RDFS.subClassOf, classes[4]),
+        Triple(classes[4], RDFS.subClassOf, classes[3]),
+        Triple(classes[1], predicates[0], entities[2]),
+        Triple(EX.typeOnly, RDF.type, classes[rng.randrange(6)]),
+    ]
+    for _ in range(rng.randrange(0, 6)):
+        sub, sup = rng.sample(classes, 2)
+        triples.append(Triple(sub, RDFS.subClassOf, sup))
+    for _ in range(rng.randrange(0, 15)):
+        triples.append(Triple(rng.choice(entities), RDF.type, rng.choice(classes)))
+    for _ in range(rng.randrange(0, 25)):
+        obj = rng.choice(entities + [Literal(str(rng.randrange(4)))])
+        triples.append(Triple(rng.choice(entities), rng.choice(predicates), obj))
+    return triples
+
+
+class TestTypeAwareReference:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_transform(self, seed):
+        triples = _random_typed_triples(random.Random(seed))
+        store = TripleStore()
+        store.load(triples)
+        graph, mapping = type_aware_transform(store)
+
+        schema = (RDF.type, RDFS.subClassOf)
+        data = {(t.subject, t.predicate, t.object) for t in triples if t.predicate not in schema}
+        direct = {}
+        for t in triples:
+            if t.predicate == RDF.type:
+                direct.setdefault(t.subject, set()).add(t.object)
+        parents = {}
+        for t in triples:
+            if t.predicate == RDFS.subClassOf:
+                parents.setdefault(t.subject, set()).add(t.object)
+
+        def closure(types):
+            # Brute force: grow the set until no subClassOf edge adds a class.
+            result = set(types)
+            while True:
+                grown = result.union(*(parents.get(c, set()) for c in result))
+                if grown == result:
+                    return result
+                result = grown
+
+        nodes = {s for s, _, _ in data} | {o for _, _, o in data} | set(direct)
+        vertex_terms = [mapping.term_for_vertex(v) for v in graph.vertices()]
+        assert sorted(vertex_terms, key=repr) == sorted(nodes, key=repr)
+        for v, term in enumerate(vertex_terms):
+            labels = {mapping.term_for_label(label) for label in graph.vertex_labels(v)}
+            assert labels == closure(direct.get(term, ()))
+        edges = {
+            (vertex_terms[s], mapping.term_for_edge_label(p), vertex_terms[o])
+            for s, p, o in graph.iter_edges()
+        }
+        assert edges == data
+        assert graph.edge_count == len(data)
+
+
+class TestEngineLoadStats:
+    def test_stats_report_last_load(self, typed_store):
+        engine = TurboEngine()
+        try:
+            assert engine.stats()["load"] is None
+            engine.load(typed_store)
+            load = engine.stats()["load"]
+            assert set(load) == {"transform_ms", "vertices", "edges"}
+            assert (load["vertices"], load["edges"]) == (3, 2)
+            assert load["transform_ms"] > 0
+        finally:
+            engine.close()
+
+    def test_stats_follow_the_transform(self, typed_store):
+        engine = TurboEngine(type_aware=False)
+        try:
+            engine.load(typed_store)
+            load = engine.stats()["load"]
+            assert load["vertices"] == typed_store.dictionary.node_count
+            assert load["edges"] == len(typed_store)
+        finally:
+            engine.close()
