@@ -19,6 +19,7 @@ import abc
 import os
 from typing import FrozenSet, Iterable, List, Mapping, Optional, Sequence, Union
 
+from repro.engine.plan_cache import PlanCache
 from repro.exceptions import EngineError
 from repro.rdf.store import TripleStore
 from repro.sparql import expressions as expr
@@ -225,6 +226,10 @@ class Engine(abc.ABC):
 
     def __init__(self) -> None:
         self._store: Optional[TripleStore] = None
+        #: Bounded text → :class:`SelectQuery` LRU in front of the parser
+        #: (None parses every text).  Cached queries are shared: evaluation
+        #: never mutates them.
+        self.parse_cache: Optional[PlanCache[SelectQuery]] = None
 
     # ---------------------------------------------------------------- loading
     @abc.abstractmethod
@@ -245,13 +250,28 @@ class Engine(abc.ABC):
     # ---------------------------------------------------------------- queries
     def _parse_checked(self, query: Union[str, SelectQuery]) -> SelectQuery:
         """Parse a query and reject feature surface this engine lacks."""
-        parsed = parse_sparql(query) if isinstance(query, str) else query
+        parsed = self._parse(query) if isinstance(query, str) else query
         if not self.supports_optional and _uses_optional(parsed):
             raise EngineError(f"{self.name} does not support OPTIONAL")
         if not self.supports_paths and _uses_paths(parsed):
             raise EngineError(
                 f"{self.name} does not support transitive property paths"
             )
+        return parsed
+
+    def _parse(self, text: str) -> SelectQuery:
+        """The parsed query for ``text``, from the parse cache when possible.
+
+        A text that fails to parse raises before anything is stored, so
+        syntax errors are never cached.
+        """
+        cache = self.parse_cache
+        if cache is None:
+            return parse_sparql(text)
+        parsed = cache.get(text)
+        if parsed is None:
+            parsed = parse_sparql(text)
+            cache.put(text, parsed)
         return parsed
 
     def query(self, query: Union[str, SelectQuery]) -> ResultSet:

@@ -19,21 +19,25 @@ SPARQL basic graph pattern —
 — and packages it into an immutable :class:`QueryPlan`.  Execution
 (:mod:`repro.engine.turbo_engine`) only streams: it never transforms,
 ranks start vertices, writes query trees or classifies filters.  Combined
-with the :class:`~repro.engine.plan_cache.PlanCache`, repeated queries (the
-million-user serving scenario) skip this whole module after their first run.
+with the :class:`~repro.engine.plan_cache.PlanCache`, every instance of a
+query template after the first skips this compile: :meth:`QueryPlan.bind`
+points the cached plan's slot vertices at the instance's constants (see
+``docs/caching.md``, "Template plans").
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.query_graph import QueryGraph
+from repro.graph.query_graph import EMPTY_LABELS, QueryGraph, QueryVertex
 from repro.graph.transform import (
+    IMPOSSIBLE,
     GraphMapping,
     QueryTransformResult,
+    constant_vertex_name,
     direct_transform_query,
     type_aware_transform_query,
 )
@@ -41,8 +45,9 @@ from repro.matching.candidate_region import VertexPredicate
 from repro.matching.config import MatchConfig
 from repro.matching.matching_order import OrderCache
 from repro.matching.query_tree import QueryTree, write_query_tree
+from repro.matching.start_vertex import candidate_start_vertices, filter_start_candidates
 from repro.matching.turbo import PreparedQuery, prepare_query
-from repro.rdf.namespaces import RDF
+from repro.rdf.namespaces import RDF, RDF_TYPE
 from repro.rdf.terms import Term
 from repro.sparql import expressions as expr
 from repro.sparql.ast import PathPattern, TriplePattern, Variable
@@ -65,6 +70,13 @@ class ComponentPlan:
     #: Query trees and ``+REUSE`` order slots re-rooted at another vertex,
     #: by root; filled on demand by :meth:`rooted_at`.
     reroots: Dict[int, Tuple[QueryTree, OrderCache]] = field(default_factory=dict)
+    #: ``(vertex index, slot)`` of each constant vertex whose ``vertex_id``
+    #: is a slot constant's data vertex.
+    id_slots: Tuple[Tuple[int, int], ...] = ()
+    #: ``(vertex index, slots, fixed labels)`` of each vertex whose labels
+    #: include slot constants: the direct transformation's constants, and
+    #: the objects of variable-predicate patterns read as ``rdf:type``.
+    label_slots: Tuple[Tuple[int, Tuple[int, ...], FrozenSet[int]], ...] = ()
 
     def rooted_at(self, root: int) -> Tuple[QueryTree, OrderCache]:
         """The component's query tree rooted at ``root``, with its order slot.
@@ -78,6 +90,59 @@ class ComponentPlan:
             rerooted = (write_query_tree(self.query, root), OrderCache())
             self.reroots[root] = rerooted
         return rerooted
+
+    def bind(
+        self,
+        vertex_ids: Sequence[int],
+        labels: Sequence[int],
+        graph: LabeledGraph,
+        config: MatchConfig,
+    ) -> "ComponentPlan":
+        """This component with its slot vertices set to another instance's
+        data vertex ids / labels (both indexed by slot).
+
+        A shallow query-graph copy carries the new vertices.  When only
+        ``vertex_id`` attributes change, the tree, requirements, push-down
+        predicates, ``+REUSE`` slot and re-rooted trees are shared with the
+        template, and the start candidates are recomputed only when the
+        start vertex is a slot (one id, O(1)).  Labels steer the start
+        choice and the NLF requirements, so a component with label slots
+        is prepared afresh.
+        """
+        if not (self.id_slots or self.label_slots):
+            return self
+        vertices = list(self.query.vertices)
+        for index, slot in self.id_slots:
+            vertex = vertices[index]
+            vertices[index] = QueryVertex(
+                index, vertex.name, vertex.labels, vertex_ids[slot], vertex.is_variable
+            )
+        for index, slots, fixed in self.label_slots:
+            vertex = vertices[index]
+            vertices[index] = QueryVertex(
+                index, vertex.name, fixed | frozenset(labels[slot] for slot in slots),
+                vertex.vertex_id, vertex.is_variable,
+            )
+        query = self.query.with_vertices(vertices)
+        if self.label_slots:
+            prepared, reroots = prepare_query(graph, query, config), {}
+        else:
+            template = self.prepared
+            start = template.start_vertex
+            candidates = template.start_candidates
+            if any(index == start for index, _ in self.id_slots):
+                candidates = filter_start_candidates(
+                    graph, query, start, candidate_start_vertices(graph, query, start), config
+                )
+            prepared = PreparedQuery(
+                query, start, candidates, template.tree, template.requirements,
+                template.order_cache,
+            )
+            reroots = self.reroots
+        return ComponentPlan(
+            query, prepared, self.pushdown, self.predicate_variable_edges, reroots,
+            self.id_slots, self.label_slots,
+        )
 
 
 @dataclass
@@ -94,6 +159,8 @@ class TypeVariableBinder:
     #: The subject's concrete data vertex id when it is a constant
     #: (``None``/negative means unsatisfiable).
     subject_vertex_id: Optional[int]
+    #: The slot holding the constant subject (None for a variable subject).
+    subject_slot: Optional[int] = None
 
 
 @dataclass
@@ -117,6 +184,27 @@ class AlternativePlan:
     #: cached plans small).
     type_binders: List[TypeVariableBinder] = field(default_factory=list)
 
+    def bind(
+        self,
+        vertex_ids: Sequence[int],
+        labels: Sequence[int],
+        graph: LabeledGraph,
+        config: MatchConfig,
+    ) -> "AlternativePlan":
+        """This alternative bound to another instance's slot constants."""
+        return AlternativePlan(
+            forced=self.forced,
+            components=[
+                component.bind(vertex_ids, labels, graph, config)
+                for component in self.components
+            ],
+            type_binders=[
+                binder if binder.subject_slot is None
+                else replace(binder, subject_vertex_id=vertex_ids[binder.subject_slot])
+                for binder in self.type_binders
+            ],
+        )
+
 
 @dataclass
 class QueryPlan:
@@ -129,9 +217,46 @@ class QueryPlan:
     """
 
     alternatives: List[AlternativePlan]
-    #: Canonical BGP/filter fingerprint (set by the solver); the address
-    #: under which shard workers cache the rehydrated plan.
-    fingerprint: Optional[object] = None
+    #: Template key of the BGP (set by the solver, see
+    #: :func:`~repro.engine.plan_cache.bgp_fingerprint`); None for a plan
+    #: nothing addresses.
+    template_key: Optional[object] = None
+    #: Dictionary node ids of the slot constants this plan is bound to
+    #: (``IMPOSSIBLE`` for a term the data lacks), by slot.
+    slot_nodes: Tuple[int, ...] = ()
+
+    @property
+    def fingerprint(self) -> Optional[object]:
+        """``(template key, slot node ids)``: the per-instance address of
+        the plan's candidate regions and of its shard-worker payloads."""
+        if self.template_key is None:
+            return None
+        return (self.template_key, self.slot_nodes)
+
+    def bind(
+        self,
+        slot_nodes: Tuple[int, ...],
+        graph: LabeledGraph,
+        mapping: GraphMapping,
+        config: MatchConfig,
+    ) -> "QueryPlan":
+        """This template plan bound to an instance with other slot constants.
+
+        Each slot node id maps to its data vertex and to its label exactly
+        as the query transformations map a constant.  Nothing is compiled:
+        see :meth:`ComponentPlan.bind`.
+        """
+        if slot_nodes == self.slot_nodes:
+            return self
+        vertex_ids = [mapping.vertex_for_node(node) for node in slot_nodes]
+        return QueryPlan(
+            [
+                alternative.bind(vertex_ids, slot_nodes, graph, config)
+                for alternative in self.alternatives
+            ],
+            self.template_key,
+            slot_nodes,
+        )
 
     def supports_direct_limit(self) -> bool:
         """True when a result limit may be pushed into the matcher itself.
@@ -167,6 +292,16 @@ def compose_plan_shape(
     return part if shape is None else f"{shape}|{part}"
 
 
+def slot_node_ids(constants: Sequence[Term], mapping: GraphMapping) -> Tuple[int, ...]:
+    """Dictionary node id of each slot constant (``IMPOSSIBLE`` when absent)."""
+    lookup = mapping.dictionary.lookup_node
+    nodes = []
+    for term in constants:
+        node = lookup(term)
+        nodes.append(IMPOSSIBLE if node is None else node)
+    return tuple(nodes)
+
+
 def compile_query(
     patterns: Sequence[TriplePattern],
     cheap_filters: Sequence[expr.Expression],
@@ -174,20 +309,36 @@ def compile_query(
     mapping: GraphMapping,
     config: MatchConfig,
     type_aware: bool,
+    slots: Sequence[Term] = (),
 ) -> QueryPlan:
-    """Compile a basic graph pattern (plus push-down filters) into a plan."""
+    """Compile a basic graph pattern (plus push-down filters) into a plan.
+
+    ``slots`` are the constants :func:`~repro.engine.plan_cache.bgp_fingerprint`
+    lifted out of the template key; the plan records which query vertices
+    hold them, so :meth:`QueryPlan.bind` can serve the template's other
+    instances.
+    """
+    slot_of = {constant_vertex_name(term): slot for slot, term in enumerate(slots)}
     alternatives: List[AlternativePlan] = []
     for rewritten, forced in _predicate_interpretations(patterns, type_aware):
         transformed = _transform(rewritten, mapping, type_aware)
-        components = _component_plans(transformed.query_graph, cheap_filters, graph, mapping, config)
+        # Type-aware labels take slots only from patterns read as rdf:type.
+        label_slots = (
+            _label_slots(patterns, rewritten, slot_of, mapping, type_aware)
+            if slot_of and (forced or not type_aware) else {}
+        )
+        components = _component_plans(
+            transformed.query_graph, cheap_filters, graph, mapping, config,
+            slot_of, label_slots,
+        )
         alternatives.append(
             AlternativePlan(
                 forced=forced,
                 components=components,
-                type_binders=_type_binders(transformed),
+                type_binders=_type_binders(transformed, slot_of),
             )
         )
-    return QueryPlan(alternatives=alternatives)
+    return QueryPlan(alternatives=alternatives, slot_nodes=slot_node_ids(slots, mapping))
 
 
 # ------------------------------------------------------------- interpretation
@@ -237,6 +388,55 @@ def _transform(
     return direct_transform_query(patterns, mapping)
 
 
+# ----------------------------------------------------------------------- slots
+def _vertex_name(term) -> str:
+    """Query-vertex name of a pattern term, as the transformations name it."""
+    return str(term) if isinstance(term, Variable) else constant_vertex_name(term)
+
+
+def _label_slots(
+    patterns: Sequence[TriplePattern],
+    rewritten: Sequence[TriplePattern],
+    slot_of: Dict[str, int],
+    mapping: GraphMapping,
+    type_aware: bool,
+) -> Dict[str, Tuple[Tuple[int, ...], FrozenSet[int]]]:
+    """Vertices whose labels include slot constants: name → (slots, fixed labels).
+
+    Under the direct transformation every constant vertex is labelled with
+    its own node id.  Under the type-aware one, a variable-predicate
+    pattern read as ``rdf:type`` folds its constant object (a slot) into the
+    subject's labels, beside the fixed classes of real ``rdf:type``
+    patterns on the same subject.
+    """
+    if not type_aware:
+        return {name: ((slot,), EMPTY_LABELS) for name, slot in slot_of.items()}
+    sources: Dict[str, List[int]] = {}
+    for original, pattern in zip(patterns, rewritten):
+        if pattern is not original and not isinstance(pattern.object, Variable):
+            sources.setdefault(_vertex_name(pattern.subject), []).append(
+                slot_of[constant_vertex_name(pattern.object)]
+            )
+    if not sources:
+        return {}
+    fixed: Dict[str, Set[int]] = {}
+    for original, pattern in zip(patterns, rewritten):
+        name = _vertex_name(pattern.subject)
+        if (
+            pattern is original
+            and name in sources
+            and not isinstance(pattern.predicate, Variable)
+            and pattern.predicate == RDF_TYPE
+            and not isinstance(pattern.object, Variable)
+        ):
+            node = mapping.dictionary.lookup_node(pattern.object)
+            fixed.setdefault(name, set()).add(IMPOSSIBLE if node is None else node)
+    return {
+        name: (tuple(slots), frozenset(fixed.get(name, ())))
+        for name, slots in sources.items()
+    }
+
+
 # ------------------------------------------------------------------ components
 def _component_plans(
     query: QueryGraph,
@@ -244,6 +444,8 @@ def _component_plans(
     graph: LabeledGraph,
     mapping: GraphMapping,
     config: MatchConfig,
+    slot_of: Dict[str, int],
+    label_slots: Dict[str, Tuple[Tuple[int, ...], FrozenSet[int]]],
 ) -> List[ComponentPlan]:
     plans: List[ComponentPlan] = []
     for component in query.connected_components():
@@ -254,6 +456,16 @@ def _component_plans(
                 prepared=prepare_query(graph, subquery, config),
                 pushdown=_vertex_predicates(subquery, cheap_filters, mapping),
                 predicate_variable_edges=_predicate_variable_edges(subquery),
+                id_slots=tuple(
+                    (vertex.index, slot_of[vertex.name])
+                    for vertex in subquery.vertices
+                    if vertex.vertex_id is not None and vertex.name in slot_of
+                ),
+                label_slots=tuple(
+                    (vertex.index, *label_slots[vertex.name])
+                    for vertex in subquery.vertices
+                    if vertex.name in label_slots
+                ),
             )
         )
     return plans
@@ -359,7 +571,9 @@ def _vertex_predicates(
 
 
 # ------------------------------------------------------------- type variables
-def _type_binders(transformed: QueryTransformResult) -> List[TypeVariableBinder]:
+def _type_binders(
+    transformed: QueryTransformResult, slot_of: Dict[str, int]
+) -> List[TypeVariableBinder]:
     """Resolve each ``?x rdf:type ?t`` pattern's subject vertex at compile time."""
     binders: List[TypeVariableBinder] = []
     for subject_name, type_variable in transformed.type_variable_patterns:
@@ -376,6 +590,7 @@ def _type_binders(transformed: QueryTransformResult) -> List[TypeVariableBinder]
                 type_variable,
                 subject_vertex.is_variable,
                 subject_vertex.vertex_id,
+                None if subject_vertex.is_variable else slot_of.get(subject_name),
             )
         )
     return binders

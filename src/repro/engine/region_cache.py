@@ -12,10 +12,10 @@ Entries are frozen :meth:`~repro.matching.region_arena.RegionArena.snapshot`
 copies (or the :data:`~repro.matching.region_arena.EMPTY_REGION` marker for
 start vertices whose region came up empty — a negative result worth exactly
 as much), keyed by ``((plan fingerprint, alternative, component),
-start_data_vertex)``.  The fingerprint pins the BGP *and* its push-down
-filters, and the cache is owned by one engine (one graph, one
-:class:`MatchConfig`), so a key can never alias across semantically
-different explorations.  Snapshots are read-only and safe to share across
+start_data_vertex)``.  The fingerprint (template key plus the instance's
+slot constant ids) pins the BGP *and* its push-down filters, and the cache
+is owned by one engine (one graph, one :class:`MatchConfig`), so a key can
+never alias across semantically different explorations.  Snapshots are read-only and safe to share across
 concurrent query threads; with ``workers > 1`` each shard worker holds its
 own cache (see :mod:`repro.matching.process_shard`) and reports its
 counters back with every job as a :class:`RegionCacheStats` snapshot.

@@ -8,13 +8,15 @@ the engine graph's shared-memory CSR export, holding the engine's
 context) and streams one :class:`~repro.engine.plan.ComponentPlan` at a
 time through it.
 
-Plan addressing: each component job is keyed by the plan's canonical
-fingerprint plus its ``(alternative, component)`` coordinates, so workers
-rehydrate a given compiled component exactly once and serve every repeated
-execution from their per-worker plan caches — the process analogue of the
-engine's :class:`~repro.engine.plan_cache.PlanCache`.  Plans compiled while
-the cache is disabled carry no fingerprint and fall back to a per-executor
-serial (shipped every time, never cached worker-side).  The same plan keys
+Plan addressing: each component job is keyed by the plan's fingerprint
+(template key plus the instance's slot constant ids) plus its
+``(alternative, component)`` coordinates, so workers rehydrate a given
+bound component exactly once and serve every repeated execution from their
+per-worker plan caches — the process analogue of the engine's
+:class:`~repro.engine.plan_cache.PlanCache`.  The solver fingerprints
+every plan it hands to the executor, even with the engine's plan cache
+disabled; a plan without one is shipped every time and never cached
+worker-side.  The same plan keys
 address each worker's private cross-query **region cache**
 (``region_cache_bytes`` > 0): explored candidate regions are snapshotted
 per start vertex and repeated executions of a fingerprinted component skip

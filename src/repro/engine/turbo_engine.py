@@ -13,9 +13,10 @@ systems are thin subclasses:
 Query answering follows a compile-once / stream-everywhere split:
 
 * **compile** — :meth:`TurboBGPSolver.plan` looks the BGP up in the
-  engine-held :class:`~repro.engine.plan_cache.PlanCache` (keyed on a
-  canonical BGP/filter fingerprint) and only on a miss runs
-  :func:`~repro.engine.plan.compile_query`, which performs the query
+  engine-held :class:`~repro.engine.plan_cache.PlanCache` (keyed on the
+  BGP's template key, its subject/object constants lifted into slots) and
+  binds the cached plan to the instance's constants; only on a miss does it
+  run :func:`~repro.engine.plan.compile_query`, which performs the query
   transformation, component split, start-vertex selection, query-tree
   construction, filter-requirement derivation and push-down compilation;
 * **stream** — :meth:`TurboBGPSolver.solve_batches` is a chain of
@@ -60,7 +61,14 @@ from repro.engine.base import (
 )
 from repro.engine.operators.context import OperatorContext
 from repro.engine.operators.path import PathResolver
-from repro.engine.plan import AlternativePlan, ComponentPlan, QueryPlan, TypeVariableBinder, compile_query
+from repro.engine.plan import (
+    AlternativePlan,
+    ComponentPlan,
+    QueryPlan,
+    TypeVariableBinder,
+    compile_query,
+    slot_node_ids,
+)
 from repro.engine.plan_cache import PlanCache, bgp_fingerprint
 from repro.engine.region_cache import (
     DEFAULT_REGION_CACHE_BYTES,
@@ -259,21 +267,26 @@ class TurboBGPSolver(BGPSolver):
         cheap_filters: Sequence[expr.Expression] = (),
         plan_shape: Optional[str] = None,
     ) -> QueryPlan:
-        """The compiled plan for a BGP, from the cache when possible."""
-        if self.plan_cache is None:
-            plan = self._compile(patterns, cheap_filters)
-            if self._executor is not None:
-                # Shard workers address their plan caches by fingerprint, so
-                # plans are fingerprinted even when the engine cache is off.
-                plan.fingerprint = bgp_fingerprint(
-                    patterns, cheap_filters, shape=plan_shape
-                )
-            return plan
-        key = bgp_fingerprint(patterns, cheap_filters, shape=plan_shape)
-        plan = self.plan_cache.get(key)
-        if plan is None:
-            plan = self._compile(patterns, cheap_filters)
-            plan.fingerprint = key
+        """The compiled plan for a BGP.
+
+        A cached plan of the same template is bound to this instance's slot
+        constants (:meth:`QueryPlan.bind`); only a miss compiles.  Shard
+        workers address their plan caches by fingerprint, so plans are
+        fingerprinted even when the engine cache is off.
+        """
+        if self.plan_cache is None and self._executor is None:
+            return self._compile(patterns, cheap_filters)
+        key, constants = bgp_fingerprint(
+            patterns, cheap_filters, plan_shape, self.type_aware
+        )
+        template = self.plan_cache.get(key) if self.plan_cache is not None else None
+        if template is not None:
+            return template.bind(
+                slot_node_ids(constants, self.mapping), self.graph, self.mapping, self.config
+            )
+        plan = self._compile(patterns, cheap_filters, constants)
+        plan.template_key = key
+        if self.plan_cache is not None:
             self.plan_cache.put(key, plan)
         return plan
 
@@ -281,9 +294,11 @@ class TurboBGPSolver(BGPSolver):
         self,
         patterns: Sequence[TriplePattern],
         cheap_filters: Sequence[expr.Expression],
+        slots: Sequence[Term] = (),
     ) -> QueryPlan:
         return compile_query(
-            patterns, cheap_filters, self.graph, self.mapping, self.config, self.type_aware
+            patterns, cheap_filters, self.graph, self.mapping, self.config,
+            self.type_aware, slots,
         )
 
     def _region_key(
@@ -293,7 +308,9 @@ class TurboBGPSolver(BGPSolver):
 
         None (cache bypass) for unfingerprinted plans — without the
         canonical fingerprint a key could not distinguish two different
-        BGPs, so only cacheable plans get region caching.
+        BGPs, so only cacheable plans get region caching.  The fingerprint
+        holds the slot constants' ids, so every instance of a template has
+        its own regions.
         """
         if self.region_cache is None or plan.fingerprint is None:
             return None
@@ -734,11 +751,13 @@ class TurboEngine(Engine):
         #: What the last :meth:`load` built and how long its transform took
         #: (``stats()["load"]``); None before the first load.
         self._load_stats: Optional[Dict[str, float]] = None
-        #: Compiled-plan cache shared by every query of this engine
-        #: (``plan_cache_size=0`` disables caching).
+        #: Compiled-plan cache shared by every query of this engine, and
+        #: the text → ``SelectQuery`` cache in front of the parser, of the
+        #: same size (``plan_cache_size=0`` disables both).
         self.plan_cache: Optional[PlanCache] = (
             PlanCache(plan_cache_size) if plan_cache_size else None
         )
+        self.parse_cache = PlanCache(plan_cache_size) if plan_cache_size else None
         #: Byte budget of the cross-query candidate-region cache.  ``None``
         #: defers to ``REPRO_REGION_CACHE_BYTES`` and then the default;
         #: ``0`` disables region caching.  Validated here, at construction.
@@ -798,7 +817,8 @@ class TurboEngine(Engine):
         self._decode = self.mapping.vertex_terms().__getitem__
         # New graph: compiled plans, cached regions and the worker pool are
         # stale (shard workers restart with empty caches when the pool is
-        # rebuilt, so they need no extra fan-out).
+        # rebuilt, so they need no extra fan-out).  Parsed queries do not
+        # depend on the data: the parse cache stays.
         if self.plan_cache is not None:
             self.plan_cache.clear()
         if self.region_cache is not None:
@@ -889,7 +909,10 @@ class TurboEngine(Engine):
         One call answers what benchmarks used to re-derive by hand:
 
         * ``plan_cache`` — hits / misses / evictions / current size (None
-          when caching is disabled),
+          when caching is disabled); a hit binds a cached template plan,
+        * ``parse_cache`` — the same counters for the text → AST cache in
+          front of the parser (None when disabled; kept across
+          :meth:`load`),
         * ``region_cache`` — cross-query candidate-region cache counters
           (bytes held, entries, hits / misses / evictions; None when
           disabled).  With shard workers these are the *summed* per-worker
@@ -938,6 +961,9 @@ class TurboEngine(Engine):
         return {
             "workers": self.workers,
             "plan_cache": plan_cache,
+            "parse_cache": (
+                self.parse_cache.counters() if self.parse_cache is not None else None
+            ),
             "region_cache": region_cache,
             "pipeline": {
                 "batches": self.pipeline_counters.batches,

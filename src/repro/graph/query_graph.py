@@ -104,6 +104,22 @@ class QueryGraph:
         self._in[target].append(edge_index)
         return edge_index
 
+    def with_vertices(self, vertices: List[QueryVertex]) -> "QueryGraph":
+        """A shallow copy with another vertex list and the same edges.
+
+        ``vertices`` must keep every index and name: the copy shares this
+        graph's edge lists and name index, so only per-vertex attributes
+        (a constant's ``vertex_id`` or labels) may differ.  Neither graph may
+        be modified afterwards.
+        """
+        copy = QueryGraph.__new__(QueryGraph)
+        copy.vertices = vertices
+        copy.edges = self.edges
+        copy._by_name = self._by_name
+        copy._out = self._out
+        copy._in = self._in
+        return copy
+
     # ----------------------------------------------------------------- access
     def vertex_index(self, name: str) -> Optional[int]:
         """Index of the vertex with a given name, or None."""

@@ -215,7 +215,7 @@ class QueryTransformResult:
     type_variable_patterns: List[Tuple[str, str]] = field(default_factory=list)
 
 
-def _constant_name(term: Term) -> str:
+def constant_vertex_name(term: Term) -> str:
     """Synthetic query-vertex name for a constant term."""
     return f"!const:{term!r}"
 
@@ -237,7 +237,7 @@ def direct_transform_query(
             return query.add_vertex(str(term))
         node_id = dictionary.lookup_node(term)
         label = node_id if node_id is not None else IMPOSSIBLE
-        return query.add_vertex(_constant_name(term), frozenset((label,)), is_variable=False)
+        return query.add_vertex(constant_vertex_name(term), frozenset((label,)), is_variable=False)
 
     for pattern in patterns:
         source = vertex_for(pattern.subject)
@@ -270,7 +270,7 @@ def type_aware_transform_query(
             return query.add_vertex(str(term))
         node_id = dictionary.lookup_node(term)
         vertex_id = mapping.vertex_for_node(node_id) if node_id is not None else IMPOSSIBLE
-        return query.add_vertex(_constant_name(term), vertex_id=vertex_id, is_variable=False)
+        return query.add_vertex(constant_vertex_name(term), vertex_id=vertex_id, is_variable=False)
 
     for pattern in patterns:
         predicate = pattern.predicate

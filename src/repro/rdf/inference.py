@@ -20,10 +20,10 @@ the ontology, so the materialization is a single pass over the data.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
-from repro.rdf.namespaces import OWL, RDF, RDFS
-from repro.rdf.terms import IRI, Literal, Triple
+from repro.rdf.namespaces import OWL, RDF_TYPE, RDFS
+from repro.rdf.terms import IRI, Literal, Term, Triple
 
 
 def _transitive_closure(edges: Dict[IRI, Set[IRI]]) -> Dict[IRI, Set[IRI]]:
@@ -178,26 +178,25 @@ class RDFSInferencer:
     def __init__(self, ontology: Ontology):
         self.ontology = ontology
 
-    def _direct_consequences(self, triple: Triple) -> List[Triple]:
-        """One application of every rule to a single triple."""
-        ontology = self.ontology
+    def _direct_consequences(
+        self, triple: Triple, ordered: Callable[[str, Term], Tuple[IRI, ...]]
+    ) -> List[Triple]:
+        """One application of every rule to a single triple.
+
+        ``ordered(rule, term)`` is the ontology's ``rule(term)`` set in sorted
+        order, so the entailed triples — and the dictionary ids a loader
+        assigns them — do not depend on the interpreter's string-hash seed.
+        """
         s, p, o = triple
-        derived: List[Triple] = []
-        if p == RDF.type:
-            for parent in ontology.superclasses(o):  # type: ignore[arg-type]
-                derived.append(Triple(s, RDF.type, parent))
-            return derived
-        for super_prop in ontology.superproperties(p):
-            derived.append(Triple(s, super_prop, o))
+        if p == RDF_TYPE:
+            return [Triple(s, RDF_TYPE, parent) for parent in ordered("superclasses", o)]
+        derived = [Triple(s, super_prop, o) for super_prop in ordered("superproperties", p)]
         object_is_literal = isinstance(o, Literal)
-        for inverse in ontology.inverses(p):
-            if not object_is_literal:
-                derived.append(Triple(o, inverse, s))  # type: ignore[arg-type]
-        for cls in ontology.domains(p):
-            derived.append(Triple(s, RDF.type, cls))
-        for cls in ontology.ranges(p):
-            if not object_is_literal:
-                derived.append(Triple(o, RDF.type, cls))  # type: ignore[arg-type]
+        if not object_is_literal:
+            derived.extend(Triple(o, inverse, s) for inverse in ordered("inverses", p))  # type: ignore[arg-type]
+        derived.extend(Triple(s, RDF_TYPE, cls) for cls in ordered("domains", p))
+        if not object_is_literal:
+            derived.extend(Triple(o, RDF_TYPE, cls) for cls in ordered("ranges", p))  # type: ignore[arg-type]
         return derived
 
     def infer(self, triples: Iterable[Triple]) -> Iterator[Triple]:
@@ -206,6 +205,16 @@ class RDFSInferencer:
         Duplicates are suppressed, so the output is a set-like stream that can
         be loaded directly into a :class:`~repro.rdf.store.TripleStore`.
         """
+        # Each rule's sorted answer per term, computed once per run.
+        answers: Dict[Tuple[str, Term], Tuple[IRI, ...]] = {}
+
+        def ordered(rule: str, term: Term) -> Tuple[IRI, ...]:
+            key = (rule, term)
+            answer = answers.get(key)
+            if answer is None:
+                answer = answers[key] = tuple(sorted(getattr(self.ontology, rule)(term)))
+            return answer
+
         seen: Set[Triple] = set()
         frontier: List[Triple] = []
         for triple in triples:
@@ -217,7 +226,7 @@ class RDFSInferencer:
         while frontier:
             next_frontier: List[Triple] = []
             for triple in frontier:
-                for derived in self._direct_consequences(triple):
+                for derived in self._direct_consequences(triple, ordered):
                     if derived not in seen:
                         seen.add(derived)
                         next_frontier.append(derived)

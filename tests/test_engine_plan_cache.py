@@ -25,10 +25,41 @@ class TestFingerprint:
         backward = _patterns("SELECT * WHERE { ?b ex:worksFor ?c . ?a ex:knows ?b . }")
         assert bgp_fingerprint(forward) == bgp_fingerprint(backward)
 
-    def test_different_constants_differ(self):
-        one = _patterns("SELECT * WHERE { ?a ex:knows ex:bob . }")
-        other = _patterns("SELECT * WHERE { ?a ex:knows ex:carol . }")
-        assert bgp_fingerprint(one) != bgp_fingerprint(other)
+    def test_different_constants_differ(self, small_rdf_store):
+        # Subject/object constants are slots: one template key, different
+        # slot constants -- and the bound plans still answer differently.
+        one = "SELECT ?a WHERE { ?a ex:knows ex:bob . }"
+        other = "SELECT ?a WHERE { ?a ex:knows ex:carol . }"
+        (one_key, one_slots), (other_key, other_slots) = (
+            bgp_fingerprint(_patterns(one)), bgp_fingerprint(_patterns(other))
+        )
+        assert one_key == other_key
+        assert (one_slots, other_slots) == ((EX.bob,), (EX.carol,))
+        engine = TurboHomPPEngine()
+        engine.load(small_rdf_store)
+        try:
+            assert [row["a"] for row in engine.query(PREFIX + one)] == [EX.alice]
+            assert [row["a"] for row in engine.query(PREFIX + other)] == [EX.bob]
+            assert (engine.plan_cache.misses, engine.plan_cache.hits) == (1, 1)
+        finally:
+            engine.close()
+
+    def test_type_class_stays_in_the_key(self):
+        # A type-aware rdf:type class is a vertex label, not a vertex.
+        person = _patterns("SELECT * WHERE { ?a rdf:type ex:Person . ?a ex:knows ex:bob . }")
+        company = _patterns("SELECT * WHERE { ?a rdf:type ex:Company . ?a ex:knows ex:bob . }")
+        assert bgp_fingerprint(person)[0] != bgp_fingerprint(company)[0]
+        assert bgp_fingerprint(person)[1] == (EX.bob,)
+        # Under the direct transformation the class is a vertex like any other.
+        direct = bgp_fingerprint(person, type_aware=False)
+        assert direct[0] == bgp_fingerprint(company, type_aware=False)[0]
+        assert set(direct[1]) == {EX.Person, EX.bob}
+
+    def test_equal_constants_share_a_slot(self):
+        same = _patterns("SELECT * WHERE { ex:bob ex:knows ?a . ?a ex:knows ex:bob . }")
+        two = _patterns("SELECT * WHERE { ex:bob ex:knows ?a . ?a ex:knows ex:carol . }")
+        assert bgp_fingerprint(same)[0] != bgp_fingerprint(two)[0]
+        assert bgp_fingerprint(same)[1] == (EX.bob,)
 
     def test_different_variable_names_differ(self):
         # Variable names are part of the result schema, so they must be part

@@ -1,5 +1,9 @@
 """RDFS ontology and materialization rules."""
 
+import os
+import subprocess
+import sys
+
 from repro.rdf.inference import Ontology, RDFSInferencer
 from repro.rdf.namespaces import Namespace, OWL, RDF, RDFS
 from repro.rdf.terms import Literal, Triple
@@ -108,3 +112,32 @@ class TestInferencer:
         inferencer = RDFSInferencer(Ontology())
         triples = [Triple(EX.a, EX.p, EX.b)]
         assert inferencer.materialize(triples) == triples
+
+
+#: Prints the id → term tables of LUBM(1), nodes then predicates.
+_DUMP_LUBM_IDS = """
+from repro.datasets import load_lubm
+dictionary = load_lubm(universities=1).store.dictionary
+for node in range(dictionary.node_count):
+    print(repr(dictionary.decode_node(node)))
+for predicate in range(dictionary.predicate_count):
+    print(repr(dictionary.decode_predicate(predicate)))
+"""
+
+
+class TestDeterministicIds:
+    def test_lubm_ids_do_not_depend_on_the_hash_seed(self):
+        """Entailed triples come out in one order whatever the string-hash
+        salt, so the dictionary ids a loader assigns repeat across runs."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        tables = []
+        for seed in ("1", "2"):
+            environment = dict(os.environ, PYTHONHASHSEED=seed)
+            environment["PYTHONPATH"] = src + os.pathsep + environment.get("PYTHONPATH", "")
+            result = subprocess.run(
+                [sys.executable, "-c", _DUMP_LUBM_IDS],
+                env=environment, capture_output=True, text=True, timeout=120,
+                check=True,
+            )
+            tables.append(result.stdout)
+        assert tables[0] and tables[0] == tables[1]

@@ -194,6 +194,7 @@ class TestProtocol:
             assert set(engine_stats["plan_cache"]) == {
                 "size", "capacity", "hits", "misses", "evictions",
             }
+            assert set(engine_stats["parse_cache"]) == set(engine_stats["plan_cache"])
             assert set(engine_stats["region_cache"]) == {
                 "capacity_bytes", "bytes", "entries", "hits", "misses",
                 "evictions",
