@@ -274,7 +274,7 @@ def figure16_parallel(
 ) -> ResultTable:
     """Parallel speed-up on the long-running queries (Figure 16).
 
-    Runs the shared-memory process shard pool (its one-worker row is the
+    Runs the process shard pool (its one-worker row is the
     sequential matcher) and reports both wall-clock speed-up (bounded by
     the machine's core count) and the work-partition speed-up (total work /
     busiest worker), which captures the load balance of dynamic chunking

@@ -47,7 +47,7 @@ from repro.matching.matching_order import OrderCache
 from repro.matching.query_tree import QueryTree, write_query_tree
 from repro.matching.start_vertex import candidate_start_vertices, filter_start_candidates
 from repro.matching.turbo import PreparedQuery, prepare_query
-from repro.rdf.namespaces import RDF, RDF_TYPE
+from repro.rdf.namespaces import RDF_TYPE
 from repro.rdf.terms import Term
 from repro.sparql import expressions as expr
 from repro.sparql.ast import PathPattern, TriplePattern, Variable
@@ -371,9 +371,9 @@ def _predicate_interpretations(
             if interpretation == "type":
                 original = patterns[position]
                 rewritten[position] = TriplePattern(
-                    original.subject, RDF.type, original.object
+                    original.subject, RDF_TYPE, original.object
                 )
-                forced[str(original.predicate)] = RDF.type
+                forced[str(original.predicate)] = RDF_TYPE
         interpretations.append((rewritten, forced))
     return interpretations
 

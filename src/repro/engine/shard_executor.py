@@ -2,11 +2,11 @@
 
 :class:`ShardExecutor` is what an engine with ``workers > 1`` plugs into its
 :class:`~repro.engine.turbo_engine.TurboBGPSolver`: it owns one persistent
-:class:`~repro.matching.process_shard.ProcessShardPool` (workers attached to
-the engine graph's shared-memory CSR export, holding the engine's
-:class:`~repro.graph.transform.GraphMapping` as their predicate-binding
-context) and streams one :class:`~repro.engine.plan.ComponentPlan` at a
-time through it.
+:class:`~repro.matching.process_shard.ProcessShardPool` (workers that
+inherit the engine's graph and its
+:class:`~repro.graph.transform.GraphMapping`, their predicate-binding
+context, at fork) and streams one :class:`~repro.engine.plan.ComponentPlan`
+at a time through it.
 
 Plan addressing: each component job is keyed by the plan's fingerprint
 (template key plus the instance's slot constant ids) plus its

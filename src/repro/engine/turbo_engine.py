@@ -38,8 +38,8 @@ the same stream.
 ``workers`` alone picks the execution path: 1 runs the in-process
 :class:`~repro.matching.turbo.TurboMatcher`, more run one engine-held
 :class:`~repro.engine.shard_executor.ShardExecutor` whose persistent worker
-processes attach the graph's shared-memory CSR export and cache rehydrated
-plans by fingerprint (see ``docs/execution_modes.md``).
+processes inherit the engine's graph and cache rehydrated plans by
+fingerprint (see ``docs/execution_modes.md``).
 """
 
 from __future__ import annotations
@@ -730,9 +730,9 @@ class TurboEngine(Engine):
         self.type_aware = type_aware
         self.config = config if config is not None else MatchConfig.turbo_hom_pp()
         #: How BGPs are executed: 1 runs the in-process matcher, more run
-        #: that many shard worker processes over a shared-memory graph
-        #: export.  ``None`` defers to ``REPRO_EXECUTION_WORKERS`` and then
-        #: 1.  Validated here, at construction — a non-positive count raises
+        #: that many shard worker processes over the engine's graph.
+        #: ``None`` defers to ``REPRO_EXECUTION_WORKERS`` and then 1.
+        #: Validated here, at construction — a non-positive count raises
         #: immediately instead of failing deep inside a worker pool.
         self.workers = resolve_worker_count(workers)
         # Retired argument, kept (never read from the environment) until the

@@ -39,10 +39,8 @@ index is read off the finished per-label groups.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 from typing import (
@@ -71,17 +69,6 @@ _EMPTY_LIST: List[int] = []
 _EMPTY_WINDOW: Window = (_EMPTY_LIST, 0, 0)
 #: Group key of a sorted ``(vertex, edge label, neighbour)`` row.
 _VERTEX_AND_LABEL = itemgetter(0, 1)
-
-
-def _window_slice(base: Sequence[int], lo: int, hi: int) -> List[int]:
-    """Materialize ``base[lo:hi]`` as a plain list.
-
-    Posting arrays of a shared-memory–attached graph are ``memoryview``
-    casts, whose slices are views; list-typed public accessors normalize
-    them so callers see the same types on owned and attached graphs.
-    """
-    segment = base[lo:hi]
-    return segment if type(segment) is list else list(segment)
 
 
 class GraphBuilder:
@@ -193,35 +180,6 @@ class _DirectionCSR:
         self.type_nbr_off = type_nbr_off
         self.type_nbr = type_nbr
 
-    @classmethod
-    def _attach(
-        cls,
-        label_off: Sequence[int],
-        label_keys: Sequence[int],
-        nbr_off: Sequence[int],
-        nbr: Sequence[int],
-        type_off: Sequence[int],
-        type_keys: List[Tuple[int, int]],
-        type_nbr_off: Sequence[int],
-        type_nbr: Sequence[int],
-    ) -> "_DirectionCSR":
-        """Rebuild a direction CSR around already-materialized flat arrays.
-
-        Used by :meth:`LabeledGraph.attach_shared`: the arrays are
-        ``memoryview`` casts into a shared-memory segment (zero-copy except
-        for ``type_keys``, whose pair keys are re-zipped into tuples).
-        """
-        csr = cls.__new__(cls)
-        csr.label_off = label_off
-        csr.label_keys = label_keys
-        csr.nbr_off = nbr_off
-        csr.nbr = nbr
-        csr.type_off = type_off
-        csr.type_keys = type_keys
-        csr.type_nbr_off = type_nbr_off
-        csr.type_nbr = type_nbr
-        return csr
-
     # ------------------------------------------------------------- look-ups
     def window(self, vertex: int, edge_label: int) -> Window:
         """Zero-copy neighbour window for ``(vertex, edge label)``."""
@@ -290,17 +248,6 @@ class _PostingIndex:
             self.postings += groups[key]
             self.off.append(len(self.postings))
 
-    @classmethod
-    def _attach(
-        cls, keys: Sequence[int], off: Sequence[int], postings: Sequence[int]
-    ) -> "_PostingIndex":
-        """Rebuild a posting index around shared-memory array views."""
-        index = cls.__new__(cls)
-        index.keys = keys
-        index.off = off
-        index.postings = postings
-        return index
-
     def window(self, key: int) -> Window:
         i = bisect_left(self.keys, key)
         if i < len(self.keys) and self.keys[i] == key:
@@ -309,7 +256,7 @@ class _PostingIndex:
 
     def get(self, key: int) -> List[int]:
         base, lo, hi = self.window(key)
-        return _window_slice(base, lo, hi)
+        return base[lo:hi]
 
     def count(self, key: int) -> int:
         _, lo, hi = self.window(key)
@@ -515,7 +462,7 @@ class LabeledGraph:
         windows = [self._inverse_label.window(label) for label in labels]
         if len(windows) == 1:
             base, lo, hi = windows[0]
-            return _window_slice(base, lo, hi)
+            return base[lo:hi]
         return intersect_windows(windows)
 
     def label_frequency(self, labels: FrozenSet[int]) -> int:
@@ -553,192 +500,5 @@ class LabeledGraph:
             "edge_labels": len(self._pred_subjects.keys),
         }
 
-    # ---------------------------------------------------------- shared memory
-    def export_shared(self, name: Optional[str] = None) -> "SharedGraphHandle":
-        """Pack every flat CSR array into one shared-memory segment.
-
-        All posting arrays (adjacency, neighbour-type, inverse label,
-        predicate index, degrees, plus the vertex label sets flattened into
-        their own CSR pair) are written back to back as 8-byte integers.
-        The returned handle owns the segment; its picklable
-        :class:`SharedGraphManifest` is everything another process needs to
-        :meth:`attach_shared` the graph without the graph ever being
-        pickled.  The creator must keep the handle alive until every
-        consumer has attached, and :meth:`SharedGraphHandle.unlink` it when
-        the graph is retired.
-        """
-        from multiprocessing import shared_memory
-
-        labels_off: List[int] = [0]
-        labels_val: List[int] = []
-        for labels in self.labels:
-            labels_val.extend(sorted(labels))
-            labels_off.append(len(labels_val))
-
-        arrays: List[Tuple[str, Sequence[int]]] = [
-            ("labels_off", labels_off),
-            ("labels_val", labels_val),
-        ]
-        for prefix, csr in (("out", self._out), ("in", self._in)):
-            arrays.extend(
-                [
-                    (f"{prefix}_label_off", csr.label_off),
-                    (f"{prefix}_label_keys", csr.label_keys),
-                    (f"{prefix}_nbr_off", csr.nbr_off),
-                    (f"{prefix}_nbr", csr.nbr),
-                    (f"{prefix}_type_off", csr.type_off),
-                    (f"{prefix}_type_key_edge", [key[0] for key in csr.type_keys]),
-                    (f"{prefix}_type_key_label", [key[1] for key in csr.type_keys]),
-                    (f"{prefix}_type_nbr_off", csr.type_nbr_off),
-                    (f"{prefix}_type_nbr", csr.type_nbr),
-                ]
-            )
-        for prefix, index in (
-            ("inv", self._inverse_label),
-            ("ps", self._pred_subjects),
-            ("po", self._pred_objects),
-        ):
-            arrays.extend(
-                [
-                    (f"{prefix}_keys", index.keys),
-                    (f"{prefix}_off", index.off),
-                    (f"{prefix}_post", index.postings),
-                ]
-            )
-        arrays.append(("degree", self._degree))
-
-        layout: Dict[str, Tuple[int, int]] = {}
-        total = 0
-        for array_name, values in arrays:
-            layout[array_name] = (total, len(values))
-            total += 8 * len(values)
-        segment = shared_memory.SharedMemory(name=name, create=True, size=max(total, 8))
-        for array_name, values in arrays:
-            offset, count = layout[array_name]
-            if count:
-                segment.buf[offset:offset + 8 * count] = array("q", values).tobytes()
-        manifest = SharedGraphManifest(
-            segment=segment.name,
-            vertex_count=self.vertex_count,
-            edge_count=self.edge_count,
-            arrays=layout,
-        )
-        return SharedGraphHandle(segment, manifest)
-
-    @classmethod
-    def attach_shared(cls, manifest: "SharedGraphManifest"):
-        """Rebuild a read-only graph over a shared-memory segment.
-
-        The big posting arrays stay zero-copy ``memoryview`` casts into the
-        segment; only the small structural pieces that need richer Python
-        types are rebuilt per process (vertex label frozensets and the
-        neighbour-type pair keys).  Returns ``(graph, shm)`` — the caller
-        must keep ``shm`` alive for the graph's lifetime and must *not*
-        unlink it (the exporting process owns the segment).
-        """
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=manifest.segment)
-        buf = shm.buf
-
-        def view(array_name: str):
-            offset, count = manifest.arrays[array_name]
-            return buf[offset:offset + 8 * count].cast("q")
-
-        graph = cls.__new__(cls)
-        graph.vertex_count = manifest.vertex_count
-        graph.edge_count = manifest.edge_count
-        labels_off = view("labels_off")
-        labels_val = view("labels_val")
-        graph.labels = [
-            frozenset(labels_val[labels_off[v]:labels_off[v + 1]])
-            for v in range(manifest.vertex_count)
-        ]
-
-        def direction(prefix: str) -> _DirectionCSR:
-            return _DirectionCSR._attach(
-                view(f"{prefix}_label_off"),
-                view(f"{prefix}_label_keys"),
-                view(f"{prefix}_nbr_off"),
-                view(f"{prefix}_nbr"),
-                view(f"{prefix}_type_off"),
-                list(
-                    zip(
-                        view(f"{prefix}_type_key_edge"),
-                        view(f"{prefix}_type_key_label"),
-                    )
-                ),
-                view(f"{prefix}_type_nbr_off"),
-                view(f"{prefix}_type_nbr"),
-            )
-
-        graph._out = direction("out")
-        graph._in = direction("in")
-        graph._inverse_label = _PostingIndex._attach(
-            view("inv_keys"), view("inv_off"), view("inv_post")
-        )
-        graph._pred_subjects = _PostingIndex._attach(
-            view("ps_keys"), view("ps_off"), view("ps_post")
-        )
-        graph._pred_objects = _PostingIndex._attach(
-            view("po_keys"), view("po_off"), view("po_post")
-        )
-        graph._degree = view("degree")
-        return graph, shm
-
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"LabeledGraph(|V|={self.vertex_count}, |E|={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class SharedGraphManifest:
-    """Everything a process needs to attach an exported CSR graph.
-
-    Picklable and small: the segment name plus, per flat array, its byte
-    offset and element count inside the segment (all elements are 8-byte
-    signed integers).
-    """
-
-    segment: str
-    vertex_count: int
-    edge_count: int
-    arrays: Dict[str, Tuple[int, int]]
-
-
-def _release_segment(segment) -> None:
-    """Close and unlink a shared-memory segment, tolerating repeats."""
-    try:
-        segment.close()
-    except (BufferError, OSError):  # pragma: no cover - platform cleanup races
-        pass
-    try:
-        segment.unlink()
-    except FileNotFoundError:
-        pass
-
-
-class SharedGraphHandle:
-    """Owner of one exported CSR segment (created by :meth:`export_shared`).
-
-    ``unlink()`` retires the segment explicitly; an abandoned handle retires
-    it from a GC / interpreter-exit finalizer, so no ``/dev/shm`` entry
-    outlives the owning process even without an explicit close.
-    """
-
-    def __init__(self, segment, manifest: SharedGraphManifest):
-        import weakref
-
-        self.shm = segment
-        self.manifest = manifest
-        self._finalizer = weakref.finalize(self, _release_segment, segment)
-
-    @property
-    def name(self) -> str:
-        """The shared-memory segment name (``/dev/shm`` entry on Linux)."""
-        return self.manifest.segment
-
-    def unlink(self) -> None:
-        """Close the mapping and remove the segment. Idempotent."""
-        self._finalizer()
-
-    close = unlink

@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.graph.labeled_graph import EMPTY_LABELS, LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.rdf.dictionary import Dictionary
-from repro.rdf.namespaces import RDF, RDFS
+from repro.rdf.namespaces import RDF_TYPE, RDFS_SUBCLASSOF
 from repro.rdf.store import TripleStore
 from repro.rdf.terms import Term
 from repro.sparql.ast import TriplePattern, Variable
@@ -109,8 +109,8 @@ class TransformStats:
 def _type_predicate_ids(dictionary: Dictionary) -> Tuple[Optional[int], Optional[int]]:
     """Ids of rdf:type and rdfs:subClassOf, when present in the data."""
     return (
-        dictionary.lookup_predicate(RDF.type),
-        dictionary.lookup_predicate(RDFS.subClassOf),
+        dictionary.lookup_predicate(RDF_TYPE),
+        dictionary.lookup_predicate(RDFS_SUBCLASSOF),
     )
 
 
@@ -274,7 +274,7 @@ def type_aware_transform_query(
 
     for pattern in patterns:
         predicate = pattern.predicate
-        if not isinstance(predicate, Variable) and predicate == RDF.type:
+        if not isinstance(predicate, Variable) and predicate == RDF_TYPE:
             # Fold the type into the subject's label set when the class is
             # concrete; otherwise defer to post-matching resolution.
             subject_index = vertex_for(pattern.subject)
@@ -289,7 +289,7 @@ def type_aware_transform_query(
                     query.vertices[subject_index].labels | frozenset((label,))
                 )
             continue
-        if not isinstance(predicate, Variable) and predicate == RDFS.subClassOf:
+        if not isinstance(predicate, Variable) and predicate == RDFS_SUBCLASSOF:
             # Schema pattern against a type-aware graph: the edge no longer
             # exists.  Treat it as unsatisfiable rather than silently wrong.
             source = vertex_for(pattern.subject)

@@ -10,8 +10,8 @@ The package implements the paper's algorithm family:
 * :mod:`~repro.matching.generic` — a simple backtracking matcher used as a
   correctness oracle and as the "generic framework" baseline of Section 2.2.
 * :mod:`~repro.matching.process_shard` — work partitioning of starting
-  vertices over persistent worker processes attached to a shared-memory CSR
-  export (multi-core matching).
+  vertices over persistent worker processes that inherit the graph
+  (multi-core matching).
 * :mod:`~repro.matching.shard_protocol` — that pool's job/merge protocol:
   the chunk partition, the consumer-side merge loop and the
   :class:`ParallelStats` a match reports.  Shard workers run the same

@@ -1,16 +1,17 @@
-"""Multi-process shard execution over shared-memory CSR graphs.
+"""Multi-process shard execution over one in-memory CSR graph.
 
 CPython's GIL holds pure-Python matching to one core no matter how many
 threads run it, so the paper's parallel embedding enumeration (Section 5.2,
 Figure 16) needs real processes to saturate real hardware.
 :class:`ProcessShardPool` is the repo's one parallel matcher, built so the
-expensive state crosses the process boundary exactly once:
+expensive state crosses the process boundary at most once:
 
-* **graph** — the :class:`~repro.graph.labeled_graph.LabeledGraph` CSR flat
-  arrays are exported once into a ``multiprocessing.shared_memory`` segment
-  (:meth:`LabeledGraph.export_shared`); each worker re-attaches zero-copy
-  views (:meth:`LabeledGraph.attach_shared`), so the graph is never pickled
-  and workers share one physical copy of the posting arrays;
+* **graph** — the pool's :class:`~repro.graph.labeled_graph.LabeledGraph`
+  and its predicate-binding context are plain process arguments.  Where
+  the platform forks, every worker inherits them copy-on-write and nothing
+  is pickled, so parent and workers read one physical copy of the posting
+  arrays, as the paper's threads read one graph; under spawn they are
+  pickled once per worker at pool start;
 * **plans** — per-query compiled state (a :class:`ShardPayload` of query
   graph, :class:`~repro.matching.turbo.PreparedQuery` and push-down
   predicates) is pickled to each worker the *first* time its ``plan_key``
@@ -58,7 +59,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 import multiprocessing
 
-from repro.graph.labeled_graph import LabeledGraph, SharedGraphHandle
+from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.matching.candidate_region import VertexPredicate
 from repro.matching.config import MatchConfig
@@ -229,17 +230,19 @@ def _claim_starts(
 
 def _shard_worker_main(
     worker_index: int,
-    manifest,
+    graph: LabeledGraph,
     config: MatchConfig,
-    context_bytes: Optional[bytes],
+    context: Any,
     control,
     chunks,
     results,
     cancel,
     region_cache_bytes: int = 0,
 ) -> None:
-    """Long-lived worker process: attach the graph once, then serve jobs.
+    """Long-lived worker process: serve jobs over the pool's graph.
 
+    ``graph`` and ``context`` are the pool's own objects, handed over as
+    process arguments (inherited under fork, pickled once under spawn).
     The control queue is per worker (job headers are broadcast, ``None`` is
     the shutdown sentinel); the chunk queue is shared for dynamic load
     balancing.  Each job runs :func:`~repro.matching.turbo.
@@ -252,12 +255,8 @@ def _shard_worker_main(
     ``region_cache_bytes`` sizes this worker's private cross-query region
     cache (0 disables it), an LRU exactly like the engine-held cache; the
     cache counters travel back as a cumulative :class:`~repro.engine.region_cache.
-    RegionCacheStats` snapshot on every ``done`` message.  The worker
-    intentionally never unlinks the shared graph segment — the exporting
-    process owns it.
+    RegionCacheStats` snapshot on every ``done`` message.
     """
-    graph, shm = LabeledGraph.attach_shared(manifest)
-    context = pickle.loads(context_bytes) if context_bytes is not None else None
     cache: "OrderedDict[Any, ShardPayload]" = OrderedDict()
     region_cache = None
     if region_cache_bytes:
@@ -266,93 +265,80 @@ def _shard_worker_main(
         from repro.engine.region_cache import RegionCache
 
         region_cache = RegionCache(region_cache_bytes)
-    try:
-        while True:
-            message = control.get()
-            if message is None:
-                return
-            _, job_id, plan_key, payload_bytes, limit = message
+    while True:
+        message = control.get()
+        if message is None:
+            return
+        _, job_id, plan_key, payload_bytes, limit = message
 
-            payload: Optional[ShardPayload] = None
+        payload: Optional[ShardPayload] = None
+        try:
+            if payload_bytes is not None:
+                payload = pickle.loads(payload_bytes)
+                payload.bind(context)
+                if plan_key is not None:
+                    _lru_touch(cache, plan_key, payload)
+            else:
+                payload = cache[plan_key]
+                cache.move_to_end(plan_key)
+        except BaseException as exc:  # noqa: BLE001 - reported to the consumer
+            _put_error(results, job_id, worker_index, exc, cancel)
+            payload = None
+
+        def stopped(job_id=job_id) -> bool:
+            return cancel.value >= job_id
+
+        def emit(batch: SolutionBatch, job_id=job_id, stopped=stopped) -> bool:
+            """Ship one batch through the result queue: a cancel-aware
+            bounded put, False once the consumer stopped (the batch is
+            then dropped: the consumer has every row it asked for)."""
+            message = ("batch", job_id, worker_index, batch)
+            while not stopped():
+                try:
+                    results.put(message, timeout=0.05)
+                    return True
+                except queue.Full:
+                    continue
+            return False
+
+        stats = MatchStatistics()
+        chunk_works: List[int] = []
+        ranges = _job_ranges(chunks, job_id)
+        if payload is not None:
+            starts = _claim_starts(
+                ranges, payload.prepared.start_candidates, stats, chunk_works,
+                stopped,
+            )
+            batches = iter_region_batches(
+                graph, config, payload.query, payload.prepared,
+                payload.predicates, starts, limit, stats,
+                region_cache=region_cache, region_key=plan_key,
+            )
             try:
-                if payload_bytes is not None:
-                    payload = pickle.loads(payload_bytes)
-                    payload.bind(context)
-                    if plan_key is not None:
-                        _lru_touch(cache, plan_key, payload)
-                else:
-                    payload = cache[plan_key]
-                    cache.move_to_end(plan_key)
+                for batch in batches:
+                    if not emit(batch):
+                        break
             except BaseException as exc:  # noqa: BLE001 - reported to the consumer
                 _put_error(results, job_id, worker_index, exc, cancel)
-                payload = None
-
-            def stopped(job_id=job_id) -> bool:
-                return cancel.value >= job_id
-
-            def emit(batch: SolutionBatch, job_id=job_id, stopped=stopped) -> bool:
-                """Ship one batch through the result queue: a cancel-aware
-                bounded put, False once the consumer stopped (the batch is
-                then dropped: the consumer has every row it asked for)."""
-                message = ("batch", job_id, worker_index, batch)
-                while not stopped():
-                    try:
-                        results.put(message, timeout=0.05)
-                        return True
-                    except queue.Full:
-                        continue
-                return False
-
-            stats = MatchStatistics()
-            chunk_works: List[int] = []
-            ranges = _job_ranges(chunks, job_id)
-            if payload is not None:
-                starts = _claim_starts(
-                    ranges, payload.prepared.start_candidates, stats, chunk_works,
-                    stopped,
-                )
-                batches = iter_region_batches(
-                    graph, config, payload.query, payload.prepared,
-                    payload.predicates, starts, limit, stats,
-                    region_cache=region_cache, region_key=plan_key,
-                )
-                try:
-                    for batch in batches:
-                        if not emit(batch):
-                            break
-                except BaseException as exc:  # noqa: BLE001 - reported to the consumer
-                    _put_error(results, job_id, worker_index, exc, cancel)
-                finally:
-                    batches.close()
-                    starts.close()  # counts a chunk left mid-way
-            for _ in ranges:
-                pass  # drain this job's chunks up to its "end" marker
-            work = stats.region_vertices + stats.search.recursions
-            cache_counters = (
-                region_cache.stats_snapshot() if region_cache is not None else None
-            )
-            _put_message(
-                results,
-                ("done", job_id, worker_index, work, chunk_works, cache_counters),
-                cancel,
-            )
-    finally:
-        # Release every memoryview into the segment before closing it:
-        # the graph's CSR views (and any frames still holding them) must be
-        # gone or mmap refuses to close with "exported pointers exist".
-        import gc
-
-        del graph
-        gc.collect()
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - lingering views at teardown
-            pass
+            finally:
+                batches.close()
+                starts.close()  # counts a chunk left mid-way
+        for _ in ranges:
+            pass  # drain this job's chunks up to its "end" marker
+        work = stats.region_vertices + stats.search.recursions
+        cache_counters = (
+            region_cache.stats_snapshot() if region_cache is not None else None
+        )
+        _put_message(
+            results,
+            ("done", job_id, worker_index, work, chunk_works, cache_counters),
+            cancel,
+        )
 
 
 # --------------------------------------------------------------- parent side
-def _teardown_pool(processes, controls, handle: Optional[SharedGraphHandle], cancel) -> None:
-    """Stop workers and unlink the graph segment (close() and GC path)."""
+def _teardown_pool(processes, controls, cancel) -> None:
+    """Stop the workers (close() and GC path)."""
     if cancel is not None:
         # Unpark any worker sitting in a cancel-aware bounded put before
         # asking it to exit.
@@ -369,8 +355,6 @@ def _teardown_pool(processes, controls, handle: Optional[SharedGraphHandle], can
         if process.is_alive():
             process.terminate()
             process.join(timeout=_SHUTDOWN_GRACE)
-    if handle is not None:
-        handle.unlink()
 
 
 #: Cancel-counter value that stops every job past and future of one pool
@@ -421,13 +405,14 @@ class ProcessShardPool:
 
     ``iter_match`` / ``iter_match_batches`` stream like
     :class:`~repro.matching.turbo.TurboMatcher`'s and ``match`` also returns
-    the :class:`ParallelStats`, but workers are OS processes
-    attached to the shared-memory CSR export of the graph, and result
-    batches return through one bounded result queue.  The pool is
-    lazy and persistent: processes start on the first parallel match and
-    are reused by every later query.  ``worker_context`` (e.g. the engine's
-    :class:`~repro.graph.transform.GraphMapping`) is pickled to each worker
-    once at startup and used to re-bind push-down predicates.
+    the :class:`ParallelStats`, but workers are OS processes that read the
+    pool's own graph, and result batches return through one bounded result
+    queue.  The pool is lazy and persistent: processes start on the first
+    parallel match and are reused by every later query.  The graph and
+    ``worker_context`` (e.g. the engine's
+    :class:`~repro.graph.transform.GraphMapping`, used to re-bind push-down
+    predicates) are process arguments: a forked worker inherits them, a
+    spawned one receives them pickled once at startup.
     """
 
     def __init__(
@@ -460,7 +445,6 @@ class ProcessShardPool:
         self._chunks: Any = None
         self._results: Any = None
         self._cancel: Any = None
-        self._handle: Optional[SharedGraphHandle] = None
         self._shipped: "OrderedDict[Any, None]" = OrderedDict()
         self._finalizer: Optional[weakref.finalize] = None
         self._broken = False
@@ -479,7 +463,7 @@ class ProcessShardPool:
         return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
     def _ensure_pool(self) -> None:
-        """Export the graph and start the workers if needed."""
+        """Start the workers if needed."""
         if self._broken:
             self.close()
         if self._processes and all(process.is_alive() for process in self._processes):
@@ -488,10 +472,6 @@ class ProcessShardPool:
             # A worker vanished between jobs: rebuild from scratch.
             self.close()
         ctx = self._context()
-        self._handle = self.graph.export_shared()
-        context_bytes = (
-            pickle.dumps(self.worker_context) if self.worker_context is not None else None
-        )
         self._chunks = ctx.Queue()
         self._results = ctx.Queue(maxsize=max(2 * self.workers, 8))
         self._cancel = ctx.RawValue("q", 0)
@@ -501,7 +481,7 @@ class ProcessShardPool:
             ctx.Process(
                 target=_shard_worker_main,
                 args=(
-                    index, self._handle.manifest, self.config, context_bytes,
+                    index, self.graph, self.config, self.worker_context,
                     self._controls[index], self._chunks, self._results, self._cancel,
                     self.region_cache_bytes,
                 ),
@@ -515,15 +495,15 @@ class ProcessShardPool:
         self.generation += 1
         self._finalizer = weakref.finalize(
             self, _teardown_pool,
-            self._processes, self._controls, self._handle, self._cancel,
+            self._processes, self._controls, self._cancel,
         )
         self._broken = False
 
     def close(self) -> None:
-        """Shut the workers down and unlink the shared graph segment.
+        """Shut the workers down.
 
         Safe to call multiple times; a later match transparently restarts
-        the pool (with a fresh export of the graph).  A stream still open on
+        the pool.  A stream still open on
         the pool is retired: it stops yielding instead of deadlocking.
         """
         if self._active_job is not None:
@@ -535,14 +515,13 @@ class ProcessShardPool:
         # normally; the job was just retired, so the revoked stream ends.
         self._gate.force_release()
         if self._finalizer is not None:
-            self._finalizer()  # terminates workers and unlinks, exactly once
+            self._finalizer()  # stops the workers, exactly once
             self._finalizer = None
         self._processes = []
         self._controls = []
         self._chunks = None
         self._results = None
         self._cancel = None
-        self._handle = None
         self._shipped = OrderedDict()
         self._broken = False
         # The workers (and their private region caches) are gone; stale
@@ -705,24 +684,6 @@ class ProcessShardPool:
             self._gate.release(lease)
             raise
 
-        def handle_control(message) -> None:
-            kind = message[0]
-            if kind == "done":
-                job.done_workers.add(message[2])
-                job.per_worker_work[message[2]] += message[3]
-                job.per_chunk_work.extend(message[4])
-                if message[5] is not None:
-                    self._region_counters[message[2]] = message[5]
-            elif kind == "error":
-                exc_bytes, text = message[3], message[4]
-                if exc_bytes is not None:
-                    try:
-                        job.errors.append(pickle.loads(exc_bytes))
-                        return
-                    except Exception:  # noqa: BLE001 - fall back to the text form
-                        pass
-                job.errors.append(ShardWorkerError(f"shard worker failed:\n{text}"))
-
         def poll(timeout: float) -> Optional[SolutionBatch]:
             """Next batch, a zero-row batch for a control message, None idle."""
             if job.retired:
@@ -745,7 +706,7 @@ class ProcessShardPool:
                 self.transport.queue_batches += 1
                 self.transport.solutions += message[3].rows
                 return message[3]
-            handle_control(message)
+            self._record(job, message)
             return SolutionBatch.empty()
 
         def finished() -> bool:
@@ -822,15 +783,26 @@ class ProcessShardPool:
                     self._mark_broken()
                     return
                 continue
-            if message[1] != job.job_id or message[0] == "batch":
-                continue
-            kind = message[0]
-            if kind == "done":
-                job.done_workers.add(message[2])
-                job.per_worker_work[message[2]] += message[3]
-                job.per_chunk_work.extend(message[4])
-                if message[5] is not None:
-                    self._region_counters[message[2]] = message[5]
-            elif kind == "error":
-                # Late errors after a stop are recorded but not raised.
-                job.errors.append(ShardWorkerError("shard worker failed during cancel"))
+            if message[1] == job.job_id and message[0] != "batch":
+                # A late error is recorded, not raised here: the job's own
+                # stream decides once its merge loop has ended.
+                self._record(job, message)
+
+    def _record(self, job: _JobState, message) -> None:
+        """Book one ``done`` or ``error`` control message of ``job``."""
+        kind = message[0]
+        if kind == "done":
+            job.done_workers.add(message[2])
+            job.per_worker_work[message[2]] += message[3]
+            job.per_chunk_work.extend(message[4])
+            if message[5] is not None:
+                self._region_counters[message[2]] = message[5]
+        elif kind == "error":
+            exc_bytes, text = message[3], message[4]
+            if exc_bytes is not None:
+                try:
+                    job.errors.append(pickle.loads(exc_bytes))
+                    return
+                except Exception:  # noqa: BLE001 - fall back to the text form
+                    pass
+            job.errors.append(ShardWorkerError(f"shard worker failed:\n{text}"))

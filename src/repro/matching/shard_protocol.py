@@ -6,8 +6,7 @@ query are split into small dynamic chunks, workers repeatedly claim a
 chunk and run candidate-region exploration + subgraph search on it, and
 the consumer merges streamed solution batches.  This module holds the
 transport-independent pieces of that scheme, kept apart from the pool's
-process and shared-memory plumbing so they can be driven in-process (the
-tests do):
+process plumbing so they can be driven in-process (the tests do):
 
 * :func:`chunk_ranges` — the dynamic-chunk partition of the start-candidate
   list.

@@ -300,11 +300,10 @@ class SubgraphSearcher:
         """Drop every external reference held by this searcher.
 
         Pooled searchers outlive match calls; without this, a parked
-        searcher would pin the graph (and, for shared-memory graphs, its
-        exported ``memoryview`` windows — making ``shm.close()`` fail with
-        "exported pointers exist") plus the last region's arrays.  The
-        grow-only integer buffers are deliberately kept: they reference
-        nothing and are the whole point of pooling.
+        searcher would pin the graph it last searched (keeping a replaced
+        graph alive after the engine reloads) plus the last region's
+        arrays.  The grow-only integer buffers are deliberately kept: they
+        reference nothing and are the whole point of pooling.
         """
         self.exhausted = True
         self._graph = None

@@ -180,12 +180,13 @@ class TurboMatcher:
             stats.solutions += 1
             yield SolutionBatch((), 1)
             return
-        if not query.is_connected():
-            raise ValueError(
-                "TurboMatcher requires a connected query graph; split disconnected "
-                "patterns into components (the engine layer does this automatically)"
-            )
         if prepared is None:
+            # A prepared plan component is connected by construction.
+            if not query.is_connected():
+                raise ValueError(
+                    "TurboMatcher requires a connected query graph; split disconnected "
+                    "patterns into components (the engine layer does this automatically)"
+                )
             prepared = prepare_query(self.graph, query, self.config)
         if query.vertex_count() == 1 and query.edge_count() == 0:
             yield from self._iter_single_vertex_batches(

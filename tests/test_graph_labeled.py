@@ -1,5 +1,7 @@
 """Labeled graph storage: adjacency grouping, label index, predicate index."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,8 +193,8 @@ class TestAdjacencyProperties:
 
         Vertices carry 0-3 labels from a small pool (equal sets built as
         separate objects), and the edge list has self-loops, duplicates and
-        labelled isolated vertices.  An ``export_shared`` / ``attach_shared``
-        round trip must answer the same.
+        labelled isolated vertices.  A pickle round trip (how a spawned
+        shard worker receives the graph) must answer the same.
         """
         pool = (10, 11, 12, 13)
         vertex_count = data.draw(st.integers(min_value=1, max_value=12))
@@ -208,16 +210,8 @@ class TestAdjacencyProperties:
         edges = drawn + loops + drawn[: len(drawn) // 2]
         graph = LabeledGraph(vertex_count, labels, edges)
         self._assert_brute_force(graph, vertex_count, labels, set(edges))
-        handle = graph.export_shared()
-        try:
-            attached, shm = LabeledGraph.attach_shared(handle.manifest)
-            try:
-                self._assert_brute_force(attached, vertex_count, labels, set(edges))
-            finally:
-                del attached
-                shm.close()
-        finally:
-            handle.unlink()
+        copied = pickle.loads(pickle.dumps(graph))
+        self._assert_brute_force(copied, vertex_count, labels, set(edges))
 
     @staticmethod
     def _assert_brute_force(graph, vertex_count, labels, edges):

@@ -16,7 +16,6 @@ import pytest
 
 from repro.engine.plan import PushdownPredicate
 from repro.engine.turbo_engine import TurboHomPPEngine
-from repro.graph.labeled_graph import LabeledGraph
 from repro.matching.turbo import TurboMatcher
 from repro.rdf.namespaces import Namespace, RDF
 from repro.rdf.store import TripleStore
@@ -101,27 +100,20 @@ class TestRoundTrip:
 
 
 # ------------------------------------------------- fresh-process rehydration
-def _match_rehydrated_plan(manifest, plan_bytes, mapping_bytes, config, output):
-    """Child-process half of the spawn test: attach, rehydrate, match."""
-    graph, shm = LabeledGraph.attach_shared(manifest)
-    try:
-        plan = pickle.loads(plan_bytes)
-        mapping = pickle.loads(mapping_bytes)
-        component = plan.alternatives[0].components[0]
-        for predicate in component.pushdown.values():
-            predicate.bind(mapping)
-        matcher = TurboMatcher(graph, config)
-        solutions = matcher.match(
-            component.query,
-            vertex_predicates=component.pushdown,
-        )
-        output.put(sorted(map(tuple, solutions)))
-    finally:
-        import gc
-
-        del graph, plan, component, matcher
-        gc.collect()
-        shm.close()
+def _match_rehydrated_plan(graph_bytes, plan_bytes, mapping_bytes, config, output):
+    """Child-process half of the spawn test: unpickle, rehydrate, match."""
+    graph = pickle.loads(graph_bytes)
+    plan = pickle.loads(plan_bytes)
+    mapping = pickle.loads(mapping_bytes)
+    component = plan.alternatives[0].components[0]
+    for predicate in component.pushdown.values():
+        predicate.bind(mapping)
+    matcher = TurboMatcher(graph, config)
+    solutions = matcher.match(
+        component.query,
+        vertex_predicates=component.pushdown,
+    )
+    output.put(sorted(map(tuple, solutions)))
 
 
 @pytest.mark.parametrize("sparql", [TRIANGLE, FILTERED], ids=["triangle", "filtered"])
@@ -139,23 +131,19 @@ def test_rehydrated_plan_matches_in_fresh_spawned_process(engine, sparql):
     )
 
     ctx = multiprocessing.get_context("spawn")
-    handle = engine.graph.export_shared()
     output = ctx.Queue()
-    try:
-        child = ctx.Process(
-            target=_match_rehydrated_plan,
-            args=(
-                handle.manifest,
-                pickle.dumps(plan),
-                pickle.dumps(engine.mapping),
-                engine.config,
-                output,
-            ),
-        )
-        child.start()
-        result = output.get(timeout=60)
-        child.join(timeout=60)
-        assert child.exitcode == 0
-        assert result == expected
-    finally:
-        handle.unlink()
+    child = ctx.Process(
+        target=_match_rehydrated_plan,
+        args=(
+            pickle.dumps(engine.graph),
+            pickle.dumps(plan),
+            pickle.dumps(engine.mapping),
+            engine.config,
+            output,
+        ),
+    )
+    child.start()
+    result = output.get(timeout=60)
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert result == expected

@@ -2,8 +2,8 @@
 
 Covers the failure modes that only show up around pool shutdown and
 cancellation: worker exceptions and crashes propagating to the consumer,
-``limit_hint`` fanning a prompt stop out to every shard, shared-memory
-segments being unlinked on engine close *and* on interpreter exit, and the
+``limit_hint`` fanning a prompt stop out to every shard, a live pool
+adding no ``/dev/shm`` entry (workers inherit the graph), and the
 regression where closing the engine mid-iteration deadlocked on the
 bounded result queue.  Workers hold rows back until a batch is full, so the
 last class checks that holding them cost neither ``LIMIT`` its early stop
@@ -16,8 +16,6 @@ import gc
 import os
 import pickle
 import queue
-import subprocess
-import sys
 import time
 from types import SimpleNamespace
 
@@ -75,10 +73,6 @@ def make_pool(graph, workers: int = 2):
     return ProcessShardPool(
         graph, MatchConfig.turbo_hom_pp(), workers=workers, chunk_size=1
     )
-
-
-def segment_exists(name: str) -> bool:
-    return os.path.exists(f"/dev/shm/{name}")
 
 
 def exploding_predicate(_data_vertex: int) -> bool:
@@ -266,11 +260,7 @@ class TestHeldRowsUnderLimitsAndCancellation:
         for lo, hi in chunk_ranges(len(prepared.start_candidates), 10):
             chunks.put(("range", 1, lo, hi))
         chunks.put(("end", 1))
-        handle = graph.export_shared()
-        try:
-            _shard_worker_main(0, handle.manifest, config, None, control, chunks, results, cancel)
-        finally:
-            handle.unlink()
+        _shard_worker_main(0, graph, config, None, control, chunks, results, cancel)
         shipped = [results.get_nowait() for _ in range(results.qsize())]
         assert [message[0] for message in shipped] == ["batch", "done"]
         assert shipped[0][3].rows == SOLUTION_BATCH_SIZE
@@ -335,41 +325,24 @@ class TestHeldRowsUnderLimitsAndCancellation:
 
 # ----------------------------------------------------------- segment hygiene
 class TestSharedSegmentCleanup:
-    def test_segments_unlinked_on_pool_close(self):
-        graph = star_graph(spokes=20)
-        pool = ProcessShardPool(graph, MatchConfig.turbo_hom_pp(), workers=2)
-        try:
-            pool.match(star_query())
-            name = pool._handle.name
-            assert segment_exists(name)
-        finally:
-            pool.close()
-        assert not segment_exists(name)
-
-    def test_segments_unlinked_on_engine_close(self, small_rdf_store):
-        engine = TurboHomPPEngine(workers=2)
-        engine.load(small_rdf_store)
-        try:
-            result = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
-            assert len(result) == 3
-            name = engine._executor.pool._handle.name
-            assert segment_exists(name)
-        finally:
-            engine.close()
-        assert not segment_exists(name)
-
-    def test_engine_close_query_close_does_not_leak(self, small_rdf_store):
-        """A query after close() rebuilds tracked state the next close() finds."""
+    def test_live_pool_adds_no_dev_shm_entry(self, small_rdf_store):
+        """Workers inherit the engine's graph: while the pool is up after a
+        query, ``/dev/shm`` holds nothing it did not hold before — also for
+        the pool a query after ``close()`` starts again."""
+        before = set(os.listdir("/dev/shm"))
         engine = TurboHomPPEngine(workers=2)
         engine.load(small_rdf_store)
         query = PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }"
-        assert len(engine.query(query)) == 3
-        engine.close()
-        assert len(engine.query(query)) == 3  # transparently restarts
-        name = engine._executor.pool._handle.name
-        assert segment_exists(name)
-        engine.close()
-        assert not segment_exists(name)
+        try:
+            for _ in range(2):
+                assert len(engine.query(query)) == 3
+                processes = engine._executor.pool._processes
+                assert len(processes) == 2
+                assert all(process.is_alive() for process in processes)
+                assert set(os.listdir("/dev/shm")) - before == set()
+                engine.close()
+        finally:
+            engine.close()
 
     def test_workers_alone_picks_sequential_or_shards(self, lubm1):
         """``workers=1`` never builds a pool; the spine's retired spelling
@@ -389,42 +362,3 @@ class TestSharedSegmentCleanup:
             assert sharded.stats()["transport"]["queue_batches"] > 0
         finally:
             sharded.close()
-
-    def test_segments_unlinked_on_interpreter_exit(self, tmp_path):
-        """An engine abandoned without close() must not leak /dev/shm entries."""
-        script = tmp_path / "leaky.py"
-        script.write_text(
-            "import sys\n"
-            "from repro.graph.labeled_graph import GraphBuilder\n"
-            "from repro.graph.query_graph import QueryGraph\n"
-            "from repro.matching.config import MatchConfig\n"
-            "from repro.matching.process_shard import ProcessShardPool\n"
-            "builder = GraphBuilder()\n"
-            "builder.add_vertex(0, (0,))\n"
-            "for v in range(1, 30):\n"
-            "    builder.add_vertex(v, (1,))\n"
-            "    builder.add_edge(0, 0, v)\n"
-            "query = QueryGraph()\n"
-            "hub = query.add_vertex('hub', frozenset((0,)))\n"
-            "leaf = query.add_vertex('leaf', frozenset((1,)))\n"
-            "query.add_edge(hub, leaf, 0)\n"
-            "pool = ProcessShardPool(builder.build(), MatchConfig.turbo_hom_pp(), workers=2)\n"
-            "solutions, _ = pool.match(query)\n"
-            "assert len(solutions) == 29\n"
-            "print(pool._handle.name)\n"
-            "sys.exit(0)  # deliberately no close()\n"
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        completed = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
-        assert completed.returncode == 0, completed.stderr
-        name = completed.stdout.strip().splitlines()[-1]
-        assert name
-        assert not segment_exists(name), "segment outlived the interpreter"
