@@ -3,7 +3,8 @@
 Covers the failure modes that only show up around pool shutdown and
 cancellation: worker exceptions and crashes propagating to the consumer,
 ``limit_hint`` fanning a prompt stop out to every shard, a live pool
-adding no ``/dev/shm`` entry (workers inherit the graph), and the
+adding no ``/dev/shm`` entry (workers inherit the graph), the workers
+stopping on pool or engine close, on GC and at interpreter exit, and the
 regression where closing the engine mid-iteration deadlocked on the
 bounded result queue.  Workers hold rows back until a batch is full, so the
 last class checks that holding them cost neither ``LIMIT`` its early stop
@@ -16,6 +17,8 @@ import gc
 import os
 import pickle
 import queue
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -323,26 +326,86 @@ class TestHeldRowsUnderLimitsAndCancellation:
             pool.close()
 
 
-# ----------------------------------------------------------- segment hygiene
+# -------------------------------------------------------------- pool hygiene
+def worker_running(pid: int) -> bool:
+    """Whether process ``pid`` still runs (a zombie awaiting reaping does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestSharedSegmentCleanup:
     def test_live_pool_adds_no_dev_shm_entry(self, small_rdf_store):
         """Workers inherit the engine's graph: while the pool is up after a
-        query, ``/dev/shm`` holds nothing it did not hold before — also for
-        the pool a query after ``close()`` starts again."""
+        query, ``/dev/shm`` holds nothing it did not hold before."""
         before = set(os.listdir("/dev/shm"))
+        engine = TurboHomPPEngine(workers=2)
+        engine.load(small_rdf_store)
+        try:
+            assert len(engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")) == 3
+            processes = engine._executor.pool._processes
+            assert len(processes) == 2
+            assert all(process.is_alive() for process in processes)
+            assert set(os.listdir("/dev/shm")) - before == set()
+        finally:
+            engine.close()
+
+    def test_workers_stopped_on_pool_close(self, new_leaks):
+        pool = ProcessShardPool(star_graph(spokes=20), MatchConfig.turbo_hom_pp(), workers=2)
+        try:
+            solutions, _ = pool.match(star_query())
+            assert len(solutions) == 20
+            processes = list(pool._processes)
+            assert all(process.is_alive() for process in processes)
+        finally:
+            pool.close()
+        assert all(process.exitcode is not None for process in processes)
+        assert not new_leaks()
+
+    def test_workers_stopped_on_engine_close(self, small_rdf_store, new_leaks):
+        engine = TurboHomPPEngine(workers=2)
+        engine.load(small_rdf_store)
+        try:
+            result = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
+            assert len(result) == 3
+            processes = list(engine._executor.pool._processes)
+            assert len(processes) == 2
+        finally:
+            engine.close()
+        assert all(process.exitcode is not None for process in processes)
+        assert not new_leaks()
+
+    def test_engine_close_query_close_does_not_leak(self, small_rdf_store, new_leaks):
+        """A query after close() starts a new pool the next close() stops."""
         engine = TurboHomPPEngine(workers=2)
         engine.load(small_rdf_store)
         query = PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }"
         try:
-            for _ in range(2):
-                assert len(engine.query(query)) == 3
-                processes = engine._executor.pool._processes
-                assert len(processes) == 2
-                assert all(process.is_alive() for process in processes)
-                assert set(os.listdir("/dev/shm")) - before == set()
-                engine.close()
+            assert len(engine.query(query)) == 3
+            first = list(engine._executor.pool._processes)
+            engine.close()
+            assert all(process.exitcode is not None for process in first)
+            assert len(engine.query(query)) == 3  # transparently restarts
+            second = list(engine._executor.pool._processes)
+            assert len(second) == 2 and not set(second) & set(first)
+            assert all(process.is_alive() for process in second)
         finally:
             engine.close()
+        assert all(process.exitcode is not None for process in second)
+        assert not new_leaks()
+
+    def test_pool_dropped_without_close_is_reaped(self):
+        """The GC finalizer stops the workers of a pool nobody closed."""
+        pool = ProcessShardPool(star_graph(spokes=20), MatchConfig.turbo_hom_pp(), workers=2)
+        solutions, _ = pool.match(star_query())
+        assert len(solutions) == 20
+        processes = list(pool._processes)
+        assert all(process.is_alive() for process in processes)
+        del pool
+        gc.collect()
+        assert all(process.exitcode is not None for process in processes)
 
     def test_workers_alone_picks_sequential_or_shards(self, lubm1):
         """``workers=1`` never builds a pool; the spine's retired spelling
@@ -362,3 +425,42 @@ class TestSharedSegmentCleanup:
             assert sharded.stats()["transport"]["queue_batches"] > 0
         finally:
             sharded.close()
+
+    def test_workers_do_not_outlive_the_interpreter(self, tmp_path):
+        """An interpreter that exits without close() stops its workers."""
+        script = tmp_path / "unclosed.py"
+        script.write_text(
+            "import sys\n"
+            "from repro.graph.labeled_graph import GraphBuilder\n"
+            "from repro.graph.query_graph import QueryGraph\n"
+            "from repro.matching.config import MatchConfig\n"
+            "from repro.matching.process_shard import ProcessShardPool\n"
+            "builder = GraphBuilder()\n"
+            "builder.add_vertex(0, (0,))\n"
+            "for v in range(1, 30):\n"
+            "    builder.add_vertex(v, (1,))\n"
+            "    builder.add_edge(0, 0, v)\n"
+            "query = QueryGraph()\n"
+            "hub = query.add_vertex('hub', frozenset((0,)))\n"
+            "leaf = query.add_vertex('leaf', frozenset((1,)))\n"
+            "query.add_edge(hub, leaf, 0)\n"
+            "pool = ProcessShardPool(builder.build(), MatchConfig.turbo_hom_pp(), workers=2)\n"
+            "solutions, _ = pool.match(query)\n"
+            "assert len(solutions) == 29\n"
+            "print(' '.join(str(process.pid) for process in pool._processes))\n"
+            "sys.exit(0)  # deliberately no close()\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        pids = [int(pid) for pid in completed.stdout.strip().splitlines()[-1].split()]
+        assert len(pids) == 2
+        assert not any(worker_running(pid) for pid in pids), "a worker outlived the interpreter"
