@@ -8,7 +8,6 @@ from repro.engine.base import (
 from repro.engine.plan import QueryPlan, compile_query
 from repro.engine.plan_cache import PlanCache, bgp_fingerprint
 from repro.engine.region_cache import RegionCache
-from repro.engine.shard_executor import ShardExecutor
 from repro.engine.turbo_engine import TurboHomEngine, TurboHomPPEngine, TurboEngine
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "PlanCache",
     "RegionCache",
     "QueryPlan",
-    "ShardExecutor",
     "TurboEngine",
     "TurboHomEngine",
     "TurboHomPPEngine",

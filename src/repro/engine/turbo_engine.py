@@ -37,9 +37,10 @@ the same stream.
 
 ``workers`` alone picks the execution path: 1 runs the in-process
 :class:`~repro.matching.turbo.TurboMatcher`, more run one engine-held
-:class:`~repro.engine.shard_executor.ShardExecutor` whose persistent worker
-processes inherit the engine's graph and cache rehydrated plans by
-fingerprint (see ``docs/execution_modes.md``).
+:class:`~repro.matching.process_shard.ProcessShardPool` whose persistent
+worker processes inherit the engine's graph and its mapping (the
+predicate-binding context) and cache rehydrated plans by fingerprint (see
+``docs/execution_modes.md``).
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from repro.engine.region_cache import (
     RegionCache,
     make_region_cache,
 )
-from repro.engine.shard_executor import ShardExecutor
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.reachability import (
     DEFAULT_PATH_INDEX_BYTES,
@@ -88,6 +88,7 @@ from repro.graph.transform import (
     type_aware_transform,
 )
 from repro.matching.config import MatchConfig
+from repro.matching.process_shard import ProcessShardPool
 from repro.matching.solution_batch import SolutionBatch
 from repro.matching.start_vertex import restricted_start_candidates
 from repro.matching.turbo import PreparedQuery, TurboMatcher
@@ -155,7 +156,7 @@ class TurboBGPSolver(BGPSolver):
         type_aware: bool,
         decode: Decoder,
         plan_cache: Optional[PlanCache] = None,
-        executor: Optional[ShardExecutor] = None,
+        pool: Optional[ProcessShardPool] = None,
         counters: Optional[PipelineCounters] = None,
         region_cache: Optional[RegionCache] = None,
         operator_context: Optional[OperatorContext] = None,
@@ -183,10 +184,10 @@ class TurboBGPSolver(BGPSolver):
         self.path_manager = path_manager
         self._path_resolver: Optional[PathResolver] = None
         # The sequential matcher is stateless between calls and shared by
-        # every component stream; the shard executor (persistent worker
+        # every component stream; the shard pool (persistent worker
         # processes) is engine-held so it spans queries.
         self._matcher = TurboMatcher(graph, config)
-        self._executor = executor
+        self._pool = pool
 
     def supports_filter_pushdown(self) -> bool:
         return True
@@ -195,7 +196,7 @@ class TurboBGPSolver(BGPSolver):
         return True
 
     def streams_hold_workers(self) -> bool:
-        return self._executor is not None
+        return self._pool is not None
 
     def path_resolver(self) -> Optional[PathResolver]:
         """Resolver for property-path evaluation (None without a manager)."""
@@ -274,7 +275,7 @@ class TurboBGPSolver(BGPSolver):
         workers address their plan caches by fingerprint, so plans are
         fingerprinted even when the engine cache is off.
         """
-        if self.plan_cache is None and self._executor is None:
+        if self.plan_cache is None and self._pool is None:
             return self._compile(patterns, cheap_filters)
         key, constants = bgp_fingerprint(
             patterns, cheap_filters, plan_shape, self.type_aware
@@ -300,6 +301,19 @@ class TurboBGPSolver(BGPSolver):
             patterns, cheap_filters, self.graph, self.mapping, self.config,
             self.type_aware, slots,
         )
+
+    @staticmethod
+    def _plan_key(plan: QueryPlan, alternative_index: int, component_index: int):
+        """The shard workers' plan-cache and region-cache key of one component.
+
+        The plan's fingerprint (template key plus the instance's slot
+        constant ids) plus the component's coordinates, so workers rehydrate
+        a bound component once and serve its repeats from their caches.
+        None ships the plan every time and leaves the worker caches alone.
+        """
+        if plan.fingerprint is None:
+            return None
+        return (plan.fingerprint, alternative_index, component_index)
 
     def _region_key(
         self, plan: QueryPlan, alternative_index: int, component_index: int
@@ -394,11 +408,15 @@ class TurboBGPSolver(BGPSolver):
         if region_key is not None and prepared.start_vertex != component.prepared.start_vertex:
             region_key += (prepared.start_vertex,)
         region_cache = self.region_cache if region_key is not None else None
-        if restricted is None and self._executor is not None and query.vertex_count() > 1:
-            solution_batches: Iterable[SolutionBatch] = (
-                self._executor.iter_component_batches(
-                    plan, alternative_index, component_index, deep_limit
-                )
+        if restricted is None and self._pool is not None and query.vertex_count() > 1:
+            # Batches arrive exactly as the workers packed them, so they are
+            # adopted whole; reaching ``deep_limit`` cancels every shard.
+            solution_batches: Iterable[SolutionBatch] = self._pool.iter_match_batches(
+                query,
+                vertex_predicates=component.pushdown,
+                max_results=deep_limit,
+                prepared=component.prepared,
+                plan_key=self._plan_key(plan, alternative_index, component_index),
             )
         else:
             solution_batches = self._matcher.iter_match_batches(
@@ -789,7 +807,7 @@ class TurboEngine(Engine):
         #: the solver and reported by :meth:`stats`.
         self.pipeline_counters = PipelineCounters()
         self._solver: Optional[TurboBGPSolver] = None
-        self._executor: Optional[ShardExecutor] = None
+        self._pool: Optional[ProcessShardPool] = None
         self._path_manager: Optional[PathIndexManager] = None
         #: Serializes lazy solver/pool construction so two threads firing
         #: their first query cannot race two worker pools into existence
@@ -834,9 +852,12 @@ class TurboEngine(Engine):
 
     def _bgp_solver_locked(self) -> TurboBGPSolver:
         if self._solver is None:
-            if self.workers > 1 and self._executor is None:
-                self._executor = ShardExecutor(
-                    self.graph, self.mapping, self.config, workers=self.workers,
+            if self.workers > 1 and self._pool is None:
+                # Each worker holds its own region cache of this budget,
+                # keyed by the same plan keys its plan cache uses.
+                self._pool = ProcessShardPool(
+                    self.graph, self.config, workers=self.workers,
+                    worker_context=self.mapping,
                     region_cache_bytes=self.region_cache_bytes,
                 )
             if self._path_manager is None:
@@ -852,7 +873,7 @@ class TurboEngine(Engine):
                 self.type_aware,
                 self._decode,
                 plan_cache=self.plan_cache,
-                executor=self._executor,
+                pool=self._pool,
                 counters=self.pipeline_counters,
                 region_cache=self.region_cache,
                 operator_context=self.operator_context,
@@ -938,15 +959,15 @@ class TurboEngine(Engine):
         if self.plan_cache is not None:
             plan_cache = self.plan_cache.counters()
         transport: Optional[Dict[str, int]] = None
-        if self._executor is not None:
-            shard = self._executor.pool.transport
+        if self._pool is not None:
+            shard = self._pool.transport
             transport = {
                 "queue_batches": shard.queue_batches,
                 "solutions": shard.solutions,
             }
         region_cache: Optional[Dict[str, int]] = None
-        if self._executor is not None:
-            region_cache = self._executor.pool.region_cache_counters()
+        if self._pool is not None:
+            region_cache = self._pool.region_cache_counters()
         elif self.region_cache is not None:
             region_cache = self.region_cache.counters()
         if self._path_manager is not None:
@@ -980,7 +1001,7 @@ class TurboEngine(Engine):
         }
 
     def close(self) -> None:
-        """Shut down the shard executor and spill storage.
+        """Shut down the shard pool and spill storage.
 
         Safe to call repeatedly and safe to call while result streams are
         open: in-flight :meth:`query_batches` streams observe the close
@@ -999,15 +1020,15 @@ class TurboEngine(Engine):
         # context's temp directory.  The context stays usable: the next
         # spill recreates its directory lazily.
         self.operator_context.cleanup()
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None
         # Reachability indexes are graph-scoped: drop them so a reload
         # never serves stale closures.
         if self._path_manager is not None:
             self._path_manager.close()
             self._path_manager = None
-        # Drop the memoized solver too: it holds the closed executor,
+        # Drop the memoized solver too: it holds the closed pool,
         # and a later query must build (and the next close() must find) a
         # fresh engine-tracked one instead of resurrecting the old.
         self._solver = None

@@ -11,9 +11,10 @@ The package implements the paper's algorithm family:
   correctness oracle and as the "generic framework" baseline of Section 2.2.
 * :mod:`~repro.matching.process_shard` — work partitioning of starting
   vertices over persistent worker processes that inherit the graph
-  (multi-core matching).
-* :mod:`~repro.matching.shard_protocol` — that pool's job/merge protocol:
-  the chunk partition, the consumer-side merge loop and the
+  (multi-core matching); the parent hands out chunks over one pipe per
+  worker.
+* :mod:`~repro.matching.shard_protocol` — that pool's transport-free
+  parts: the chunk partition, the cross-thread stream gate and the
   :class:`ParallelStats` a match reports.  Shard workers run the same
   start-vertex loop as the sequential matcher
   (:func:`~repro.matching.turbo.iter_region_batches`).

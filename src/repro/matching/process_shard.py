@@ -17,27 +17,30 @@ expensive state crosses the process boundary at most once:
   predicates) is pickled to each worker the *first* time its ``plan_key``
   (canonical plan fingerprint) is seen and rehydrated into a per-worker LRU
   plan cache; repeated queries ship only the fingerprint;
-* **work** — start-candidate index ranges are distributed through one shared
-  chunk queue (the paper's dynamic chunking), a shared cancel counter fans
-  ``limit_hint`` / abandoned-generator stops out to every shard, and a
-  worker crash or exception is propagated to the consumer instead of
+* **work** — each worker owns one duplex pipe to the parent, and the parent
+  is the only dispatcher.  It sends a worker the job header and one reply
+  of start-candidate index chunks; the worker claims each reply as it takes
+  it, and the parent answers every claim with the next reply, ``[]`` at the
+  end (the paper's dynamic chunking, one reply ahead of the work, replies
+  shrinking as the job drains).  A shared cancel
+  counter fans ``limit_hint`` / abandoned-generator stops out to every
+  shard, and the parent waits on the pipes and the process sentinels
+  together, so a worker crash or exception reaches the consumer instead of
   hanging it;
 * **results** — each worker runs the sequential matcher's start-vertex
   loop (:func:`~repro.matching.turbo.iter_region_batches`) once per job,
-  over the start vertices of every chunk it claims, so rows gather across
-  candidate regions and chunks and a batch ships only when it is full
-  (256 rows, or the job's limit) or when the worker runs out of chunks:
-  what bounds this path is the number of messages, not the bytes, so a
-  query crosses the boundary in about as many batches as the sequential
-  matcher yields.  Every batch travels as one ``("batch", job, worker,
-  batch)`` message through the bounded result queue that also carries the
-  control messages; a :class:`~repro.matching.solution_batch.SolutionBatch`
-  pickles as one buffer per column, never per solution.  The queue's bound
-  is the only backpressure, and :attr:`ProcessShardPool.transport` counts
-  the batches and solutions that crossed it.
+  over the start vertices of every range it claims, so rows gather across
+  candidate regions and ranges and a batch ships only when it is full
+  (256 rows, or the job's limit) or when the worker runs out of ranges:
+  a query crosses the boundary in about as many batches as the sequential
+  matcher yields.  Every batch travels as one ``("batch", batch)`` message
+  on the worker's pipe; a :class:`~repro.matching.solution_batch.SolutionBatch`
+  pickles as one buffer per column, never per solution.  The pipe's OS
+  buffer is the only backpressure, and :attr:`ProcessShardPool.transport`
+  counts the batches and solutions that crossed it.
 
-The consumer-side merge loop and the chunk partition live in
-:mod:`repro.matching.shard_protocol`, apart from the transport.
+The chunk partition, the stream gate and the work-partition statistics live
+in :mod:`repro.matching.shard_protocol`, apart from the transport.
 
 Wall-clock speedup additionally requires multiple cores; the
 :class:`~repro.matching.shard_protocol.ParallelStats` work-partition
@@ -48,14 +51,13 @@ from __future__ import annotations
 
 import itertools
 import pickle
-import queue
 import threading
 import time
 import traceback
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import multiprocessing
 
@@ -63,13 +65,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.query_graph import QueryGraph
 from repro.matching.candidate_region import VertexPredicate
 from repro.matching.config import MatchConfig
-from repro.matching.shard_protocol import (
-    ParallelStats,
-    StreamGate,
-    StreamOutcome,
-    chunk_ranges,
-    merge_solution_batches,
-)
+from repro.matching.shard_protocol import ParallelStats, StreamGate, chunk_ranges
 from repro.matching.solution_batch import SolutionBatch
 from repro.matching.turbo import (
     MatchStatistics,
@@ -83,6 +79,12 @@ from repro.matching.turbo import (
 #: How many rehydrated payloads each worker keeps, mirrored by the pool's
 #: shipped-key LRU so parent and workers always agree on what is cached.
 PAYLOAD_CACHE_SIZE = 64
+
+#: A claim is answered with ``1 / (REPLY_SPLIT × workers)`` of the chunks
+#: not handed out yet, at least one (guided self-scheduling): while many are
+#: left, few large replies keep the parent's wake-ups few, and single chunks
+#: at the end keep the workers finishing together.
+REPLY_SPLIT = 4
 
 #: How long (seconds) the pool waits for workers to acknowledge a shutdown
 #: sentinel before terminating them.
@@ -102,9 +104,9 @@ class ShardWorkerError(RuntimeError):
 class ShardTransportStats:
     """Cumulative counters of the shard results that crossed the process boundary.
 
-    ``queue_batches`` counts the batches delivered through the result
-    queue (the only transport), ``solutions`` the rows they carried.  The
-    engine surfaces these through :meth:`TurboEngine.stats`.
+    ``queue_batches`` counts the batches delivered through the worker pipes
+    (the only transport), ``solutions`` the rows they carried.  The engine
+    surfaces these through :meth:`TurboEngine.stats`.
     """
 
     queue_batches: int = 0
@@ -134,15 +136,17 @@ class ShardPayload:
 
 
 # --------------------------------------------------------------- worker side
-def _put_error(results, job_id: int, worker_index: int, exc: BaseException, cancel) -> None:
+class _Shutdown(Exception):
+    """The pool's shutdown sentinel arrived while a job was open."""
+
+
+def _send_error(conn, exc: BaseException) -> None:
     """Report a worker exception; fall back to text when it cannot pickle."""
     try:
         payload: Optional[bytes] = pickle.dumps(exc)
     except Exception:  # noqa: BLE001 - any pickling failure downgrades to text
         payload = None
-    _put_message(
-        results, ("error", job_id, worker_index, payload, traceback.format_exc()), cancel
-    )
+    conn.send(("error", payload, traceback.format_exc()))
 
 
 def _lru_touch(cache: "OrderedDict[Any, Any]", key: Any, value: Any) -> None:
@@ -160,42 +164,21 @@ def _lru_touch(cache: "OrderedDict[Any, Any]", key: Any, value: Any) -> None:
         cache.popitem(last=False)
 
 
-def _put_message(results, message, cancel) -> None:
-    """Deliver a control message, giving up only at pool teardown.
+def _job_ranges(conn, job_id: int) -> Iterator[Tuple[int, int]]:
+    """The ``(lo, hi)`` chunks the parent hands this worker, up to an empty reply.
 
-    During a normal job cancel the consumer is draining the queue, so the
-    bounded put always completes; only when the whole pool is being torn
-    down (:data:`_CANCEL_ALL`) is nobody left to drain, and the message is
-    dropped so the worker can reach its shutdown sentinel.
+    Each reply (a list of chunks) is claimed as soon as it is taken, so the
+    parent's answer — the next chunks, or ``[]`` at the end — is on its way
+    while these run.
     """
     while True:
-        try:
-            results.put(message, timeout=0.05)
+        reply = conn.recv()
+        if reply is None:
+            raise _Shutdown
+        if not reply:
             return
-        except queue.Full:
-            if cancel.value >= _CANCEL_ALL:
-                return
-
-
-def _job_ranges(chunks, job_id: int) -> Iterator[Tuple[int, int]]:
-    """The ``(lo, hi)`` chunks of job ``job_id`` up to its ``"end"`` marker.
-
-    Every worker reads the one shared chunk queue until it takes an
-    ``"end"`` marker of its job (one is queued per worker).  Entries of
-    older, cancelled jobs are discarded; an entry of a future job (only
-    possible after a consumer gave this job up) is handed back.
-    """
-    while True:
-        message = chunks.get()
-        if message[1] < job_id:
-            continue
-        if message[1] > job_id:
-            chunks.put(message)
-            time.sleep(0.01)
-            continue
-        if message[0] == "end":
-            return
-        yield message[2], message[3]
+        conn.send(("claim", job_id))
+        yield from reply
 
 
 def _claim_starts(
@@ -205,15 +188,15 @@ def _claim_starts(
     chunk_works: List[int],
     stopped,
 ) -> Iterator[int]:
-    """The start vertices of every chunk this worker claims.
+    """The start vertices of every range this worker claims.
 
     Feeds :func:`~repro.matching.turbo.iter_region_batches` (the dynamic
-    chunking of Section 5.2): a chunk is claimed only when the previous one
+    chunking of Section 5.2): a range is taken only when the previous one
     is used up, the cancel counter is read before each start vertex, and
-    each claimed chunk's work (candidate-region vertices plus search
-    recursions, the Figure 16 load-balance unit) is appended to
-    ``chunk_works`` when the chunk ends — also when the worker stops in the
-    middle of it and closes this generator.
+    each range's work (candidate-region vertices plus search recursions,
+    the Figure 16 load-balance unit) is appended to ``chunk_works`` when
+    the range ends — also when the worker stops in the middle of it and
+    closes this generator.
     """
     for lo, hi in ranges:
         if stopped():
@@ -229,13 +212,10 @@ def _claim_starts(
 
 
 def _shard_worker_main(
-    worker_index: int,
     graph: LabeledGraph,
     config: MatchConfig,
     context: Any,
-    control,
-    chunks,
-    results,
+    conn,
     cancel,
     region_cache_bytes: int = 0,
 ) -> None:
@@ -243,19 +223,21 @@ def _shard_worker_main(
 
     ``graph`` and ``context`` are the pool's own objects, handed over as
     process arguments (inherited under fork, pickled once under spawn).
-    The control queue is per worker (job headers are broadcast, ``None`` is
-    the shutdown sentinel); the chunk queue is shared for dynamic load
-    balancing.  Each job runs :func:`~repro.matching.turbo.
-    iter_region_batches` once, over the start vertices of the chunks the
+    ``conn`` is this worker's end of its pipe: a job header
+    ``("job", job_id, plan_key, payload_bytes, limit)`` is followed by
+    replies of chunks (:func:`_job_ranges`), and ``None`` shuts the worker down, also
+    in the middle of a job.  Each job runs :func:`~repro.matching.turbo.
+    iter_region_batches` once, over the start vertices of the ranges the
     worker claims (:func:`_claim_starts`), so rows gather across regions and
-    chunks and ship as full batches plus one tail.  A job header carries the
-    stream's result limit: like the sequential matcher, a worker stops after
-    ``limit`` rows of its own.  Once the consumer stopped, batches are
-    dropped instead of shipped and the worker drains the job's chunks.
-    ``region_cache_bytes`` sizes this worker's private cross-query region
-    cache (0 disables it), an LRU exactly like the engine-held cache; the
-    cache counters travel back as a cumulative :class:`~repro.engine.region_cache.
-    RegionCacheStats` snapshot on every ``done`` message.
+    ranges and ship as full batches plus one tail.  Like the sequential
+    matcher, a worker stops after ``limit`` rows of its own.  Once the
+    consumer stopped, batches are dropped instead of shipped and the worker
+    claims its way to the parent's empty reply; a ``done`` message closes
+    every job.  ``region_cache_bytes`` sizes this worker's private
+    cross-query region cache (0 disables it), an LRU exactly like the
+    engine-held cache; the cache counters travel back as a cumulative
+    :class:`~repro.engine.region_cache.RegionCacheStats` snapshot on every
+    ``done`` message.
     """
     cache: "OrderedDict[Any, ShardPayload]" = OrderedDict()
     region_cache = None
@@ -266,10 +248,10 @@ def _shard_worker_main(
 
         region_cache = RegionCache(region_cache_bytes)
     while True:
-        message = control.get()
-        if message is None:
+        header = conn.recv()
+        if header is None:
             return
-        _, job_id, plan_key, payload_bytes, limit = message
+        _, job_id, plan_key, payload_bytes, limit = header
 
         payload: Optional[ShardPayload] = None
         try:
@@ -282,85 +264,84 @@ def _shard_worker_main(
                 payload = cache[plan_key]
                 cache.move_to_end(plan_key)
         except BaseException as exc:  # noqa: BLE001 - reported to the consumer
-            _put_error(results, job_id, worker_index, exc, cancel)
+            _send_error(conn, exc)
             payload = None
 
         def stopped(job_id=job_id) -> bool:
             return cancel.value >= job_id
 
-        def emit(batch: SolutionBatch, job_id=job_id, stopped=stopped) -> bool:
-            """Ship one batch through the result queue: a cancel-aware
-            bounded put, False once the consumer stopped (the batch is
-            then dropped: the consumer has every row it asked for)."""
-            message = ("batch", job_id, worker_index, batch)
-            while not stopped():
-                try:
-                    results.put(message, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
         stats = MatchStatistics()
         chunk_works: List[int] = []
-        ranges = _job_ranges(chunks, job_id)
-        if payload is not None:
-            starts = _claim_starts(
-                ranges, payload.prepared.start_candidates, stats, chunk_works,
-                stopped,
-            )
-            batches = iter_region_batches(
-                graph, config, payload.query, payload.prepared,
-                payload.predicates, starts, limit, stats,
-                region_cache=region_cache, region_key=plan_key,
-            )
-            try:
-                for batch in batches:
-                    if not emit(batch):
-                        break
-            except BaseException as exc:  # noqa: BLE001 - reported to the consumer
-                _put_error(results, job_id, worker_index, exc, cancel)
-            finally:
-                batches.close()
-                starts.close()  # counts a chunk left mid-way
-        for _ in ranges:
-            pass  # drain this job's chunks up to its "end" marker
+        ranges = _job_ranges(conn, job_id)
+        try:
+            if payload is not None:
+                starts = _claim_starts(
+                    ranges, payload.prepared.start_candidates, stats, chunk_works,
+                    stopped,
+                )
+                batches = iter_region_batches(
+                    graph, config, payload.query, payload.prepared,
+                    payload.predicates, starts, limit, stats,
+                    region_cache=region_cache, region_key=plan_key,
+                )
+                try:
+                    for batch in batches:
+                        if stopped():
+                            break  # the consumer has every row it asked for
+                        conn.send(("batch", batch))
+                except _Shutdown:
+                    raise
+                except BaseException as exc:  # noqa: BLE001 - reported to the consumer
+                    _send_error(conn, exc)
+                finally:
+                    batches.close()
+                    starts.close()  # counts a range left mid-way
+            for _ in ranges:
+                pass  # claim the rest of the job's chunks up to the end
+        except _Shutdown:
+            return
         work = stats.region_vertices + stats.search.recursions
         cache_counters = (
             region_cache.stats_snapshot() if region_cache is not None else None
         )
-        _put_message(
-            results,
-            ("done", job_id, worker_index, work, chunk_works, cache_counters),
-            cancel,
-        )
+        conn.send(("done", work, chunk_works, cache_counters))
 
 
 # --------------------------------------------------------------- parent side
-def _teardown_pool(processes, controls, cancel) -> None:
-    """Stop the workers (close() and GC path)."""
-    if cancel is not None:
-        # Unpark any worker sitting in a cancel-aware bounded put before
-        # asking it to exit.
-        _raise_cancel(cancel, _CANCEL_ALL)
-    for control in controls:
-        try:
-            control.put_nowait(None)
-        except Exception:  # noqa: BLE001 - queue may already be broken
-            pass
-    deadline = time.monotonic() + _SHUTDOWN_GRACE
-    for process in processes:
-        process.join(timeout=max(0.0, deadline - time.monotonic()))
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
+def _teardown_pool(processes, conns, io) -> None:
+    """Stop the workers (close() and GC path).
+
+    Workers still in a job take the shutdown sentinel at their next claim.
+    Their pipes are drained while they are joined, so one blocked in
+    ``send`` on a full pipe gets there too.
+    """
+    from multiprocessing.connection import wait
+
+    with io:
+        for conn in conns:
+            try:
+                conn.send(None)
+            except OSError:  # the worker is already gone
+                pass
+        deadline = time.monotonic() + _SHUTDOWN_GRACE
+        live = {process.sentinel: conn for process, conn in zip(processes, conns)}
+        while live:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            for ready in wait([*live, *live.values()], timeout=remaining):
+                if isinstance(ready, int):
+                    del live[ready]
+                    continue
+                try:
+                    ready.recv_bytes()
+                except (EOFError, OSError):
+                    pass
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
             process.join(timeout=_SHUTDOWN_GRACE)
 
-
-#: Cancel-counter value that stops every job past and future of one pool
-#: generation (used while tearing the pool down so no worker can stay
-#: parked in a bounded put).
-_CANCEL_ALL = 1 << 62
 
 #: Orders the parent's own threads when they raise a pool's cancel counter.
 #: Reentrant: a GC finalizer tearing down another pool can run inside it.
@@ -384,20 +365,37 @@ class _JobState:
     """Parent-side bookkeeping of one in-flight process-shard job."""
 
     __slots__ = (
-        "job_id", "done_workers", "per_worker_work", "per_chunk_work", "errors",
-        "retired",
+        "job_id", "ranges", "handed", "split", "running", "per_worker_work",
+        "per_chunk_work", "errors", "stopped", "retired",
     )
 
-    def __init__(self, job_id: int, workers: int):
+    def __init__(self, job_id: int, ranges: List[Tuple[int, int]], workers: int):
         self.job_id = job_id
-        self.done_workers: Set[int] = set()
+        #: The job's chunks; the first ``handed`` of them went to workers.
+        self.ranges = ranges
+        self.handed = 0
+        self.split = REPLY_SPLIT * workers
+        #: Indices of the workers that have not sent ``done`` yet.
+        self.running = set(range(workers))
         self.per_worker_work = [0] * workers
         self.per_chunk_work: List[int] = []
         self.errors: List[BaseException] = []
+        #: True once the consumer stopped (limit, abandon, supersede): claims
+        #: are answered ``[]``, batches dropped and errors not kept.
+        self.stopped = False
         #: True once the pool has finished (or forgotten) this job: its
-        #: generator must not touch the queues any more — a newer job may
+        #: generator must not touch the pipes any more — a newer job may
         #: own them, or the pool may be closed.
         self.retired = False
+
+    def reply(self) -> List[Tuple[int, int]]:
+        """The chunks that answer one claim (``[]`` ends the worker's job)."""
+        if self.stopped:
+            return []
+        take = max(1, (len(self.ranges) - self.handed) // self.split)
+        chunks = self.ranges[self.handed:self.handed + take]
+        self.handed += len(chunks)
+        return chunks
 
 
 class ProcessShardPool:
@@ -406,8 +404,8 @@ class ProcessShardPool:
     ``iter_match`` / ``iter_match_batches`` stream like
     :class:`~repro.matching.turbo.TurboMatcher`'s and ``match`` also returns
     the :class:`ParallelStats`, but workers are OS processes that read the
-    pool's own graph, and result batches return through one bounded result
-    queue.  The pool is lazy and persistent: processes start on the first
+    pool's own graph, and result batches return through one pipe per
+    worker.  The pool is lazy and persistent: processes start on the first
     parallel match and are reused by every later query.  The graph and
     ``worker_context`` (e.g. the engine's
     :class:`~repro.graph.transform.GraphMapping`, used to re-bind push-down
@@ -441,14 +439,16 @@ class ProcessShardPool:
         self._region_counters: Dict[int, Any] = {}
         self._job_ids = itertools.count(1)
         self._processes: List[Any] = []
-        self._controls: List[Any] = []
-        self._chunks: Any = None
-        self._results: Any = None
+        #: The parent's end of each worker's pipe, by worker index.
+        self._conns: List[Any] = []
+        #: Held while reading or writing the pipes, so a close() from another
+        #: thread never interleaves with the thread serving a job.
+        self._io = threading.Lock()
         self._cancel: Any = None
         self._shipped: "OrderedDict[Any, None]" = OrderedDict()
         self._finalizer: Optional[weakref.finalize] = None
         self._broken = False
-        #: The job whose messages currently own the result queue.  Jobs are
+        #: The job whose messages currently own the pipes.  Jobs are
         #: strictly serialized: dispatching a new one first cancels and
         #: drains any predecessor whose stream was left open.
         self._active_job: Optional[_JobState] = None
@@ -463,39 +463,39 @@ class ProcessShardPool:
         return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
     def _ensure_pool(self) -> None:
-        """Start the workers if needed."""
-        if self._broken:
-            self.close()
-        if self._processes and all(process.is_alive() for process in self._processes):
-            return
+        """Start the workers if needed.
+
+        Runs under the caller's stream lease, so a broken pool (or one whose
+        worker vanished between jobs) is rebuilt without :meth:`close`'s
+        release of the gate: a thread waiting on it must keep waiting.
+        """
+        if self._broken or not all(process.is_alive() for process in self._processes):
+            self._stop_workers()
         if self._processes:
-            # A worker vanished between jobs: rebuild from scratch.
-            self.close()
+            return
         ctx = self._context()
-        self._chunks = ctx.Queue()
-        self._results = ctx.Queue(maxsize=max(2 * self.workers, 8))
         self._cancel = ctx.RawValue("q", 0)
-        self._controls = [ctx.Queue() for _ in range(self.workers)]
         self._shipped = OrderedDict()
-        self._processes = [
-            ctx.Process(
+        for index in range(self.workers):
+            conn, child_conn = ctx.Pipe()
+            process = ctx.Process(
                 target=_shard_worker_main,
                 args=(
-                    index, self.graph, self.config, self.worker_context,
-                    self._controls[index], self._chunks, self._results, self._cancel,
-                    self.region_cache_bytes,
+                    self.graph, self.config, self.worker_context, child_conn,
+                    self._cancel, self.region_cache_bytes,
                 ),
                 name=f"turbohom-shard-{index}",
                 daemon=True,
             )
-            for index in range(self.workers)
-        ]
-        for process in self._processes:
             process.start()
+            # The worker now holds the only copy of its end (later workers
+            # fork after this close), so its death reads as end-of-file.
+            child_conn.close()
+            self._processes.append(process)
+            self._conns.append(conn)
         self.generation += 1
         self._finalizer = weakref.finalize(
-            self, _teardown_pool,
-            self._processes, self._controls, self._cancel,
+            self, _teardown_pool, self._processes, self._conns, self._io,
         )
         self._broken = False
 
@@ -503,24 +503,28 @@ class ProcessShardPool:
         """Shut the workers down.
 
         Safe to call multiple times; a later match transparently restarts
-        the pool.  A stream still open on
-        the pool is retired: it stops yielding instead of deadlocking.
+        the pool.  A stream still open on the pool is retired: it stops
+        yielding instead of deadlocking.
         """
         if self._active_job is not None:
-            # The queues are going away with the workers; the open stream's
-            # cleanup must not wait on them.
-            self._active_job.retired = True
+            # The pipes are going away with the workers; the open stream's
+            # cleanup must not wait on them.  The cancel lets its workers
+            # reach the shutdown sentinel at their next claim.
+            _raise_cancel(self._cancel, self._active_job.job_id)
+            self._active_job.stopped = self._active_job.retired = True
             self._active_job = None
         # Unblock any thread queued behind a stream that will never finish
         # normally; the job was just retired, so the revoked stream ends.
         self._gate.force_release()
+        self._stop_workers()
+
+    def _stop_workers(self) -> None:
+        """Stop this generation's workers and forget its pipes and caches."""
         if self._finalizer is not None:
             self._finalizer()  # stops the workers, exactly once
             self._finalizer = None
         self._processes = []
-        self._controls = []
-        self._chunks = None
-        self._results = None
+        self._conns = []
         self._cancel = None
         self._shipped = OrderedDict()
         self._broken = False
@@ -546,24 +550,6 @@ class ProcessShardPool:
             "capacity_bytes": self.region_cache_bytes * self.workers,
             **total.as_dict(),
         }
-
-    def _mark_broken(self) -> None:
-        """Remember that the pool must be rebuilt before its next job."""
-        self._broken = True
-
-    def _check_alive(self, job: _JobState) -> None:
-        """Raise (and retire the pool) if a worker died mid-job."""
-        dead = [
-            process for process in self._processes
-            if not process.is_alive() and process.pid is not None
-        ]
-        if not dead:
-            return
-        self._mark_broken()
-        codes = ", ".join(str(process.exitcode) for process in dead)
-        raise ShardWorkerError(
-            f"{len(dead)} shard worker(s) died mid-query (exit codes: {codes})"
-        )
 
     # ------------------------------------------------------------------ match
     def match(
@@ -611,12 +597,14 @@ class ProcessShardPool:
         match :meth:`TurboMatcher.iter_match_batches` as a multiset —
         including the sequential fallback for single-vertex queries / one
         worker and result limits — with worker errors propagated only on
-        exhaustive runs.
+        exhaustive runs: after an intentional early stop the delivered
+        solutions are complete, and the sequential path would never have
+        touched the failing region either.
 
         Jobs are serialized per pool.  Starting a new match from the thread
         whose earlier stream is still open *supersedes* the old stream,
-        which keeps whatever it already delivered and then ends (that
-        thread cannot drive both, so waiting would deadlock).  A match
+        which keeps whatever it already delivered and then ends quietly
+        (that thread cannot drive both, so waiting would deadlock).  A match
         started from any *other* thread blocks until the open stream
         finishes, so concurrent consumers always see complete results.
         """
@@ -657,10 +645,8 @@ class ProcessShardPool:
         # (inheriting the lease) and supersedes its predecessor below.
         lease = self._gate.acquire()
         try:
-            self._ensure_pool()
             self._supersede_active_job()
-
-            job = _JobState(next(self._job_ids), self.workers)
+            self._ensure_pool()
             # Pickle before any dispatch or bookkeeping: an unpicklable
             # payload (e.g. a lambda predicate) must raise to the caller
             # without leaving a phantom active job the next match would wait
@@ -673,136 +659,160 @@ class ProcessShardPool:
                 # on the same job sequence), so a key present here is
                 # guaranteed to still be cached by every worker.
                 _lru_touch(self._shipped, plan_key, None)
-            for control in self._controls:
-                control.put(("job", job.job_id, plan_key, payload_bytes, limit))
-            for lo, hi in chunk_ranges(len(prepared.start_candidates), self.chunk_size):
-                self._chunks.put(("range", job.job_id, lo, hi))
-            for _ in range(self.workers):
-                self._chunks.put(("end", job.job_id))
+            ranges = chunk_ranges(len(prepared.start_candidates), self.chunk_size)
+            job = _JobState(next(self._job_ids), ranges, self.workers)
+            header = ("job", job.job_id, plan_key, payload_bytes, limit)
+            with self._io:
+                for conn in self._conns:
+                    conn.send(header)
+                    conn.send(job.reply())
             self._active_job = job
         except BaseException:
             self._gate.release(lease)
             raise
 
-        def poll(timeout: float) -> Optional[SolutionBatch]:
-            """Next batch, a zero-row batch for a control message, None idle."""
-            if job.retired:
-                # A newer job (or close()) took the queues over: this stream
-                # ends quietly instead of stealing the successor's messages.
-                return None
-            try:
-                message = (
-                    self._results.get(timeout=timeout)
-                    if timeout
-                    else self._results.get_nowait()
-                )
-            except queue.Empty:
-                if timeout:
-                    self._check_alive(job)
-                return None
-            if message[1] != job.job_id:
-                return SolutionBatch.empty()  # stale leftovers of an older job
-            if message[0] == "batch":
-                self.transport.queue_batches += 1
-                self.transport.solutions += message[3].rows
-                return message[3]
-            self._record(job, message)
-            return SolutionBatch.empty()
-
-        def finished() -> bool:
-            return job.retired or len(job.done_workers) >= self.workers
-
-        outcome = StreamOutcome()
+        delivered = 0
         try:
-            yield from merge_solution_batches(poll, finished, limit, outcome)
+            for batch in self._serve(job):
+                self.transport.queue_batches += 1
+                self.transport.solutions += batch.rows
+                if limit is not None and delivered + batch.rows >= limit:
+                    take, delivered = limit - delivered, limit
+                    job.stopped = True
+                    yield batch.head(take)
+                    break
+                delivered += batch.rows
+                yield batch
         finally:
             # Reached on exhaustion, on the result limit, and on generator
-            # abandonment: fan the stop out to every shard (workers poll the
-            # cancel counter between regions and batches), then wait for all
-            # of them to report done before aggregating statistics.
+            # abandonment: fan the stop out to every shard (workers read the
+            # cancel counter between regions and batches), then serve every
+            # worker to its ``done`` before aggregating statistics.
             self._finish_job(job)
-            elapsed = (time.perf_counter() - start_time) * 1000.0
             self.last_stats = ParallelStats(
                 workers=self.workers,
                 chunk_size=self.chunk_size,
-                elapsed_ms=elapsed,
-                solutions=outcome.delivered,
+                elapsed_ms=(time.perf_counter() - start_time) * 1000.0,
+                solutions=delivered,
                 per_worker_work=job.per_worker_work,
                 per_chunk_work=job.per_chunk_work,
             )
             self._gate.release(lease)
-        # A worker error is surfaced only when the enumeration ran to
-        # exhaustion; after an intentional early stop the delivered
-        # solutions are complete (see StreamOutcome.stopped_early).
-        if job.errors and not outcome.stopped_early:
+        if job.errors and not job.stopped:
             raise job.errors[0]
 
-    def _supersede_active_job(self) -> None:
-        """Cancel and drain a predecessor whose stream was left open.
+    def _serve(self, job: _JobState) -> Iterator[SolutionBatch]:
+        """Answer ``job``'s claims and yield its batches until every worker is done.
 
-        Jobs are strictly serialized on the shared queues: a still-open
-        stream would otherwise deadlock against the new consumer (each
-        discarding the other's messages as stale).  The superseded stream
-        keeps whatever it already delivered and simply stops.
+        Blocks on the running workers' pipes and process sentinels together
+        and yields at most one batch per wake-up, so the sentinels are
+        checked again before the next pipe is read: a dead worker raises
+        :class:`ShardWorkerError` (and retires the pool) at the next call,
+        even if it died in the middle of a message.  Ready pipes are read
+        round-robin, starting after the worker whose batch went out last.
+        Once the job is stopped, claims are answered ``[]`` and batches
+        and errors are dropped; once it is retired, the generator ends
+        without touching the pipes.
+        """
+        # Imported here, not at module scope: an engine with one worker never
+        # waits on a pipe, and importing it with this module (it pulls in
+        # ``subprocess``, ``locale`` and ``fcntl``) cut the spine's
+        # sequential ``lubm_warm`` median queries_per_s by a fifth (eight
+        # round-robin runs on a 2-vCPU box).
+        from multiprocessing.connection import wait
+
+        conns, processes, io = self._conns, self._processes, self._io
+        turn = 0
+        while job.running and not job.retired:
+            sentinels = {processes[index].sentinel: index for index in job.running}
+            ready = wait([*sentinels, *(conns[index] for index in job.running)])
+            batch: Optional[SolutionBatch] = None
+            with io:
+                if job.retired:
+                    return
+                dead = [sentinels[item] for item in ready if isinstance(item, int)]
+                if dead:
+                    self._broken = True
+                    raise _death_error(processes, dead)
+                order = sorted(job.running, key=lambda index: (index - turn) % len(conns))
+                for index in order:
+                    conn = conns[index]
+                    if conn not in ready:
+                        continue
+                    try:
+                        message = conn.recv()
+                    except (EOFError, OSError):
+                        self._broken = True
+                        raise _death_error(processes, [index]) from None
+                    kind = message[0]
+                    if kind == "claim":
+                        conn.send(job.reply())
+                    elif kind == "batch":
+                        if not job.stopped:
+                            batch, turn = message[1], index + 1
+                            break
+                    elif kind == "done":
+                        job.running.discard(index)
+                        job.per_worker_work[index] += message[1]
+                        job.per_chunk_work.extend(message[2])
+                        if message[3] is not None:
+                            self._region_counters[index] = message[3]
+                    elif not job.stopped:
+                        job.errors.append(_worker_error(message[1], message[2]))
+            if batch is not None:
+                yield batch
+
+    def _supersede_active_job(self) -> None:
+        """Stop and drain a predecessor whose stream was left open.
+
+        Jobs are strictly serialized on the pipes.  The superseded stream
+        keeps whatever it already delivered and ends quietly: its late
+        worker errors belong to a stream its consumer abandoned, so they
+        are dropped.
         """
         previous = self._active_job
-        self._active_job = None
-        if previous is None or previous.retired:
-            return
-        if len(previous.done_workers) < self.workers:
-            _raise_cancel(self._cancel, previous.job_id)
-            self._await_job_end(previous)
-        previous.retired = True
+        if previous is not None:
+            previous.stopped = True
+            self._finish_job(previous)
 
     def _finish_job(self, job: _JobState) -> None:
-        """Cancel a job's shards and wait for them to leave it (idempotent)."""
-        if job.retired:
-            return
-        cancel = self._cancel
-        if cancel is None:
-            # The pool was closed while this stream was suspended.
-            job.retired = True
-            return
-        _raise_cancel(cancel, job.job_id)
-        self._await_job_end(job)
-        job.retired = True
-        if self._active_job is job:
-            self._active_job = None
-
-    def _await_job_end(self, job: _JobState) -> None:
-        """Drain the result queue until every worker left the job.
+        """Stop a job's shards and serve them to ``done`` (idempotent).
 
         Runs inside a ``finally`` block, so a dead worker retires the pool
         instead of raising (the consumer path already raised if it could).
         """
-        while len(job.done_workers) < self.workers:
-            try:
-                message = self._results.get(timeout=0.05)
-            except queue.Empty:
-                if any(not process.is_alive() for process in self._processes):
-                    self._mark_broken()
-                    return
-                continue
-            if message[1] == job.job_id and message[0] != "batch":
-                # A late error is recorded, not raised here: the job's own
-                # stream decides once its merge loop has ended.
-                self._record(job, message)
-
-    def _record(self, job: _JobState, message) -> None:
-        """Book one ``done`` or ``error`` control message of ``job``."""
-        kind = message[0]
-        if kind == "done":
-            job.done_workers.add(message[2])
-            job.per_worker_work[message[2]] += message[3]
-            job.per_chunk_work.extend(message[4])
-            if message[5] is not None:
-                self._region_counters[message[2]] = message[5]
-        elif kind == "error":
-            exc_bytes, text = message[3], message[4]
-            if exc_bytes is not None:
-                try:
-                    job.errors.append(pickle.loads(exc_bytes))
-                    return
-                except Exception:  # noqa: BLE001 - fall back to the text form
+        if job.retired:
+            return
+        try:
+            if job.running:
+                job.stopped = True
+                _raise_cancel(self._cancel, job.job_id)
+                for _ in self._serve(job):
                     pass
-            job.errors.append(ShardWorkerError(f"shard worker failed:\n{text}"))
+        except ShardWorkerError:
+            pass  # _serve marked the pool broken
+        finally:
+            job.retired = True
+            if self._active_job is job:
+                self._active_job = None
+
+
+def _death_error(processes, dead: List[int]) -> ShardWorkerError:
+    """The error for workers that died mid-job, with their exit codes."""
+    codes = []
+    for index in dead:
+        processes[index].join(timeout=1.0)  # reaped, so the exit code is known
+        codes.append(str(processes[index].exitcode))
+    return ShardWorkerError(
+        f"{len(dead)} shard worker(s) died mid-query (exit codes: {', '.join(codes)})"
+    )
+
+
+def _worker_error(exc_bytes: Optional[bytes], text: str) -> BaseException:
+    """The exception a worker reported, or its traceback text as one."""
+    if exc_bytes is not None:
+        try:
+            return pickle.loads(exc_bytes)
+        except Exception:  # noqa: BLE001 - fall back to the text form
+            pass
+    return ShardWorkerError(f"shard worker failed:\n{text}")

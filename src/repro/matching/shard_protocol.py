@@ -1,40 +1,30 @@
-"""The job/merge protocol of the process shard pool.
+"""The transport-independent parts of the process shard pool.
 
 :class:`~repro.matching.process_shard.ProcessShardPool` parallelizes
 following Section 5.2 of the paper: the start data vertices of a prepared
 query are split into small dynamic chunks, workers repeatedly claim a
 chunk and run candidate-region exploration + subgraph search on it, and
-the consumer merges streamed solution batches.  This module holds the
-transport-independent pieces of that scheme, kept apart from the pool's
-process plumbing so they can be driven in-process (the tests do):
+the consumer receives their solutions as streamed batches.  This module
+holds the pieces of that scheme that do not touch the worker pipes:
 
 * :func:`chunk_ranges` — the dynamic-chunk partition of the start-candidate
   list.
-* :func:`merge_solution_batches` — the consumer-side merge loop: poll for
-  batches, honour the result limit, drain after all workers finished.
+* :class:`StreamGate` — the cross-thread serialization of one pool's
+  streams.
 * :class:`ParallelStats` — the work-partition outcome of one match.
 
 Every worker runs the sequential matcher's start-vertex loop,
 :func:`~repro.matching.turbo.iter_region_batches`, over the start vertices
 of the chunks it claims, so results move as columnar
-:class:`~repro.matching.solution_batch.SolutionBatch` objects end-to-end:
-the merge loop slices whole batches against the result limit, and the
-pool's ``iter_match`` surface is a thin row-iterating adapter.  The
-transport (``multiprocessing`` queues + a shared cancel counter) is
-supplied by the pool through the merge loop's ``poll`` / ``finished``
-callables.
+:class:`~repro.matching.solution_batch.SolutionBatch` objects end-to-end,
+and the pool's ``iter_match`` surface is a thin row-iterating adapter.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
-
-from repro.matching.solution_batch import SolutionBatch
-
-#: How long the consumer waits for one batch before re-checking liveness.
-POLL_INTERVAL = 0.05
+from typing import List, Optional, Tuple
 
 
 @dataclass
@@ -91,8 +81,8 @@ class ParallelStats:
 class StreamGate:
     """Cross-thread serialization of one pool's solution streams.
 
-    The shard pool runs jobs strictly serialized over shared queues, and a
-    new match historically *superseded* a still-open stream.  That is the
+    The shard pool runs jobs strictly serialized over its worker pipes, and
+    a new match historically *superseded* a still-open stream.  That is the
     right call within one thread — the thread driving the old generator is
     the one asking for a new stream, so blocking it would deadlock — but
     across threads it silently truncated the first consumer's results.
@@ -160,57 +150,3 @@ def chunk_ranges(total: int, chunk_size: int) -> List[Tuple[int, int]]:
     """
     size = max(1, chunk_size)
     return [(begin, min(begin + size, total)) for begin in range(0, total, size)]
-
-
-@dataclass
-class StreamOutcome:
-    """How a merged solution stream ended (filled by the merge loop)."""
-
-    delivered: int = 0
-    #: True when the stream stopped because the result limit was reached (as
-    #: opposed to running to exhaustion).  Worker errors are only surfaced
-    #: after an exhaustive run — after an intentional early stop the
-    #: delivered solutions are complete and the sequential path would never
-    #: have touched the failing region either.
-    stopped_early: bool = False
-
-
-def merge_solution_batches(
-    poll: Callable[[float], Optional[SolutionBatch]],
-    finished: Callable[[], bool],
-    limit: Optional[int],
-    outcome: StreamOutcome,
-) -> Iterator[SolutionBatch]:
-    """Merge worker batches into one stream, honouring ``limit`` by slicing.
-
-    ``poll(timeout)`` returns the next batch, a zero-row batch for a
-    consumed control message or a stale job's leftover, or ``None`` when
-    nothing arrived within the timeout (it may also raise to propagate a
-    worker failure).
-    ``finished`` turns True once every worker has left the job; batches
-    already queued at that point are drained before the stream ends (workers
-    enqueue all output before reporting completion, in FIFO order).
-    """
-    draining = False
-    while True:
-        # Completion is checked before every blocking poll, not only after
-        # an idle one: a finished job needs nothing but the non-blocking
-        # drain, so waiting for one more message could sleep out a whole
-        # POLL_INTERVAL.
-        if not draining and finished():
-            draining = True
-        batch = poll(0.0 if draining else POLL_INTERVAL)
-        if batch is None:
-            if draining:
-                return
-            continue
-        if batch.rows == 0:
-            continue  # control message or stale leftover: re-check completion
-        if limit is not None and outcome.delivered + batch.rows >= limit:
-            take = limit - outcome.delivered
-            outcome.delivered = limit
-            outcome.stopped_early = True
-            yield batch.head(take)
-            return
-        outcome.delivered += batch.rows
-        yield batch

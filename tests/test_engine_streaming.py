@@ -268,9 +268,9 @@ class TestEarlyTermination:
                 PREFIX + "SELECT ?x ?y WHERE { ?x ex:knows ?y . } LIMIT 5"
             )
             assert len(limited) == 5
-            executor = engine.bgp_solver()._executor
-            assert executor is not None and executor.last_stats is not None
-            assert executor.last_stats.solutions == 5
+            pool = engine.bgp_solver()._pool
+            assert pool is not None and pool.last_stats is not None
+            assert pool.last_stats.solutions == 5
         finally:
             engine.close()
 
@@ -418,13 +418,13 @@ class TestPoolReuse:
         engine.load(small_rdf_store)
         try:
             solver = engine.bgp_solver()
-            pool = solver._executor.pool
+            pool = solver._pool
             first = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
             workers_after_first = {process.pid for process in pool._processes}
             second = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
             workers_after_second = {process.pid for process in pool._processes}
             assert engine.bgp_solver() is solver
-            assert solver._executor.pool is pool
+            assert solver._pool is pool
             # Same worker processes, not a fresh pool per query.
             assert workers_after_first == workers_after_second
             assert len(workers_after_first) == 3

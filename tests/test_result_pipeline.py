@@ -1,4 +1,4 @@
-"""The columnar batch result pipeline: parity, queue transport, validation.
+"""The columnar batch result pipeline: parity, pipe transport, validation.
 
 * **Parity** — the batch pipeline must be indistinguishable (as solution
   multisets) from oracles that share no ``TurboEngine`` code:
@@ -7,14 +7,13 @@
   the scalar reference algebra — at the engine level, across the DISTINCT /
   ORDER BY / LIMIT / OFFSET / OPTIONAL / UNION feature surface,
   sequential and on process shards.
-* **Queue transport** — on process shards, every batch crosses the worker
-  boundary through the result queue (counted by ``queue_batches``), and a
+* **Pipe transport** — on process shards, every batch crosses the worker
+  boundary through the worker's pipe (counted by ``queue_batches``), and a
   batch pickles one buffer per column, never one object per solution
   (pinned by the pickle's opcode count, which must not grow with rows).
 * **Batch shape** — a shard worker owns one batch per job and ships it
   full: an unlimited job delivers ⌈solutions / 256⌉ batches plus at most
-  one tail per worker, never one batch per candidate region; and the merge
-  loop never blocks on a job that has already finished.
+  one tail per worker, never one batch per candidate region.
 * **Validation** — the worker-count knob (argument and environment
   override) and the retired ``execution_mode`` argument must raise a clear
   ``ValueError`` at engine
@@ -31,7 +30,7 @@ import math
 import pickletools
 import random
 from array import array
-from collections import Counter, deque
+from collections import Counter
 from multiprocessing.reduction import ForkingPickler
 
 import pytest
@@ -45,7 +44,6 @@ from repro.exceptions import EngineError
 from repro.matching.config import MatchConfig
 from repro.matching.generic import GenericMatcher
 from repro.matching.process_shard import ProcessShardPool
-from repro.matching.shard_protocol import StreamOutcome, merge_solution_batches
 from repro.matching.solution_batch import SOLUTION_BATCH_SIZE, SolutionBatch
 from repro.matching.turbo import TurboMatcher
 from repro.rdf.namespaces import Namespace, RDF
@@ -269,7 +267,7 @@ class TestEnginePipelineParity:
             assert_same_answers(engine, baseline, PREFIX + sparql)
 
 
-# ------------------------------------------------------------ queue transport
+# ------------------------------------------------------------- pipe transport
 class TestQueueTransport:
     def test_id_batches_move_through_the_queue(self):
         graph = star_graph(spokes=500, hubs=4)
@@ -284,7 +282,7 @@ class TestQueueTransport:
 
     @pytest.mark.parametrize("width", [1, 2, 6])
     def test_batch_pickle_does_not_grow_with_rows(self, width):
-        """The queue pickles a batch as one buffer per column: a full batch
+        """A pipe message pickles a batch as one buffer per column: a full batch
         takes no more pickle opcodes than a two-row one, so no row is ever
         pickled as an object of its own."""
 
@@ -332,47 +330,6 @@ class TestBatchShape:
             pool.close()
 
 
-class TestMergeLoop:
-    """``merge_solution_batches`` against a scripted transport."""
-
-    @staticmethod
-    def run(script, finished_after):
-        """Drive the loop; ``finished()`` turns True after that many polls.
-
-        Returns the delivered batches and the ``(finished, timeout)`` pair
-        of every ``poll`` call.
-        """
-        pending = deque(script)
-        polls = []
-
-        def finished():
-            return len(polls) >= finished_after
-
-        def poll(timeout):
-            polls.append((finished(), timeout))
-            return pending.popleft() if pending else None
-
-        delivered = list(
-            merge_solution_batches(poll, finished, None, StreamOutcome())
-        )
-        return delivered, polls
-
-    @staticmethod
-    def batch(rows):
-        return SolutionBatch([array("q", range(rows))], rows)
-
-    @pytest.mark.parametrize("finished_after", [0, 2])
-    def test_finished_job_is_never_polled_with_a_timeout(self, finished_after):
-        """Once ``finished()`` is true only the non-blocking drain runs —
-        no poll may sleep out a POLL_INTERVAL waiting for one more message."""
-        script = [self.batch(4), self.batch(5), SolutionBatch.empty(), self.batch(6)]
-        delivered, polls = self.run(script, finished_after)
-        assert [batch.rows for batch in delivered] == [4, 5, 6]
-        assert len(polls) == len(script) + 1  # ends on the first empty poll
-        assert all(timeout > 0 for done, timeout in polls if not done)
-        assert all(timeout == 0 for done, timeout in polls if done)
-
-
 # ---------------------------------------------------------------- validation
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -416,7 +373,7 @@ class TestConfigValidation:
         engine = TurboHomPPEngine()
         engine.load(small_rdf_store)
         assert len(engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")) == 3
-        assert engine.workers == 1 and engine._executor is None
+        assert engine.workers == 1 and engine._pool is None
         assert "execution_mode" not in engine.stats()
 
 

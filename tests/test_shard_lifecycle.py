@@ -1,30 +1,35 @@
 """Lifecycle guarantees of the process shard pool.
 
 Covers the failure modes that only show up around pool shutdown and
-cancellation: worker exceptions and crashes propagating to the consumer,
-``limit_hint`` fanning a prompt stop out to every shard, a live pool
-adding no ``/dev/shm`` entry (workers inherit the graph), the workers
-stopping on pool or engine close, on GC and at interpreter exit, and the
-regression where closing the engine mid-iteration deadlocked on the
-bounded result queue.  Workers hold rows back until a batch is full, so the
+cancellation: worker exceptions and crashes propagating to the consumer
+(also a worker killed while blocked on a full pipe or while holding a
+claimed range), ``limit_hint`` fanning a prompt stop out to every shard, a
+live pool adding no ``/dev/shm`` entry and no thread (workers inherit the
+graph), the workers stopping on pool or engine close, on GC and at
+interpreter exit, and the regression where closing the engine
+mid-iteration deadlocked on a full result transport.  Workers hold rows back until a batch is full, so the
 last class checks that holding them cost neither ``LIMIT`` its early stop
 nor the next job its complete answer when a job is cancelled around them.
 """
 
 from __future__ import annotations
 
+import fcntl
 import gc
+import multiprocessing
 import os
 import pickle
-import queue
+import struct
 import subprocess
 import sys
+import termios
+import threading
 import time
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
 
-from repro.engine.shard_executor import ShardExecutor
 from repro.engine.turbo_engine import TurboHomPPEngine
 from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.query_graph import QueryGraph
@@ -83,6 +88,46 @@ def exploding_predicate(_data_vertex: int) -> bool:
     raise RuntimeError("predicate boom")
 
 
+class BoomOn:
+    """Push-down predicate raising on one data vertex (pickles into workers)."""
+
+    def __init__(self, vertex: int):
+        self.vertex = vertex
+
+    def __call__(self, data_vertex: int) -> bool:
+        if data_vertex == self.vertex:
+            raise RuntimeError("late boom")
+        return True
+
+
+class SleepOn:
+    """Push-down predicate that writes its worker's pid to ``path`` and
+    sleeps when it reaches one data vertex (pickles into workers)."""
+
+    def __init__(self, vertex: int, path: str):
+        self.vertex = vertex
+        self.path = path
+
+    def __call__(self, data_vertex: int) -> bool:
+        if data_vertex == self.vertex:
+            with open(self.path, "w") as handle:
+                handle.write(str(os.getpid()))
+            time.sleep(60)
+        return True
+
+
+def pipe_backlog(conn) -> int:
+    """Bytes waiting unread in the parent's end of a worker pipe."""
+    return struct.unpack("i", fcntl.ioctl(conn.fileno(), termios.FIONREAD, b"\0" * 4))[0]
+
+
+def wait_until(condition, timeout: float = 20.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not reached"
+        time.sleep(0.05)
+
+
 # ---------------------------------------------------------- process lifecycle
 class TestProcessPoolLifecycle:
     def test_worker_exception_propagates(self):
@@ -96,11 +141,10 @@ class TestProcessPoolLifecycle:
         finally:
             pool.close()
 
-    @pytest.mark.parametrize("factory", [ProcessShardPool, ShardExecutor])
-    def test_start_method_is_not_an_argument(self, factory):
+    def test_start_method_is_not_an_argument(self):
         # Workers fork where the platform can and spawn otherwise.
         with pytest.raises(TypeError, match="start_method"):
-            factory(star_graph(spokes=1), start_method="spawn")
+            ProcessShardPool(star_graph(spokes=1), start_method="spawn")
 
     def test_worker_crash_raises_instead_of_hanging(self):
         graph = star_graph(spokes=200, hubs=40)
@@ -204,6 +248,128 @@ class TestProcessPoolLifecycle:
         finally:
             pool.close()
 
+    def test_superseded_stream_drops_late_errors(self, new_leaks):
+        """A worker error that arrives after a same-thread match superseded
+        its stream belongs to a stream its consumer abandoned: the stream
+        ends quietly instead of raising it when resumed."""
+        graph = star_graph(spokes=3, hubs=200)
+        pool = make_pool(graph)
+        try:
+            stream = pool.iter_match_batches(
+                star_query(), vertex_predicates={1: BoomOn(graph.vertex_count - 1)}
+            )
+            next(stream)
+            time.sleep(0.5)  # the failing region is searched meanwhile
+            solutions, _ = pool.match(star_query())
+            assert len(solutions) == 600
+            assert sum(batch.rows for batch in stream) < 600
+        finally:
+            pool.close()
+        assert not new_leaks()
+
+
+# ------------------------------------------------------------- worker death
+class TestWorkerDeath:
+    """A worker killed at either point where the parent might wait on it
+    surfaces within a fixed bound, and the pool answers the next match."""
+
+    @staticmethod
+    def assert_dies_loudly(pool, stream, victim, expected):
+        victim.kill()
+        victim.join(2.0)
+        begin = time.monotonic()
+        with pytest.raises(ShardWorkerError, match="died"):
+            next(stream)
+        assert time.monotonic() - begin < 2.0
+        begin = time.monotonic()
+        pool.close()
+        assert time.monotonic() - begin < 2.0
+        solutions, _ = pool.match(star_query())
+        assert len(solutions) == expected
+
+    def test_kill_while_blocked_on_a_full_pipe(self, new_leaks):
+        # One hub is one range of 20000 rows, ~300 kB of batches: more than
+        # a pipe holds, so a worker blocks in send without claiming again.
+        graph = star_graph(spokes=20000, hubs=4)
+        pool = make_pool(graph)
+        try:
+            stream = pool.iter_match_batches(star_query())
+            next(stream)
+            # Nobody reads now: each worker fills its pipe and blocks in send.
+            sizes = []
+
+            def blocked():
+                sizes.append([pipe_backlog(conn) for conn in pool._conns])
+                return len(sizes) > 4 and all(
+                    size > 64 * 1024 for size in sizes[-1]
+                ) and sizes[-1] == sizes[-5]
+
+            wait_until(blocked)
+            self.assert_dies_loudly(pool, stream, pool._processes[0], 4 * 20000)
+        finally:
+            pool.close()
+        assert not new_leaks()
+
+    def test_kill_while_holding_a_claimed_range(self, tmp_path, new_leaks):
+        graph = star_graph(spokes=3, hubs=200)
+        pid_file = tmp_path / "sleeper.pid"
+        pool = make_pool(graph)
+        try:
+            # The first spoke of hub 10 stalls whichever worker claims it.
+            stream = pool.iter_match_batches(
+                star_query(), vertex_predicates={1: SleepOn(10 * 4 + 1, str(pid_file))}
+            )
+            next(stream)  # the other worker fills a batch meanwhile
+            wait_until(lambda: pid_file.exists() and pid_file.read_text())
+            pid = int(pid_file.read_text())
+            (victim,) = [process for process in pool._processes if process.pid == pid]
+            self.assert_dies_loudly(pool, stream, victim, 600)
+        finally:
+            pool.close()
+        assert not new_leaks()
+
+    def test_rebuild_keeps_a_waiting_thread_waiting(self, new_leaks):
+        """A same-thread match that finds a dead worker rebuilds the pool
+        while another thread waits for the stream gate: that thread must
+        keep waiting, not run its job on the pool being rebuilt."""
+        pool = make_pool(star_graph(spokes=3, hubs=2000))
+        outcome = {}
+
+        def other_thread():
+            try:
+                outcome["rows"] = len(pool.match(star_query())[0])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                outcome["error"] = exc
+
+        try:
+            first = pool.iter_match_batches(star_query())
+            next(first)  # this thread holds the stream gate
+            waiter = threading.Thread(target=other_thread)
+            waiter.start()
+            wait_until(lambda: pool._gate._lock.locked() and waiter.is_alive())
+            time.sleep(0.2)  # the waiter is parked on the gate
+            pool._processes[0].kill()
+            pool._processes[0].join(2.0)
+            rows = sum(batch.rows for batch in pool.iter_match_batches(star_query()))
+            waiter.join(60)
+            assert not waiter.is_alive()
+            assert rows == 6000 and outcome == {"rows": 6000}
+        finally:
+            pool.close()
+        assert not new_leaks()
+
+    def test_live_pool_starts_no_thread(self, new_leaks):
+        before = threading.active_count()
+        pool = make_pool(star_graph(spokes=20, hubs=20))
+        try:
+            solutions, _ = pool.match(star_query())
+            assert len(solutions) == 400
+            assert all(process.is_alive() for process in pool._processes)
+            assert threading.active_count() == before
+        finally:
+            pool.close()
+        assert not new_leaks()
+
 
 # ------------------------------------------------- worker-owned batch, limits
 class TestHeldRowsUnderLimitsAndCancellation:
@@ -241,36 +407,49 @@ class TestHeldRowsUnderLimitsAndCancellation:
         assert self.batch_rows(graph, limit=4) == [4]
 
     def test_worker_drops_held_rows_after_a_stop(self):
-        """The worker, run in-process on plain queues, with a consumer that
-        stops once the first full batch went out: the rest of the region in
-        progress is still searched and held, but never shipped, and the
-        worker drains the job's chunks and reports ``done``."""
+        """The worker, run in-process on a pipe, with a consumer (the test)
+        that answers its claims and stops once the first full batch went
+        out: the rest of the region in progress is still searched and held,
+        but never shipped, and the worker claims its way to the end and
+        reports ``done``."""
         graph = star_graph(spokes=3, hubs=100)  # 300 rows: 256 + a 44-row tail
         query = star_query()
         config = MatchConfig.turbo_hom_pp()
         prepared = prepare_query(graph, query, config)
         cancel = SimpleNamespace(value=0)
+        ranges = iter(chunk_ranges(len(prepared.start_candidates), 10))
+        parent, child = multiprocessing.Pipe()
+        shipped = []
 
-        class StoppingConsumer(queue.Queue):
-            def put(self, message, block=True, timeout=None):
-                super().put(message, block, timeout)
+        class StoppingConsumer:
+            """The worker's end of the pipe; plays the parent on every send."""
+
+            def recv(self):
+                return child.recv()
+
+            def send(self, message):
+                shipped.append(message[0])
                 if message[0] == "batch":
+                    assert message[1].rows == SOLUTION_BATCH_SIZE
                     cancel.value = 1
+                elif message[0] == "claim":
+                    parent.send([] if cancel.value else list(islice(ranges, 1)))
+                elif message[0] == "done":
+                    shipped.append(message[1:3])
+                    parent.send(None)  # shut down after the job
 
-        control, chunks, results = queue.Queue(), queue.Queue(), StoppingConsumer()
-        control.put(("job", 1, None, pickle.dumps(ShardPayload(query, prepared)), None))
-        control.put(None)  # shut down after the job
-        for lo, hi in chunk_ranges(len(prepared.start_candidates), 10):
-            chunks.put(("range", 1, lo, hi))
-        chunks.put(("end", 1))
-        _shard_worker_main(0, graph, config, None, control, chunks, results, cancel)
-        shipped = [results.get_nowait() for _ in range(results.qsize())]
-        assert [message[0] for message in shipped] == ["batch", "done"]
-        assert shipped[0][3].rows == SOLUTION_BATCH_SIZE
-        _, _, _, work, chunk_works, _ = shipped[1]
+        parent.send(("job", 1, None, pickle.dumps(ShardPayload(query, prepared)), None))
+        parent.send([next(ranges)])
+        try:
+            _shard_worker_main(graph, config, None, StoppingConsumer(), cancel)
+        finally:
+            parent.close()
+            child.close()
+        *messages, (work, chunk_works) = shipped
+        assert messages.count("batch") == 1 and messages[-1] == "done"
+        assert set(messages) == {"claim", "batch", "done"}
         # The chunk the stop interrupted is counted too.
         assert sum(chunk_works) == work > 0
-        assert chunks.empty()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_limits_stop_early_sequential_and_sharded(self, workers, graph):
@@ -288,8 +467,8 @@ class TestHeldRowsUnderLimitsAndCancellation:
                 assert stats.total_work < exhaustive / 2
                 if limit <= self.SPOKES:
                     # One region fills the batch.  Had the workers waited for
-                    # 256 rows they would have searched ~85 regions each; the
-                    # bounded output queue caps the overshoot at a few dozen.
+                    # 256 rows they would have searched ~85 regions each; a
+                    # worker stops at the limit of its own rows instead.
                     assert stats.total_work < 60 * per_region
             # The pool is not wedged: the next query is answered completely.
             solutions, _ = pool.match(star_query())
@@ -302,8 +481,10 @@ class TestHeldRowsUnderLimitsAndCancellation:
         query = star_query()
 
         def drained():
-            """The stopped job is retired and left nothing on the queue."""
-            return pool._active_job is None and pool._results.empty()
+            """The stopped job is retired and left nothing in a worker pipe."""
+            return pool._active_job is None and not any(
+                conn.poll() for conn in pool._conns
+            )
 
         try:
             solutions, _ = pool.match(query, max_results=300)  # limit stop
@@ -345,7 +526,7 @@ class TestSharedSegmentCleanup:
         engine.load(small_rdf_store)
         try:
             assert len(engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")) == 3
-            processes = engine._executor.pool._processes
+            processes = engine._pool._processes
             assert len(processes) == 2
             assert all(process.is_alive() for process in processes)
             assert set(os.listdir("/dev/shm")) - before == set()
@@ -370,7 +551,7 @@ class TestSharedSegmentCleanup:
         try:
             result = engine.query(PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }")
             assert len(result) == 3
-            processes = list(engine._executor.pool._processes)
+            processes = list(engine._pool._processes)
             assert len(processes) == 2
         finally:
             engine.close()
@@ -384,11 +565,11 @@ class TestSharedSegmentCleanup:
         query = PREFIX + "SELECT ?a ?b WHERE { ?a ex:knows ?b . }"
         try:
             assert len(engine.query(query)) == 3
-            first = list(engine._executor.pool._processes)
+            first = list(engine._pool._processes)
             engine.close()
             assert all(process.exitcode is not None for process in first)
             assert len(engine.query(query)) == 3  # transparently restarts
-            second = list(engine._executor.pool._processes)
+            second = list(engine._pool._processes)
             assert len(second) == 2 and not set(second) & set(first)
             assert all(process.is_alive() for process in second)
         finally:
@@ -417,10 +598,10 @@ class TestSharedSegmentCleanup:
         try:
             expected = sequential.query(lubm1.queries["Q9"])
             assert len(expected) > 0
-            assert sequential._executor is None
+            assert sequential._pool is None
             assert sequential.stats()["transport"] is None
             assert sharded.query(lubm1.queries["Q9"]).same_solutions(expected)
-            assert len(sharded._executor.pool._processes) == 2
+            assert len(sharded._pool._processes) == 2
             assert sharded.stats()["workers"] == 2
             assert sharded.stats()["transport"]["queue_batches"] > 0
         finally:
